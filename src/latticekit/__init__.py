@@ -64,6 +64,7 @@ from .heating import (
     HeatingRates,
     NoiseSpectrum,
     bound_gamma_tot,
+    combined_temperature,
     combined_temperature_ode,
     parametric_rate,
     total_rate,

@@ -35,12 +35,13 @@ from .config import (
 from .constants import CONST, RB85
 from .errors import ConfigError, DomainError
 from .fitting import fit_decay, fit_epsilon, residual_report
-from .heating import bound_gamma_tot, combined_temperature_ode, rates_from_spectrum
-from .losses import LossParams, integrate_eq1, xi_from_beta
+from .heating import bound_gamma_tot, combined_temperature, rates_from_spectrum
+from .losses import LossParams, population, xi_from_beta
 from .protocols import RampProfile, fit_expansion, ramp_simulate, synthesize_expansion
 from .tabular import (
     TRAJECTORY_DIGITS,
     atomic_write_text,
+    format_value,
     read_dataset,
     read_expansion,
     read_noise_spectrum,
@@ -65,20 +66,7 @@ CONFIGURED = "configured"
 # ---------------------------------------------------------------------------
 # reports
 
-def _fmt_value(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".10g")
-    return str(value)
-
-
-def _csv_value(value):
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+REPORT_DIGITS = 10
 
 
 def render_report(sections):
@@ -88,8 +76,10 @@ def render_report(sections):
     for name, entries in sections:
         text_lines.append(f"[{name}]")
         for key, value, provenance in entries:
-            text_lines.append(f"{key} = {_fmt_value(value)}  # {provenance}")
-            csv_lines.append(f"{name},{key},{_csv_value(value)},{provenance}")
+            text_lines.append(
+                f"{key} = {format_value(value, REPORT_DIGITS)}  # {provenance}"
+            )
+            csv_lines.append(f"{name},{key},{format_value(value)},{provenance}")
         text_lines.append("")
     return "\n".join(text_lines).rstrip() + "\n", "\n".join(csv_lines) + "\n"
 
@@ -189,19 +179,14 @@ def cmd_trap(cfg, args):
     return 0
 
 
-def _loss_params(cfg):
-    return LossParams.from_beta(
-        cfg["loss.gamma_per_s"],
-        cfg["loss.beta_cm3_per_s"],
-        cfg["sample.rho_peak_per_cm3"],
-    )
-
-
 def _time_grid(cfg):
     n = cfg["sim.n_points"]
     if n < 2:
         raise ConfigError("sim.n_points must be at least 2")
-    return np.linspace(0.0, cfg["sim.t_max_s"], n)
+    t_max = cfg["sim.t_max_s"]
+    if not 0.0 < t_max < math.inf:
+        raise ConfigError("sim.t_max_s must be positive and finite")
+    return np.linspace(0.0, t_max, n)
 
 
 def _run_ramp(cfg):
@@ -241,46 +226,56 @@ def cmd_simulate(cfg, args):
     if model == "ramp":
         _emit_report([("ramp", _run_ramp(cfg))], args.out)
         return 0
+    if model not in ("decay", "temperature", "combined"):
+        raise ConfigError(f"unknown simulate model {model!r}")
     if not args.out:
         raise ConfigError(f"simulate --model {model} requires --out for the CSV")
     grid = _time_grid(cfg)
-    if model == "decay":
-        params = _loss_params(cfg)
-        traj = integrate_eq1(
-            cfg["sample.atom_number"], params, None, grid,
-            rho_peak_per_cm3=cfg["sample.rho_peak_per_cm3"],
-        )
-        write_columns(args.out, ("t_s", "N"), (traj.t, traj.n), TRAJECTORY_DIGITS)
-        return 0
-    if model in ("temperature", "combined"):
-        # the pure cooling law is the combined equation with zero heating,
-        # so both models share one integration path
-        gamma_tot = cfg["heating.gamma_tot_per_s"] if model == "combined" else 0.0
-        params = _loss_params(cfg)
-        traj = combined_temperature_ode(
-            cfg["sample.temperature_uK"],
-            cfg["evap.epsilon"],
-            params.xi,
+    try:
+        params = LossParams.from_beta(
             cfg["loss.gamma_per_s"],
-            gamma_tot,
-            grid,
+            cfg["loss.beta_cm3_per_s"],
+            cfg["sample.rho_peak_per_cm3"],
         )
-        write_columns(
-            args.out, ("t_s", "T_uK"), (traj.t, traj.temperature), TRAJECTORY_DIGITS
-        )
-        return 0
-    raise ConfigError(f"unknown simulate model {model!r}")
+        if model == "decay":
+            header = ("t_s", "N")
+            n0 = cfg["sample.atom_number"]
+            if n0 < 0:
+                raise ValueError("atom number must be >= 0")
+            values = population(grid, n0, params.gamma_per_s, params.xi)
+        else:
+            # the pure cooling law is the combined solution with zero heating,
+            # so both models share one code path
+            header = ("t_s", "T_uK")
+            gamma_tot = cfg["heating.gamma_tot_per_s"] if model == "combined" else 0.0
+            values = combined_temperature(
+                grid,
+                cfg["sample.temperature_uK"],
+                cfg["evap.epsilon"],
+                params.xi,
+                params.gamma_per_s,
+                gamma_tot,
+            )
+    except DomainError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"invalid {model} configuration: {exc}") from None
+    write_columns(args.out, header, (grid, values), TRAJECTORY_DIGITS)
+    return 0
 
 
 def _emit_fit(result, report, out):
     lines = [f"model = {result.model}"]
     for name, value in result.params.items():
         err = result.uncertainties.get(name, float("nan"))
-        lines.append(f"{name} = {_fmt_value(value)} +- {_fmt_value(err)}")
+        lines.append(
+            f"{name} = {format_value(value, REPORT_DIGITS)}"
+            f" +- {format_value(err, REPORT_DIGITS)}"
+        )
     lines += [
-        f"rss = {_fmt_value(result.rss)}",
-        f"chi2_reduced = {_fmt_value(report.chi2_reduced)}",
-        f"converged = {_fmt_value(result.converged)}",
+        f"rss = {format_value(result.rss, REPORT_DIGITS)}",
+        f"chi2_reduced = {format_value(report.chi2_reduced, REPORT_DIGITS)}",
+        f"converged = {format_value(result.converged)}",
         f"iterations = {result.iterations}",
         f"message = {result.message}",
     ]
@@ -290,7 +285,7 @@ def _emit_fit(result, report, out):
     csv_lines = ["param,value,uncertainty"]
     for name, value in result.params.items():
         err = result.uncertainties.get(name, float("nan"))
-        csv_lines.append(f"{name},{_csv_value(float(value))},{_csv_value(float(err))}")
+        csv_lines.append(f"{name},{format_value(float(value))},{format_value(float(err))}")
     if out:
         atomic_write_text(out, text)
         atomic_write_text(out + ".csv", "\n".join(csv_lines) + "\n")
@@ -302,7 +297,7 @@ def _emit_fit(result, report, out):
 def _residuals_csv(report):
     lines = ["index,residual"]
     for i, r in enumerate(report.residuals):
-        lines.append(f"{i},{repr(float(r))}")
+        lines.append(f"{i},{format_value(float(r))}")
     return "\n".join(lines) + "\n"
 
 
@@ -393,7 +388,11 @@ def cmd_bound(cfg, args):
                 rates.e_folding_time if rates.e_folding_time is not None else float("inf"),
                 COMPUTED,
             ),
-            ("psd_to_bound_ratio", rates.gamma_total / bound, COMPUTED),
+            (
+                "psd_to_bound_ratio",
+                rates.gamma_total / bound if bound > 0 else float("inf"),
+                COMPUTED,
+            ),
         ]
     _emit_report([("heating_bound", entries)], args.out)
     return 0

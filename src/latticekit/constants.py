@@ -38,6 +38,8 @@ CONST = PhysicalConstants(
 
 ATOMIC_MASS_UNIT = 1.66053906660e-27  # kg
 
+M3_TO_CM3 = 1e6  # cm^3 per m^3
+
 
 @dataclass(frozen=True)
 class Species:

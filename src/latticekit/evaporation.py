@@ -22,11 +22,9 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import erf
 
-from .constants import CONST, Species, reduced_mass, thermal_velocity
+from .constants import CONST, M3_TO_CM3, Species, reduced_mass, thermal_velocity
 from .errors import DomainError
 from .trap import TrapState
-
-M3_TO_CM3 = 1e6
 
 
 @dataclass(frozen=True)

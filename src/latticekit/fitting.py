@@ -2,7 +2,8 @@
 
 A damped Gauss-Newton engine with Marquardt scaling binds the closed-form
 models to measured series: (gamma, beta) from N(t) data and the
-energy-removal coefficient from T(t) data. Everything is double precision
+energy-removal coefficient from T(t) data. The models themselves are
+losses.population and evaporation.temperature. Everything is double precision
 with a fixed iteration order, so identical inputs give bit-identical fits.
 """
 
@@ -11,7 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+from .evaporation import temperature
+from .losses import population, xi_from_beta
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,10 @@ class Dataset:
         )
         if t.ndim != 1 or t.size != v.size or s.size != v.size:
             raise ValueError("t, value and sigma must be 1-d of equal length")
+        if not all(np.all(np.isfinite(x)) for x in (t, v, s)):
+            raise ValueError("t, value and sigma must be finite")
+        if np.any(t < 0):
+            raise ValueError("times must be >= 0")
         if np.any(np.diff(t) <= 0):
             raise ValueError("times must be strictly increasing")
         if np.any(v <= 0):
@@ -64,13 +70,7 @@ class FitResult:
 
 
 # ---------------------------------------------------------------------------
-# models and analytic Jacobians
-
-def decay_model(t, gamma, xi, n0):
-    """N(t) of the two-channel loss model."""
-    u = np.exp(-gamma * np.asarray(t, dtype=float))
-    return n0 * u / (1.0 + xi * (1.0 - u))
-
+# analytic Jacobian of losses.population
 
 def decay_jacobian(t, gamma, xi, n0):
     """Columns dN/d(gamma), dN/d(xi), dN/d(n0)."""
@@ -81,11 +81,6 @@ def decay_jacobian(t, gamma, xi, n0):
     d_xi = -n0 * u * (1.0 - u) / denom**2
     d_n0 = u / denom
     return np.column_stack([d_gamma, d_xi, d_n0])
-
-
-def cooling_model(t, epsilon_value, xi, gamma, t0):
-    u = np.exp(-gamma * np.asarray(t, dtype=float))
-    return t0 * (1.0 - epsilon_value * xi * (1.0 - u))
 
 
 # ---------------------------------------------------------------------------
@@ -183,14 +178,14 @@ def fit_decay(dataset: Dataset, rho_peak_per_cm3, initial_guess,
     gamma0, beta0 = initial_guess
     if gamma0 <= 0 or beta0 <= 0:
         raise ValueError("initial guess must be positive")
-    xi0 = beta0 * rho_peak_per_cm3 / (4.0 * gamma0)
+    xi0 = xi_from_beta(beta0, rho_peak_per_cm3, gamma0)
     p0 = np.array([gamma0, xi0, dataset.value[0]])
 
     t, y, s = dataset.t, dataset.value, dataset.sigma
 
     def eval_fn(p):
         gamma, xi, n0 = p
-        r = (decay_model(t, gamma, xi, n0) - y) / s
+        r = (population(t, n0, gamma, xi) - y) / s
         jac = decay_jacobian(t, gamma, xi, n0) / s[:, None]
         return r, jac
 
@@ -232,13 +227,14 @@ def fit_decay(dataset: Dataset, rho_peak_per_cm3, initial_guess,
 # ---------------------------------------------------------------------------
 # energy-removal coefficient fit
 
-def fit_epsilon(dataset: Dataset, xi, gamma_per_s, t0,
-                boundary_tol=1e-6) -> FitResult:
+def fit_epsilon(dataset: Dataset, xi, gamma_per_s, t0) -> FitResult:
     """One-dimensional least squares for the energy-removal coefficient.
 
     (xi, gamma, T0) stay fixed, mirroring the two-stage procedure of fitting
-    the decay first. Golden-section search over (0, 1/xi) followed by the
-    exact polish that the linearity of the model permits.
+    the decay first. The residual is linear in eps, so the normal equation
+    gives the exact optimum. It is clipped to [0, 1/xi), with the upper end
+    stepped down until eps xi < 1 in floating point so the cooling law stays
+    positive, and a clipped solution is reported as not converged.
     """
     if len(dataset) < 3:
         raise ValueError("need at least 3 points to fit")
@@ -249,48 +245,25 @@ def fit_epsilon(dataset: Dataset, xi, gamma_per_s, t0,
     a = -t0 * xi * (1.0 - u) / s  # d(model)/d(eps), weighted
     z = (y - t0) / s
 
-    def rss_at(e):
-        r = a * e - z
-        return float(r @ r)
-
-    lo, hi = 0.0, 1.0 / xi
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
-    f1, f2 = rss_at(x1), rss_at(x2)
-    iterations = 0
-    while (hi - lo) > 1e-12 and iterations < 300:
-        iterations += 1
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = rss_at(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = rss_at(x2)
-    eps = 0.5 * (lo + hi)
-
-    # the residual is linear in eps, so the normal equation is exact
     denom = float(a @ a)
-    if denom > 0:
-        eps_exact = float(a @ z) / denom
-        if 0.0 < eps_exact < 1.0 / xi and rss_at(eps_exact) <= rss_at(eps):
-            eps = eps_exact
-    rss = rss_at(eps)
+    eps_free = float(a @ z) / denom if denom > 0 else 0.0
+    eps_max = 1.0 / xi
+    while eps_max * xi >= 1.0:
+        eps_max = math.nextafter(eps_max, 0.0)
+    eps = min(max(eps_free, 0.0), eps_max)
+    r = a * eps - z
+    rss = float(r @ r)
 
-    span = 1.0 / xi
-    at_boundary = eps < boundary_tol * span or eps > (1.0 - boundary_tol) * span
-    message = "minimum at domain boundary" if at_boundary else "converged"
-
+    converged = 0.0 < eps_free < eps_max
     dof = max(len(dataset) - 1, 1)
     var_eps = (rss / dof) / denom if denom > 0 else math.inf
     return FitResult(
         params={"epsilon": eps},
         uncertainties={"epsilon": math.sqrt(var_eps)},
         rss=rss,
-        converged=not at_boundary,
-        iterations=iterations,
-        message=message,
+        converged=converged,
+        iterations=1,
+        message="converged" if converged else "minimum at domain boundary",
         model="temperature",
         fixed={"xi": xi, "gamma_per_s": gamma_per_s, "t0": t0},
     )
@@ -354,16 +327,16 @@ class ResidualReport:
 def _model_values(result: FitResult, t):
     if result.model == "decay":
         p = result.params
-        return decay_model(t, p["gamma_per_s"], p["xi"], p["n0"])
+        return population(t, p["n0"], p["gamma_per_s"], p["xi"])
     if result.model == "temperature":
         f = result.fixed
-        return cooling_model(
-            t, result.params["epsilon"], f["xi"], f["gamma_per_s"], f["t0"]
+        return temperature(
+            t, f["t0"], result.params["epsilon"], f["xi"], f["gamma_per_s"]
         )
     if result.model == "temperature_joint":
         p = result.params
-        return cooling_model(
-            t, p["epsilon_xi"], 1.0, p["gamma_per_s"], result.fixed["t0"]
+        return temperature(
+            t, result.fixed["t0"], p["epsilon_xi"], 1.0, p["gamma_per_s"]
         )
     raise ValueError(f"unknown model {result.model!r}")
 

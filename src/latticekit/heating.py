@@ -1,10 +1,12 @@
-"""Parametric heating from intensity noise and the combined temperature ODE.
+"""Parametric heating from intensity noise and cooling plus heating.
 
 A relative well-depth fluctuation spectrum S_rel drives parametric heating at
 twice each secular frequency with rate gamma = pi^2 nu^2 S_rel(2 nu); the
 thermal-equilibrium weighting gamma_tot = (gamma_a + 2 gamma_r) / 3 combines
 the axial and radial rates. The one-sided PSD convention with units 1/Hz for
 relative fluctuations is used throughout, including the CSV file format.
+Cooling plus heating has the closed form combined_temperature; its RK4
+integration combined_temperature_ode is kept only as the test oracle.
 """
 
 import math
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .evaporation import TemperatureTrajectory
+from .evaporation import TemperatureTrajectory, temperature
 from .integrate import rk4_path
 
 
@@ -100,9 +102,32 @@ def rates_from_spectrum(spectrum, nu_axial, nu_radial) -> HeatingRates:
     )
 
 
+def combined_temperature(t, t0, epsilon_value, xi, gamma_per_s, gamma_tot):
+    """Closed-form T(t) of dT/dt = -eps xi gamma exp(-gamma t) T0 + gamma_tot T.
+
+    T(t) = T0 exp(k t) (1 - eps xi g/(k+g) (1 - exp(-(k+g) t))) with
+    k = gamma_tot and g = gamma; at k = 0 it reduces bit for bit to the
+    cooling law evaporation.temperature. Accepts scalar or array t >= 0.
+    """
+    if epsilon_value * xi >= 1.0:
+        raise DomainError("eps*xi >= 1: model predicts non-positive temperature")
+    if t0 <= 0:
+        raise ValueError("temperature must be > 0")
+    if gamma_tot < 0:
+        raise ValueError("gamma_tot must be >= 0")
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr < 0):
+        raise ValueError("time must be >= 0")
+    rate = gamma_tot + gamma_per_s
+    result = t0 * np.exp(gamma_tot * t_arr) * (
+        1.0 - epsilon_value * xi * (gamma_per_s / rate) * (1.0 - np.exp(-rate * t_arr))
+    )
+    return float(result) if np.isscalar(t) else result
+
+
 def combined_temperature_ode(t0, epsilon_value, xi, gamma_per_s, gamma_tot,
                              t_grid) -> TemperatureTrajectory:
-    """Integrate dT/dt = -eps xi gamma exp(-gamma t) T0 + gamma_tot T.
+    """Test oracle: RK4 integration of the equation combined_temperature solves.
 
     Fixed-step RK4 with the same step contract as the population integrator;
     gamma_tot = 0 reduces to the closed-form cooling law.
@@ -130,27 +155,20 @@ def combined_temperature_ode(t0, epsilon_value, xi, gamma_per_s, gamma_tot,
     )
 
 
-def bound_gamma_tot(t0, epsilon_value, xi, gamma_per_s, t_max,
-                    n_grid: int = 2048) -> float:
+def bound_gamma_tot(t0, epsilon_value, xi, gamma_per_s, t_max) -> float:
     """Upper bound on the heating rate from a monotone temperature decrease.
 
     A negative temperature slope over [0, t_max] requires
-    gamma_tot < eps xi gamma exp(-gamma t) T(0) / T(t) at every t; the bound
-    is the minimum of that ratio. The ratio is monotone decreasing in t for
-    eps xi < 1, so the minimum sits at t_max (checked numerically here
-    anyway). Independent of T0 (ratio form).
+    gamma_tot < r(t) = eps xi gamma u / (1 - eps xi (1 - u)), u = exp(-gamma t),
+    at every t; the bound is the minimum of r. dr/du has the sign of
+    eps xi (1 - eps xi), so r is monotone and its minimum sits at t_max for
+    0 <= eps xi < 1 and at t = 0 for eps xi < 0. Independent of T0.
     """
-    if t_max < 0:
-        raise ValueError("t_max must be >= 0")
-    if epsilon_value * xi >= 1.0:
-        raise DomainError("eps*xi >= 1: model predicts non-positive temperature")
-    if t_max == 0:
-        return epsilon_value * xi * gamma_per_s
     del t0  # cancels in the ratio; kept in the signature for symmetry
-    ts = np.linspace(0.0, t_max, n_grid)
-    decay = np.exp(-gamma_per_s * ts)
+    ends = np.array([0.0, t_max])
+    # the cooling law at unit T0 raises for t_max < 0 and for eps xi >= 1
     ratios = (
-        epsilon_value * xi * gamma_per_s * decay
-        / (1.0 - epsilon_value * xi * (1.0 - decay))
+        epsilon_value * xi * gamma_per_s * np.exp(-gamma_per_s * ends)
+        / temperature(ends, 1.0, epsilon_value, xi, gamma_per_s)
     )
     return float(ratios.min())

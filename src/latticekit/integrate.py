@@ -1,5 +1,7 @@
-"""Fixed-step fourth-order Runge-Kutta integration.
+"""Fixed-step fourth-order Runge-Kutta integration, kept as a test oracle.
 
+The product path uses the closed forms; the tests check them against this
+independent route (losses.integrate_eq1, heating.combined_temperature_ode).
 Deterministic by construction: the step size is tied to the total span
 (span / 4096 by default), so repeated runs give bit-identical trajectories.
 """

@@ -4,7 +4,7 @@ The rate equation dN/dt = -gamma N - beta * integral(rho^2) with the
 constant-temperature closure rho_peak(t) proportional to N(t) has the closed
 form  N(t) = N0 exp(-gamma t) / (1 + xi (1 - exp(-gamma t)))  with
 xi = beta rho_peak / (4 gamma). A fixed-step RK4 integrator of the raw rate
-equation serves as the internal oracle for that closed form.
+equation (integrate_eq1) is kept only as the test oracle for that closed form.
 
 Volume-carrying quantities (beta, densities) use cm^3 at this interface,
 matching how such coefficients are conventionally quoted.
@@ -99,7 +99,7 @@ def constant_temperature_closure(n0, rho_peak_per_cm3):
 
 def integrate_eq1(n0, params: LossParams, density_model, t_grid,
                   rho_peak_per_cm3=None):
-    """RK4 oracle for the loss rate equation.
+    """Test oracle: RK4 integration of the loss rate equation.
 
     density_model maps N to integral(rho^2) in cm^-3 units (see
     constant_temperature_closure); pass None to build that default closure,

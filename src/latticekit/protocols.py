@@ -14,11 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONST, Species, thermal_velocity
+from .constants import CONST, M3_TO_CM3, Species, thermal_velocity
 from .evaporation import beta_esc, epsilon, eta, unitarity_cross_section
 from .trap import TrapState
-
-M3_TO_CM3 = 1e6
 
 RETHERMALIZATION_MODES = ("collision-gated", "instant", "off")
 

@@ -38,21 +38,27 @@ def atomic_write_text(path, text):
         raise
 
 
-def _fmt(value, sig_digits=None):
-    if sig_digits is not None:
-        return format(float(value), f".{sig_digits}g")
-    return repr(float(value))
+def format_value(value, sig_digits=None):
+    """One table or report cell: true/false, a float to sig_digits significant
+    digits (round-trip repr when None), anything else through str."""
+    if isinstance(value, float):
+        if sig_digits is not None:
+            return format(value, f".{sig_digits}g")
+        return repr(float(value))
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
 def write_columns(path, header, columns, sig_digits=None):
     """Write equal-length columns as CSV under the given header names."""
-    columns = [np.asarray(c) for c in columns]
+    columns = [np.asarray(c, dtype=float) for c in columns]
     length = columns[0].size
     if any(c.size != length for c in columns):
         raise ValueError("columns must have equal length")
     lines = [",".join(header)]
     for i in range(length):
-        lines.append(",".join(_fmt(c[i], sig_digits) for c in columns))
+        lines.append(",".join(format_value(c[i], sig_digits) for c in columns))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

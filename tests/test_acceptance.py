@@ -14,14 +14,7 @@ from conftest import check, state_a, state_b
 import latticekit as lk
 from latticekit.constants import CONST, RB85
 from latticekit.evaporation import mean_potential_energy, truncated_r4_integral
-from latticekit.fitting import (
-    Dataset,
-    cooling_model,
-    decay_jacobian,
-    decay_model,
-    fit_decay,
-    fit_epsilon,
-)
+from latticekit.fitting import Dataset, decay_jacobian, fit_decay, fit_epsilon
 from latticekit.heating import bound_gamma_tot, combined_temperature_ode
 from latticekit.losses import LossParams, integrate_eq1, population, xi_from_beta
 from latticekit.protocols import (
@@ -225,7 +218,9 @@ def test_criterion_7_model_reductions():
         plus, minus = p.copy(), p.copy()
         plus[j] += step
         minus[j] -= step
-        numeric = (decay_model(ts, *plus) - decay_model(ts, *minus)) / (2 * step)
+        # columns are ordered (gamma, xi, n0); population takes (n0, gamma, xi)
+        numeric = (population(ts, plus[2], plus[0], plus[1])
+                   - population(ts, minus[2], minus[0], minus[1])) / (2 * step)
         worst_jac = max(
             worst_jac,
             float(np.max(np.abs(jac[:, j] - numeric)) / np.max(np.abs(jac[:, j]))),
@@ -244,13 +239,13 @@ def test_criterion_7_model_reductions():
 def test_criterion_8_fit_recovery():
     t = np.linspace(0, 4, 21)
     xi_true = xi_from_beta(7.5e-12, 9e11, 0.6)
-    clean = Dataset(t=t, value=decay_model(t, 0.6, xi_true, 4e6), kind="population")
+    clean = Dataset(t=t, value=population(t, 4e6, 0.6, xi_true), kind="population")
     result = fit_decay(clean, 9e11, (0.4, 5e-12))
     ok_noiseless = (
         rel(result.params["gamma_per_s"], 0.6) < 1e-6
         and rel(result.params["beta_cm3_per_s"], 7.5e-12) < 1e-6
     )
-    cooling = Dataset(t=t, value=cooling_model(t, 0.057, 2.80, 0.6, 123.0),
+    cooling = Dataset(t=t, value=lk.temperature(t, 123.0, 0.057, 2.80, 0.6),
                       kind="temperature")
     eps_fit = fit_epsilon(cooling, 2.80, 0.6, 123.0)
     ok_noiseless = ok_noiseless and rel(eps_fit.params["epsilon"], 0.057) < 1e-8
@@ -260,7 +255,7 @@ def test_criterion_8_fit_recovery():
     recovered = []
     for seed in range(100):
         rng = np.random.default_rng(seed)
-        truth = decay_model(t[:20], 0.6, xi_true, 4e6)
+        truth = population(t[:20], 4e6, 0.6, xi_true)
         noisy = Dataset(
             t=t[:20],
             value=truth * (1 + 0.03 * rng.standard_normal(20)),
@@ -280,11 +275,11 @@ def test_criterion_8_fit_recovery():
 
     # fitted-vs-computed coefficient gap, fits run on synthetic data built
     # from the quoted fitted values
-    trace_a = Dataset(t=t, value=cooling_model(t, 0.057, 2.80, 0.6, 123.0),
+    trace_a = Dataset(t=t, value=lk.temperature(t, 123.0, 0.057, 2.80, 0.6),
                       kind="temperature")
     fit_a = fit_epsilon(trace_a, 2.80, 0.6, 123.0).params["epsilon"]
     ratio_a = lk.epsilon(2.85) / fit_a
-    trace_b = Dataset(t=t, value=cooling_model(t, 0.12, 3.72, 0.76, 38.0),
+    trace_b = Dataset(t=t, value=lk.temperature(t, 38.0, 0.12, 3.72, 0.76),
                       kind="temperature")
     fit_b = fit_epsilon(trace_b, 3.72, 0.76, 38.0).params["epsilon"]
     ratio_b = lk.epsilon(2.63) / fit_b

@@ -2,6 +2,7 @@ import math
 import os
 
 import numpy as np
+import pytest
 
 from latticekit.cli import main
 from latticekit.constants import CONST, RB85
@@ -113,6 +114,35 @@ def test_simulate_temperature_equals_combined_with_zero_heating(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "model,key,value",
+    [
+        ("combined", "heating.gamma_tot_per_s", "-0.1"),
+        ("decay", "sim.t_max_s", "0"),
+        ("decay", "sim.t_max_s", "inf"),
+        ("decay", "sample.atom_number", "-5"),
+        ("temperature", "sample.temperature_uK", "-5"),
+    ],
+)
+def test_simulate_invalid_input_exits_2(tmp_path, capsys, model, key, value):
+    out = tmp_path / "trajectory.csv"
+    assert main(["simulate", "--model", model, "--out", str(out), f"--{key}", value]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_simulate_never_calls_the_integrator(tmp_path, monkeypatch):
+    # the RK4 integrator is a test oracle; simulate runs the closed forms
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("rk4_path called on the product path")
+
+    monkeypatch.setattr("latticekit.losses.rk4_path", refuse)
+    monkeypatch.setattr("latticekit.heating.rk4_path", refuse)
+    for model in ("decay", "temperature", "combined"):
+        out = tmp_path / f"{model}.csv"
+        assert main(["simulate", "--model", model, "--out", str(out)]) == 0
+
+
 def test_simulate_requires_out(capsys):
     assert main(["simulate", "--model", "decay"]) == 2
 
@@ -203,6 +233,34 @@ def test_fit_malformed_row_exits_2(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "rows",
+    [
+        "0,4e6\n0.5,nan\n1,2e6\n1.5,1e6\n",
+        "0,4e6\n0.5,inf\n1,2e6\n1.5,1e6\n",
+        "-1,6e6\n0,4e6\n1,2e6\n1.5,1e6\n",
+    ],
+    ids=["nan", "inf", "negative-time"],
+)
+def test_fit_nonfinite_or_negative_time_row_exits_2(tmp_path, capsys, rows):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("t_s,N\n" + rows)
+    assert main(["fit", "--kind", "decay", "--data", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_fit_temperature_upper_boundary_exits_4(tmp_path, capsys):
+    # data colder than the eps*xi -> 1 limit T0 exp(-gamma t) pins epsilon to
+    # the upper edge of its domain: a non-converged fit, not a domain error
+    t = np.linspace(0, 4, 21)
+    temps = 0.9 * 123.0 * np.exp(-0.6 * t)
+    data = tmp_path / "cold.csv"
+    data.write_text("t_s,T_uK\n" + "".join(f"{a!r},{b!r}\n" for a, b in
+                                            zip(t.tolist(), temps.tolist())))
+    assert main(["fit", "--kind", "temperature", "--data", str(data)]) == 4
+    assert "domain boundary" in capsys.readouterr().err
+
+
 def test_fit_wrong_header_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("time,N\n0,4e6\n")
@@ -252,6 +310,15 @@ def test_bound_zero_window(capsys):
     text = capsys.readouterr().out
     expected = 0.057 * (7.5e-12 * 9e11 / (4 * 0.6)) * 0.6
     assert rel(report_value(text, "gamma_tot_bound_per_s"), expected) < 1e-12
+
+
+def test_bound_psd_with_zero_bound_reports_inf(tmp_path, capsys):
+    psd = tmp_path / "flat_psd.csv"
+    write_noise_spectrum(str(psd), flat_spectrum(1e-13, 100.0, 1e6))
+    assert main(["bound", "--psd", str(psd), "--evap.epsilon", "0"]) == 0
+    text = capsys.readouterr().out
+    assert report_value(text, "gamma_tot_bound_per_s") == 0.0
+    assert report_value(text, "psd_to_bound_ratio") == math.inf
 
 
 def test_bound_domain_violation_exits_3(capsys):

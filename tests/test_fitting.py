@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
+from latticekit.evaporation import temperature
 from latticekit.fitting import (
     Dataset,
-    cooling_model,
     decay_jacobian,
-    decay_model,
     fit_cooling_joint,
     fit_decay,
     fit_epsilon,
     residual_report,
 )
+from latticekit.losses import population
 
 GAMMA_T, BETA_T, RHO_T, N0_T = 0.6, 7.5e-12, 9e11, 4e6
 XI_T = BETA_T * RHO_T / (4 * GAMMA_T)  # 2.8125
@@ -23,7 +23,7 @@ def rel(a, b):
 
 def decay_dataset(noise=0.0, seed=0, n_points=21, weighted=False):
     t = np.linspace(0, 4, n_points)
-    truth = decay_model(t, GAMMA_T, XI_T, N0_T)
+    truth = population(t, N0_T, GAMMA_T, XI_T)
     if noise:
         rng = np.random.default_rng(seed)
         values = truth * (1 + noise * rng.standard_normal(t.size))
@@ -43,6 +43,16 @@ def test_dataset_validation():
         Dataset(t=np.array([0.0, 1.0]), value=np.array([1.0, -1.0]))
     with pytest.raises(ValueError):
         Dataset(t=np.array([0.0, 1.0]), value=np.array([1.0, 1.0]), kind="widths")
+    for t, value, sigma in [
+        ([0.0, 1.0], [1.0, np.nan], None),
+        ([0.0, 1.0], [1.0, np.inf], None),
+        ([0.0, np.inf], [1.0, 1.0], None),
+        ([0.0, 1.0], [1.0, 1.0], [1.0, np.nan]),
+        ([-1.0, 1.0], [1.0, 1.0], None),
+    ]:
+        with pytest.raises(ValueError):
+            Dataset(t=np.array(t), value=np.array(value),
+                    sigma=None if sigma is None else np.array(sigma))
     ds = Dataset(t=np.array([0.0, 1.0]), value=np.array([2.0, 1.0]))
     assert np.all(ds.sigma == 1.0)
 
@@ -60,7 +70,7 @@ def test_noiseless_recovery_exact():
 
 def test_needs_four_points():
     t = np.linspace(0, 1, 3)
-    ds = Dataset(t=t, value=decay_model(t, GAMMA_T, XI_T, N0_T))
+    ds = Dataset(t=t, value=population(t, N0_T, GAMMA_T, XI_T))
     with pytest.raises(ValueError):
         fit_decay(ds, RHO_T, GUESS)
 
@@ -79,7 +89,9 @@ def test_jacobian_against_finite_differences():
         plus, minus = p.copy(), p.copy()
         plus[j] += h
         minus[j] -= h
-        numeric = (decay_model(t, *plus) - decay_model(t, *minus)) / (2 * h)
+        # columns are ordered (gamma, xi, n0); population takes (n0, gamma, xi)
+        numeric = (population(t, plus[2], plus[0], plus[1])
+                   - population(t, minus[2], minus[0], minus[1])) / (2 * h)
         scale = np.max(np.abs(analytic[:, j]))
         assert np.max(np.abs(analytic[:, j] - numeric)) / scale < 1e-6
 
@@ -131,7 +143,7 @@ def test_uncertainties_positive_under_noise():
 
 def cooling_dataset(eps, xi, gamma, t0_uk, noise=0.0, seed=0, n_points=17):
     t = np.linspace(0, 4, n_points)
-    truth = cooling_model(t, eps, xi, gamma, t0_uk)
+    truth = temperature(t, t0_uk, eps, xi, gamma)
     if noise:
         rng = np.random.default_rng(seed)
         truth = truth * (1 + noise * rng.standard_normal(t.size))
@@ -158,6 +170,15 @@ def test_epsilon_boundary_flagged():
     result = fit_epsilon(ds, 2.80, 0.6, 123.0)
     assert not result.converged
     assert "boundary" in result.message
+    assert result.params["epsilon"] == 0.0
+    # data colder than the eps*xi -> 1 limit T0 exp(-gamma t) pins it to the
+    # upper edge, where the cooling law must still be positive; at
+    # xi = 2.8125, (1/xi) * xi rounds to exactly 1
+    cold = Dataset(t=t, value=0.9 * 123.0 * np.exp(-0.6 * t), kind="temperature")
+    result = fit_epsilon(cold, 2.8125, 0.6, 123.0)
+    assert not result.converged
+    assert result.params["epsilon"] * 2.8125 < 1.0
+    assert np.all(np.isfinite(residual_report(result, cold).residuals))
 
 
 def test_epsilon_needs_three_points():

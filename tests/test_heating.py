@@ -9,6 +9,7 @@ from latticekit.heating import (
     HeatingRates,
     NoiseSpectrum,
     bound_gamma_tot,
+    combined_temperature,
     combined_temperature_ode,
     flat_level_for_total_rate,
     flat_spectrum,
@@ -128,6 +129,22 @@ def test_combined_reduces_to_closed_form():
     assert np.max(np.abs(traj.temperature - closed) / closed) < 1e-9
 
 
+def test_combined_closed_form_matches_ode_with_heating():
+    t = np.linspace(0, 4, 81)
+    args = (TRACE_A["t0"], TRACE_A["eps"], TRACE_A["xi"], TRACE_A["gamma"])
+    for gamma_tot in (0.041, 0.5):
+        ode = combined_temperature_ode(*args, gamma_tot, t).temperature
+        closed = combined_temperature(t, *args, gamma_tot)
+        assert np.max(np.abs(ode - closed) / closed) <= 1e-12
+
+
+def test_combined_closed_form_without_heating_is_the_cooling_law():
+    t = np.linspace(0, 4, 81)
+    args = (TRACE_A["t0"], TRACE_A["eps"], TRACE_A["xi"], TRACE_A["gamma"])
+    assert np.array_equal(combined_temperature(t, *args, 0.0), temperature(t, *args))
+    assert combined_temperature(2.0, *args, 0.0) == temperature(2.0, *args)
+
+
 def test_combined_pure_heating():
     t = np.linspace(0, 4, 41)
     traj = combined_temperature_ode(123e-6, 0.0, 2.80, 0.6, 0.041, t)
@@ -158,6 +175,10 @@ def test_combined_slope_sign_change_with_psd_rate():
 def test_combined_domain_guard():
     with pytest.raises(DomainError):
         combined_temperature_ode(123e-6, 0.5, 2.80, 0.6, 0.0, np.linspace(0, 1, 3))
+    with pytest.raises(DomainError):
+        combined_temperature(np.linspace(0, 1, 3), 123e-6, 0.5, 2.80, 0.6, 0.0)
+    with pytest.raises(ValueError):
+        combined_temperature(np.linspace(0, 1, 3), 123e-6, 0.057, 2.80, 0.6, -0.1)
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +214,20 @@ def test_bound_minimum_sits_at_window_end():
     bound = bound_gamma_tot(TRACE_A["t0"], TRACE_A["eps"], TRACE_A["xi"],
                             TRACE_A["gamma"], 4.0)
     assert rel(bound, ratio[-1]) < 1e-12
+
+
+def test_bound_minimum_sits_at_window_start_for_negative_epsilon():
+    # for eps < 0 the ratio grows with t, so the grid minimum is at t = 0
+    eps = -0.3
+    t = np.linspace(0, 4.0, 2048)
+    decay = np.exp(-TRACE_A["gamma"] * t)
+    ratio = (
+        eps * TRACE_A["xi"] * TRACE_A["gamma"] * decay
+        / (1.0 - eps * TRACE_A["xi"] * (1.0 - decay))
+    )
+    assert np.argmin(ratio) == 0
+    bound = bound_gamma_tot(TRACE_A["t0"], eps, TRACE_A["xi"], TRACE_A["gamma"], 4.0)
+    assert bound == ratio.min()
 
 
 def test_bound_decreasing_in_window_length():
