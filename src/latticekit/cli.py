@@ -6,7 +6,9 @@ LATTICEKIT_CONFIG environment variable) and trailing `--key value` overrides
 whose names mirror the config keys (unambiguous tails are accepted).
 
 Exit codes: 0 success, 2 input or configuration error, 3 model-domain error,
-4 fit non-convergence.
+4 fit non-convergence. main is the only place that maps exceptions to codes:
+DomainError gives 3, any other ValueError (ConfigError included) or an
+OSError gives 2.
 """
 
 import argparse
@@ -184,8 +186,8 @@ def _time_grid(cfg):
     if n < 2:
         raise ConfigError("sim.n_points must be at least 2")
     t_max = cfg["sim.t_max_s"]
-    if not 0.0 < t_max < math.inf:
-        raise ConfigError("sim.t_max_s must be positive and finite")
+    if t_max <= 0:
+        raise ConfigError("sim.t_max_s must be positive")
     return np.linspace(0.0, t_max, n)
 
 
@@ -196,17 +198,14 @@ def _run_ramp(cfg):
         u_final=cfg["ramp.depth_final_uK"] * 1e-6 * CONST.kB,
         duration=cfg["ramp.duration_ms"] * 1e-3,
     )
-    try:
-        result = ramp_simulate(
-            state,
-            profile,
-            RB85,
-            rethermalization=cfg["ramp.rethermalization"],
-            steps=cfg["ramp.steps"],
-            rho_bar_per_cm3=cfg["sample.rho_peak_per_cm3"] / 4.0,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid ramp configuration: {exc}") from None
+    result = ramp_simulate(
+        state,
+        profile,
+        RB85,
+        rethermalization=cfg["ramp.rethermalization"],
+        steps=cfg["ramp.steps"],
+        rho_bar_per_cm3=cfg["sample.rho_peak_per_cm3"] / 4.0,
+    )
     entries = [
         ("depth_initial_uK", cfg["trap.depth_uK"], CONFIGURED),
         ("depth_final_uK", cfg["ramp.depth_final_uK"], CONFIGURED),
@@ -231,35 +230,30 @@ def cmd_simulate(cfg, args):
     if not args.out:
         raise ConfigError(f"simulate --model {model} requires --out for the CSV")
     grid = _time_grid(cfg)
-    try:
-        params = LossParams.from_beta(
-            cfg["loss.gamma_per_s"],
-            cfg["loss.beta_cm3_per_s"],
-            cfg["sample.rho_peak_per_cm3"],
+    params = LossParams.from_beta(
+        cfg["loss.gamma_per_s"],
+        cfg["loss.beta_cm3_per_s"],
+        cfg["sample.rho_peak_per_cm3"],
+    )
+    if model == "decay":
+        header = ("t_s", "N")
+        n0 = cfg["sample.atom_number"]
+        if n0 < 0:
+            raise ValueError("atom number must be >= 0")
+        values = population(grid, n0, params.gamma_per_s, params.xi)
+    else:
+        # the pure cooling law is the combined solution with zero heating,
+        # so both models share one code path
+        header = ("t_s", "T_uK")
+        gamma_tot = cfg["heating.gamma_tot_per_s"] if model == "combined" else 0.0
+        values = combined_temperature(
+            grid,
+            cfg["sample.temperature_uK"],
+            cfg["evap.epsilon"],
+            params.xi,
+            params.gamma_per_s,
+            gamma_tot,
         )
-        if model == "decay":
-            header = ("t_s", "N")
-            n0 = cfg["sample.atom_number"]
-            if n0 < 0:
-                raise ValueError("atom number must be >= 0")
-            values = population(grid, n0, params.gamma_per_s, params.xi)
-        else:
-            # the pure cooling law is the combined solution with zero heating,
-            # so both models share one code path
-            header = ("t_s", "T_uK")
-            gamma_tot = cfg["heating.gamma_tot_per_s"] if model == "combined" else 0.0
-            values = combined_temperature(
-                grid,
-                cfg["sample.temperature_uK"],
-                cfg["evap.epsilon"],
-                params.xi,
-                params.gamma_per_s,
-                gamma_tot,
-            )
-    except DomainError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"invalid {model} configuration: {exc}") from None
     write_columns(args.out, header, (grid, values), TRAJECTORY_DIGITS)
     return 0
 
@@ -323,10 +317,7 @@ def cmd_fit(cfg, args):
         )
     elif kind == "tof":
         series = read_expansion(args.data)
-        try:
-            fit = fit_expansion(series, RB85)
-        except ValueError as exc:
-            raise ConfigError(f"{args.data}: {exc}") from None
+        fit = fit_expansion(series, RB85)
         entries = [
             ("temperature_uK", fit.temperature * 1e6, COMPUTED),
             ("temperature_err_uK", fit.temperature_err * 1e6, COMPUTED),
@@ -510,12 +501,12 @@ def main(argv=None) -> int:
         overrides = _parse_overrides(rest)
         cfg = load_config(ns.config, overrides)
         return _COMMANDS[ns.command](cfg, ns)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except DomainError as exc:
         print(f"model domain error: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ describe the reference apparatus (triangular ring cavity, 97 mm round trip,
 350 uK lattice) so each command runs out of the box.
 """
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -101,9 +102,6 @@ class RunConfig:
         except KeyError:
             raise ConfigError(f"unknown config key: {key}") from None
 
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
 
 def _convert(key, raw, lineno=None):
     typ, _default = SCHEMA[key]
@@ -111,14 +109,18 @@ def _convert(key, raw, lineno=None):
     raw = raw.strip()
     if raw == "":
         raise ConfigError(f"empty value for key {key}{where}")
+    if typ is str:
+        return raw
     try:
-        if typ is str:
-            return raw
-        return typ(raw)
+        value = typ(raw)
     except ValueError:
         raise ConfigError(
             f"cannot parse value {raw!r} for key {key} as {typ.__name__}{where}"
         ) from None
+    # ints are always finite, and math.isfinite overflows on very long ones
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"non-finite value {raw!r} for key {key}{where}")
+    return value
 
 
 def parse_config_text(text, source="<config>"):
@@ -173,65 +175,53 @@ def load_config(path=None, overrides=()):
 # builders binding the configuration to domain objects
 
 def cavity_from_config(cfg: RunConfig) -> CavitySpec:
-    try:
-        mirrors = tuple(
-            MirrorSpec(
-                transmission=cfg[f"cavity.mirror_{i}.transmission_ppm"] * 1e-6,
-                scatter_loss=cfg[f"cavity.mirror_{i}.scatter_ppm"] * 1e-6,
-            )
-            for i in (1, 2, 3)
+    mirrors = tuple(
+        MirrorSpec(
+            transmission=cfg[f"cavity.mirror_{i}.transmission_ppm"] * 1e-6,
+            scatter_loss=cfg[f"cavity.mirror_{i}.scatter_ppm"] * 1e-6,
         )
-        return CavitySpec(
-            mirrors=mirrors,
-            round_trip_length=cfg["cavity.round_trip_length_mm"] * 1e-3,
-            input_power_per_mode=cfg["cavity.input_power_uW"] * 1e-6,
-            mode_matching_efficiency=cfg["cavity.mode_matching"],
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid cavity configuration: {exc}") from None
+        for i in (1, 2, 3)
+    )
+    return CavitySpec(
+        mirrors=mirrors,
+        round_trip_length=cfg["cavity.round_trip_length_mm"] * 1e-3,
+        input_power_per_mode=cfg["cavity.input_power_uW"] * 1e-6,
+        mode_matching_efficiency=cfg["cavity.mode_matching"],
+    )
 
 
 def mode_from_config(cfg: RunConfig) -> ModeGeometry:
     # the config stores 1/e^2 diameters; the model works with radii
-    try:
-        return ModeGeometry(
-            waist_sagittal=cfg["mode.diameter_sagittal_um"] * 1e-6 / 2.0,
-            waist_transversal=cfg["mode.diameter_transversal_um"] * 1e-6 / 2.0,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid mode configuration: {exc}") from None
+    return ModeGeometry(
+        waist_sagittal=cfg["mode.diameter_sagittal_um"] * 1e-6 / 2.0,
+        waist_transversal=cfg["mode.diameter_transversal_um"] * 1e-6 / 2.0,
+    )
 
 
 def trap_from_config(cfg: RunConfig, species: Species = RB85) -> TrapParameters:
-    try:
-        return trap_parameters(
-            u0=cfg["trap.depth_uK"] * 1e-6 * CONST.kB,
-            wavelength=cfg["trap.laser_wavelength_nm"] * 1e-9,
-            mode=mode_from_config(cfg),
-            species=species,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid trap configuration: {exc}") from None
+    return trap_parameters(
+        u0=cfg["trap.depth_uK"] * 1e-6 * CONST.kB,
+        wavelength=cfg["trap.laser_wavelength_nm"] * 1e-9,
+        mode=mode_from_config(cfg),
+        species=species,
+    )
 
 
 def state_from_config(cfg: RunConfig, species: Species = RB85) -> TrapState:
-    try:
-        trap = trap_from_config(cfg, species)
-        shape = thermal_cloud_shape(
-            species,
-            trap,
-            cfg["sample.temperature_uK"] * 1e-6,
-            (
-                cfg["cloud.envelope_sigma_x_um"] * 1e-6,
-                cfg["cloud.envelope_sigma_y_um"] * 1e-6,
-                cfg["cloud.envelope_sigma_z_um"] * 1e-6,
-            ),
-        )
-        return TrapState(
-            n_atoms=cfg["sample.atom_number"],
-            temperature=cfg["sample.temperature_uK"] * 1e-6,
-            trap=trap,
-            shape=shape,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"invalid sample configuration: {exc}") from None
+    trap = trap_from_config(cfg, species)
+    shape = thermal_cloud_shape(
+        species,
+        trap,
+        cfg["sample.temperature_uK"] * 1e-6,
+        (
+            cfg["cloud.envelope_sigma_x_um"] * 1e-6,
+            cfg["cloud.envelope_sigma_y_um"] * 1e-6,
+            cfg["cloud.envelope_sigma_z_um"] * 1e-6,
+        ),
+    )
+    return TrapState(
+        n_atoms=cfg["sample.atom_number"],
+        temperature=cfg["sample.temperature_uK"] * 1e-6,
+        trap=trap,
+        shape=shape,
+    )

@@ -175,6 +175,8 @@ def fit_decay(dataset: Dataset, rho_peak_per_cm3, initial_guess,
     """
     if len(dataset) < 4:
         raise ValueError("need at least 4 points to fit the decay model")
+    if rho_peak_per_cm3 <= 0:
+        raise ValueError("peak density must be positive")
     gamma0, beta0 = initial_guess
     if gamma0 <= 0 or beta0 <= 0:
         raise ValueError("initial guess must be positive")

@@ -166,9 +166,8 @@ def bound_gamma_tot(t0, epsilon_value, xi, gamma_per_s, t_max) -> float:
     """
     del t0  # cancels in the ratio; kept in the signature for symmetry
     ends = np.array([0.0, t_max])
-    # the cooling law at unit T0 raises for t_max < 0 and for eps xi >= 1
-    ratios = (
-        epsilon_value * xi * gamma_per_s * np.exp(-gamma_per_s * ends)
-        / temperature(ends, 1.0, epsilon_value, xi, gamma_per_s)
-    )
+    # the cooling law at unit T0 raises for t_max < 0 and for eps xi >= 1,
+    # so it runs before the numerator can overflow
+    cooled = temperature(ends, 1.0, epsilon_value, xi, gamma_per_s)
+    ratios = epsilon_value * xi * gamma_per_s * np.exp(-gamma_per_s * ends) / cooled
     return float(ratios.min())

@@ -28,15 +28,12 @@ class RampProfile:
     u_initial: float  # J
     u_final: float    # J
     duration: float   # s
-    shape: str = "linear"
 
     def __post_init__(self):
         if self.u_initial <= 0 or self.u_final <= 0:
             raise ValueError("depths must be positive")
         if self.duration < 0:
             raise ValueError("duration must be >= 0")
-        if self.shape != "linear":
-            raise ValueError(f"unsupported ramp shape {self.shape!r}")
 
     def depth_at(self, fraction: float) -> float:
         return self.u_initial + (self.u_final - self.u_initial) * fraction
@@ -76,6 +73,8 @@ def ramp_simulate(state: TrapState, profile: RampProfile, species: Species,
         )
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if state.n_atoms <= 0:
+        raise ValueError("atom number must be positive")
     if rho_bar_per_cm3 is None:
         from .trap import state_mean_density
 

@@ -62,7 +62,8 @@ def write_columns(path, header, columns, sig_digits=None):
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def _read_rows(path, expected_columns, source_kind):
+def _read_rows(path, headers, source_kind):
+    """Header and finite float rows of a CSV whose header is one of headers."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -71,11 +72,10 @@ def _read_rows(path, expected_columns, source_kind):
     if not lines:
         raise ConfigError(f"{path}: empty file")
     header = tuple(cell.strip() for cell in lines[0].split(","))
-    allowed = [expected_columns, expected_columns + ("sigma",)]
-    if header not in allowed:
+    if header not in headers:
+        expected = " or ".join(",".join(h) for h in headers)
         raise ConfigError(
-            f"{path}: line 1: expected header {','.join(expected_columns)}"
-            f" (optionally plus ',sigma'), got {lines[0]!r}"
+            f"{path}: line 1: expected header {expected}, got {lines[0]!r}"
         )
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
@@ -94,37 +94,32 @@ def _read_rows(path, expected_columns, source_kind):
             ) from None
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    return header, np.asarray(rows, dtype=float)
+    data = np.asarray(rows, dtype=float)
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        # one array test per file; the failing line is located only on error
+        linenos = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
+        lineno = linenos[int(np.argmin(finite))]
+        raise ConfigError(
+            f"{path}: line {lineno}: non-finite value in {lines[lineno - 1]!r}"
+        )
+    return header, data
 
 
 def read_dataset(path, kind) -> Dataset:
     """Read a `t_s,N` or `t_s,T_uK` series (optional third sigma column)."""
     if kind not in DATASET_HEADERS:
         raise ConfigError(f"unknown dataset kind {kind!r}")
-    header, rows = _read_rows(path, DATASET_HEADERS[kind], kind)
+    columns = DATASET_HEADERS[kind]
+    header, rows = _read_rows(path, (columns, columns + ("sigma",)), kind)
     sigma = rows[:, 2] if len(header) == 3 else None
-    try:
-        return Dataset(t=rows[:, 0], value=rows[:, 1], sigma=sigma, kind=kind)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
-
-
-def write_dataset(path, dataset: Dataset):
-    header = list(DATASET_HEADERS[dataset.kind])
-    columns = [dataset.t, dataset.value]
-    if dataset.sigma is not None and not np.all(dataset.sigma == 1.0):
-        header.append("sigma")
-        columns.append(dataset.sigma)
-    write_columns(path, header, columns, sig_digits=TRAJECTORY_DIGITS)
+    return Dataset(t=rows[:, 0], value=rows[:, 1], sigma=sigma, kind=kind)
 
 
 def read_noise_spectrum(path) -> NoiseSpectrum:
     """Read a one-sided relative-intensity PSD, header freq_hz,S_rel_per_hz."""
-    _header, rows = _read_rows(path, ("freq_hz", "S_rel_per_hz"), "spectrum")
-    try:
-        return NoiseSpectrum(freq_hz=rows[:, 0], s_rel_per_hz=rows[:, 1])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    _header, rows = _read_rows(path, (("freq_hz", "S_rel_per_hz"),), "spectrum")
+    return NoiseSpectrum(freq_hz=rows[:, 0], s_rel_per_hz=rows[:, 1])
 
 
 def write_noise_spectrum(path, spectrum: NoiseSpectrum):
@@ -138,7 +133,9 @@ def write_noise_spectrum(path, spectrum: NoiseSpectrum):
 
 def read_expansion(path) -> ExpansionSeries:
     """Read an expansion series, header t_ms,sigma_um,amplitude."""
-    _header, rows = _read_rows(path, ("t_ms", "sigma_um", "amplitude"), "expansion")
+    _header, rows = _read_rows(
+        path, (("t_ms", "sigma_um", "amplitude"),), "expansion"
+    )
     times = rows[:, 0] * 1e-3
     return ExpansionSeries(
         times=times,

@@ -103,8 +103,8 @@ def secular_frequencies(u0, wavelength, w0, species):
     Axial: standing-wave curvature, nu_a = (1/lambda) sqrt(2 U0 / m).
     Radial: Gaussian-beam curvature, nu_r = (1/2pi) sqrt(4 U0 / (m w0^2)).
     """
-    if u0 <= 0 or w0 <= 0:
-        raise ValueError("depth and waist must be positive")
+    if u0 <= 0 or wavelength <= 0 or w0 <= 0:
+        raise ValueError("depth, wavelength and waist must be positive")
     nu_axial = math.sqrt(2.0 * u0 / species.mass) / wavelength
     nu_radial = math.sqrt(4.0 * u0 / (species.mass * w0**2)) / (2.0 * math.pi)
     return nu_axial, nu_radial

@@ -114,21 +114,84 @@ def test_simulate_temperature_equals_combined_with_zero_heating(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-@pytest.mark.parametrize(
-    "model,key,value",
-    [
-        ("combined", "heating.gamma_tot_per_s", "-0.1"),
-        ("decay", "sim.t_max_s", "0"),
-        ("decay", "sim.t_max_s", "inf"),
-        ("decay", "sample.atom_number", "-5"),
-        ("temperature", "sample.temperature_uK", "-5"),
-    ],
+# small data files the invalid-input probes read from tmp_path
+_PROBE_FILES = {
+    "decay3.csv": "t_s,N\n0,4e6\n1,3e6\n2,2e6\n",
+    "temp2.csv": "t_s,T_uK\n0,123\n1,120\n",
+    "psd_nan.csv": "freq_hz,S_rel_per_hz\n100,nan\n1e6,1e-13\n",
+    "tof_nan.csv": "t_ms,sigma_um,amplitude\n1,nan,1\n2,50,1\n3,60,1\n",
+}
+
+# known extreme-magnitude failures, kept visible until they are fixed
+_OVERFLOW = pytest.mark.xfail(
+    strict=True, raises=(OverflowError, RuntimeWarning),
+    reason="extreme-magnitude input overflows before any validation",
 )
-def test_simulate_invalid_input_exits_2(tmp_path, capsys, model, key, value):
-    out = tmp_path / "trajectory.csv"
-    assert main(["simulate", "--model", model, "--out", str(out), f"--{key}", value]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+
+
+def _case(case_id, argv, *marks):
+    return pytest.param(argv, id=case_id, marks=marks)
+
+
+@pytest.mark.parametrize("argv", [
+    _case("simulate-combined-heating.gamma_tot_per_s--0.1",
+          "simulate --model combined --out {out} --heating.gamma_tot_per_s -0.1"),
+    _case("simulate-decay-sim.t_max_s-0",
+          "simulate --model decay --out {out} --sim.t_max_s 0"),
+    _case("simulate-decay-sim.t_max_s-inf",
+          "simulate --model decay --out {out} --sim.t_max_s inf"),
+    _case("simulate-decay-sample.atom_number--5",
+          "simulate --model decay --out {out} --sample.atom_number -5"),
+    _case("simulate-temperature-sample.temperature_uK--5",
+          "simulate --model temperature --out {out} --sample.temperature_uK -5"),
+    _case("ramp-depth_final_uK--1", "ramp --depth_final_uK -1"),
+    _case("ramp-ramp.duration_ms--1", "ramp --ramp.duration_ms -1"),
+    _case("cavity-ring_down_us-0", "cavity --ring_down_us 0"),
+    _case("cavity-ring_down_us-inf", "cavity --ring_down_us inf"),
+    _case("trap-laser_wavelength_nm-780.24", "trap --laser_wavelength_nm 780.24"),
+    _case("cavity-out-in-missing-directory", "cavity --out {tmp}/missing/x.txt"),
+    _case("bound-loss.gamma_per_s-0", "bound --loss.gamma_per_s 0"),
+    _case("fit-decay-3-rows", "fit --kind decay --data {tmp}/decay3.csv"),
+    _case("fit-temperature-2-rows", "fit --kind temperature --data {tmp}/temp2.csv"),
+    _case("fit-temperature-2-rows-beta-0",
+          "fit --kind temperature --data {tmp}/temp2.csv --loss.beta_cm3_per_s 0"),
+    _case("tof-tof.t_min_ms--1", "tof --out {out} --tof.t_min_ms -1"),
+    _case("trap-depth_uK-nan", "trap --depth_uK nan"),
+    _case("bound-bound.t_max_s-nan", "bound --bound.t_max_s nan"),
+    _case("tof-tof.sigma0_um-nan", "tof --out {out} --tof.sigma0_um nan"),
+    _case("ramp-sample.atom_number-0", "ramp --sample.atom_number 0"),
+    _case("simulate-ramp-sample.atom_number-0",
+          "simulate --model ramp --sample.atom_number 0"),
+    _case("trap-trap.laser_wavelength_nm-0", "trap --trap.laser_wavelength_nm 0"),
+    _case("fit-decay-sample.rho_peak_per_cm3-0",
+          "fit --kind decay --data {fixtures}/decay_noisy.csv --sample.rho_peak_per_cm3 0"),
+    _case("bound-bound.t_max_s--1293", "bound --bound.t_max_s -1293"),
+    _case("bound-psd-nan-row", "bound --psd {tmp}/psd_nan.csv"),
+    _case("fit-tof-nan-row", "fit --kind tof --data {tmp}/tof_nan.csv"),
+    _case("tof-tof.sigma0_um-1e300", "tof --out {out} --tof.sigma0_um 1e300", _OVERFLOW),
+    _case("tof-tof.t_max_ms-1e300", "tof --out {out} --tof.t_max_ms 1e300", _OVERFLOW),
+    _case("fit-decay-fit.guess_gamma_per_s-1e-300",
+          "fit --kind decay --data {fixtures}/decay_noisy.csv --fit.guess_gamma_per_s 1e-300",
+          _OVERFLOW),
+])
+def test_invalid_input_exits_2(tmp_path, capsys, argv):
+    for name, text in _PROBE_FILES.items():
+        (tmp_path / name).write_text(text)
+    out = tmp_path / "out.csv"
+    args = [a.format(tmp=tmp_path, out=out, fixtures=FIXTURES) for a in argv.split()]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_bound_psd_with_sigma_column_exits_2(tmp_path, capsys):
+    # only the fit datasets take an optional sigma column
+    psd = tmp_path / "psd.csv"
+    psd.write_text("freq_hz,S_rel_per_hz,sigma\n100,1e-13,1\n1e6,1e-13,1\n")
+    assert main(["bound", "--psd", str(psd)]) == 2
+    assert "line 1: expected header freq_hz,S_rel_per_hz, got" in capsys.readouterr().err
 
 
 def test_simulate_never_calls_the_integrator(tmp_path, monkeypatch):

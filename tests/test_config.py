@@ -64,9 +64,23 @@ def test_parse_bad_number_names_key_and_line():
         parse_config_text("trap.depth_uK = cold\n")
 
 
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+def test_config_file_rejects_non_finite_value(tmp_path, raw):
+    path = tmp_path / "run.cfg"
+    path.write_text(f"sim.n_points = 11\ntrap.depth_uK = {raw}\n")
+    with pytest.raises(ConfigError, match="non-finite.*trap.depth_uK.*line 2"):
+        load_config(str(path))
+
+
 def test_parse_int_rejects_float_literal():
     with pytest.raises(ConfigError):
         parse_config_text("sim.n_points = 10.5\n")
+
+
+def test_parse_int_accepts_long_literal():
+    # too long for a float; the finite check applies to float keys only
+    digits = "1" + "0" * 400
+    assert parse_config_text(f"sim.n_points = {digits}\n") == {"sim.n_points": int(digits)}
 
 
 def test_unit_suffix_discipline():
@@ -119,6 +133,7 @@ def test_builders_reference_values():
 
 
 def test_builders_wrap_validation_errors():
+    # builders pass the model's ValueError through; cli.main maps it to exit 2
     cfg = load_config(overrides=[("cavity.mirror_1.transmission_ppm", "-5")])
-    with pytest.raises(ConfigError, match="cavity"):
+    with pytest.raises(ValueError, match="mirror losses"):
         cavity_from_config(cfg)

@@ -110,8 +110,6 @@ def test_ramp_validation():
     with pytest.raises(ValueError):
         RampProfile(U_350, U_147, -1.0)
     with pytest.raises(ValueError):
-        RampProfile(U_350, U_147, 0.07, shape="exponential")
-    with pytest.raises(ValueError):
         _ramp(0.07, rethermalization="sometimes")
 
 
