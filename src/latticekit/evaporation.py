@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erf
 
 from .constants import CONST, M3_TO_CM3, Species, reduced_mass, thermal_velocity
 from .errors import DomainError
@@ -128,19 +126,22 @@ def evaporation_rate(rho_bar_per_cm3, species, temperature, eta_value):
 def truncated_r4_integral(eta_value: float, method: str = "closed") -> float:
     """int_0^sqrt(eta) r^4 exp(-r^2) dr by antiderivative or quadrature.
 
-    Antiderivative: (3 sqrt(pi)/8) erf(x) - (x/4)(2 x^2 + 3) exp(-x^2).
-    Both routes agree below 1e-10 absolute (tested); the closed form is the
-    default.
+    Antiderivative: (3 sqrt(pi)/8) erf(x) - (x/4)(2 x^2 + 3) exp(-x^2),
+    evaluated with math.erf on scalars. The quadrature route is the test
+    oracle and loads scipy on demand. Both routes agree below 1e-10 absolute
+    (tested); the closed form is the default.
     """
     if eta_value < 0:
         raise ValueError("eta must be >= 0")
     x = math.sqrt(eta_value)
     if method == "closed":
         return (
-            3.0 * math.sqrt(math.pi) / 8.0 * erf(x)
+            3.0 * math.sqrt(math.pi) / 8.0 * math.erf(x)
             - x / 4.0 * (2.0 * eta_value + 3.0) * math.exp(-eta_value)
         )
     if method == "quadrature":
+        from scipy.integrate import quad
+
         value, _ = quad(
             lambda r: r**4 * math.exp(-r * r), 0.0, x,
             epsabs=1e-13, epsrel=1e-12,

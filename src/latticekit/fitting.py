@@ -103,7 +103,13 @@ def _levenberg_marquardt(eval_fn, p0, max_iterations=200):
     """
     p = np.asarray(p0, dtype=float).copy()
     r, jac = eval_fn(p)
-    rss = float(r @ r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rss = float(r @ r)
+        normal_finite = np.all(np.isfinite(jac.T @ jac))
+    if not (math.isfinite(rss) and normal_finite):
+        raise ValueError(
+            "the residual or the normal matrix overflows at the initial guess"
+        )
     lam = _LAMBDA_INIT
     message = "maximum iterations reached"
     converged = False

@@ -63,7 +63,10 @@ def xi_from_beta(beta_cm3_per_s, rho_peak_per_cm3, gamma_per_s):
     """Dimensionless two-body loss strength beta rho_peak / (4 gamma)."""
     if gamma_per_s <= 0:
         raise ValueError("gamma must be positive")
-    return beta_cm3_per_s * rho_peak_per_cm3 / (4.0 * gamma_per_s)
+    xi = beta_cm3_per_s * rho_peak_per_cm3 / (4.0 * gamma_per_s)
+    if not math.isfinite(xi):
+        raise ValueError("two-body loss strength xi overflows")
+    return xi
 
 
 def population(t, n0, gamma_per_s, xi):

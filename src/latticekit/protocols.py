@@ -146,9 +146,17 @@ def expansion_sigma(sigma0, temperature, t, species):
         raise ValueError("expansion time must be >= 0")
     if temperature < 0:
         raise ValueError("temperature must be >= 0")
-    result = np.sqrt(
-        sigma0**2 + CONST.kB * temperature / species.mass * t_arr**2
-    )
+    # numpy's scalar power is the same pow() as Python's float sigma0**2, but
+    # overflows to inf for the finite check instead of raising
+    with np.errstate(over="ignore"):
+        result = np.sqrt(
+            np.float64(sigma0) ** 2
+            + CONST.kB * temperature / species.mass * t_arr**2
+        )
+    if not np.all(np.isfinite(result)):
+        raise ValueError(
+            "expansion width overflows: sigma0 or the flight time is too large"
+        )
     return float(result) if np.isscalar(t) else result
 
 
@@ -183,8 +191,12 @@ def synthesize_expansion(n_atoms, temperature, sigma0, times, noise_sigma,
         raise ValueError("expansion times must be >= 0")
     rng = np.random.default_rng(seed)
     sigma_true = expansion_sigma(sigma0, temperature, t, species)
-    sigma_meas = sigma_true * (1.0 + noise_sigma * rng.standard_normal(t.size))
-    amplitude = n_atoms / (2.0 * math.pi * sigma_true**2)
+    with np.errstate(over="ignore"):
+        sigma_meas = sigma_true * (1.0 + noise_sigma * rng.standard_normal(t.size))
+        area = 2.0 * math.pi * sigma_true**2
+    if not (np.all(np.isfinite(sigma_meas)) and np.all(np.isfinite(area))):
+        raise ValueError("expansion series overflows: the cloud widths are too large")
+    amplitude = n_atoms / area
     return ExpansionSeries(
         times=t,
         sigma=sigma_meas,

@@ -25,17 +25,23 @@ DATASET_HEADERS = {
 
 
 def atomic_write_text(path, text):
-    """Write text to path via a temporary file in the same directory."""
+    """Write text to path via a temporary file in the same directory.
+
+    An OSError names the requested path, not the random temporary file.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+        tmp = None
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def format_value(value, sig_digits=None):

@@ -149,6 +149,19 @@ def test_r4_integral_dual_route():
         assert abs(closed - quadrature) < 1e-10
 
 
+def test_r4_integral_matches_scipy_erf_antiderivative():
+    # scipy's erf is the oracle for the math.erf the closed form uses
+    from scipy.special import erf
+
+    for eta_value in np.linspace(0.0, 36.0, 361):
+        x = math.sqrt(eta_value)
+        expected = (
+            3.0 * math.sqrt(math.pi) / 8.0 * erf(x)
+            - x / 4.0 * (2.0 * eta_value + 3.0) * math.exp(-eta_value)
+        )
+        assert abs(truncated_r4_integral(eta_value) - expected) <= 1e-15
+
+
 def test_epsilon_quadrature_route_agrees():
     for eta_value in (0.5, 2.3, 2.85, 6.0):
         assert abs(epsilon(eta_value) - epsilon(eta_value, "quadrature")) < 1e-10
