@@ -9,13 +9,18 @@ Exit codes: 0 success, 2 input or configuration error, 3 model-domain error,
 4 fit non-convergence. main is the only place that maps exceptions to codes:
 DomainError gives 3, any other ValueError (ConfigError included) or an
 OSError gives 2.
+
+Only numpy-free modules are imported here, so cavity, trap, ramp and bound
+(without --psd) never load numpy; the array commands import their modules
+when they run. main keeps numpy's OpenBLAS pool to one thread unless
+OPENBLAS_NUM_THREADS is already set: the largest product is J^T J of an
+n x 3 Jacobian, so helper threads only cost CPU.
 """
 
 import argparse
 import math
+import os
 import sys
-
-import numpy as np
 
 from .cavity import (
     circulating_power,
@@ -36,10 +41,9 @@ from .config import (
 )
 from .constants import CONST, RB85
 from .errors import ConfigError, DomainError
-from .fitting import fit_decay, fit_epsilon, residual_report
 from .heating import bound_gamma_tot, combined_temperature, rates_from_spectrum
 from .losses import LossParams, population, xi_from_beta
-from .protocols import RampProfile, fit_expansion, ramp_simulate, synthesize_expansion
+from .ramp import RampProfile, ramp_simulate
 from .tabular import (
     TRAJECTORY_DIGITS,
     atomic_write_text,
@@ -71,6 +75,12 @@ CONFIGURED = "configured"
 REPORT_DIGITS = 10
 
 
+def _reject_nan(label, value):
+    """No report shows a nan (inf is allowed): ValueError, which exits 2."""
+    if isinstance(value, float) and math.isnan(value):
+        raise ValueError(f"{label} is nan; refusing to report it")
+
+
 def render_report(sections):
     """(text, csv) renderings of [(section, [(key, value, provenance)])]."""
     text_lines = []
@@ -78,6 +88,7 @@ def render_report(sections):
     for name, entries in sections:
         text_lines.append(f"[{name}]")
         for key, value, provenance in entries:
+            _reject_nan(f"{name}.{key}", value)
             text_lines.append(
                 f"{key} = {format_value(value, REPORT_DIGITS)}  # {provenance}"
             )
@@ -182,6 +193,8 @@ def cmd_trap(cfg, args):
 
 
 def _time_grid(cfg):
+    import numpy as np
+
     n = cfg["sim.n_points"]
     if n < 2:
         raise ConfigError("sim.n_points must be at least 2")
@@ -259,9 +272,14 @@ def cmd_simulate(cfg, args):
 
 
 def _emit_fit(result, report, out):
+    for name, value in result.params.items():
+        _reject_nan(name, value)
+        _reject_nan(f"{name} uncertainty", result.uncertainties[name])
+    _reject_nan("rss", result.rss)
+    _reject_nan("chi2_reduced", report.chi2_reduced)
     lines = [f"model = {result.model}"]
     for name, value in result.params.items():
-        err = result.uncertainties.get(name, float("nan"))
+        err = result.uncertainties[name]
         lines.append(
             f"{name} = {format_value(value, REPORT_DIGITS)}"
             f" +- {format_value(err, REPORT_DIGITS)}"
@@ -278,7 +296,7 @@ def _emit_fit(result, report, out):
 
     csv_lines = ["param,value,uncertainty"]
     for name, value in result.params.items():
-        err = result.uncertainties.get(name, float("nan"))
+        err = result.uncertainties[name]
         csv_lines.append(f"{name},{format_value(float(value))},{format_value(float(err))}")
     if out:
         atomic_write_text(out, text)
@@ -296,6 +314,9 @@ def _residuals_csv(report):
 
 
 def cmd_fit(cfg, args):
+    from .fitting import fit_decay, fit_epsilon, residual_report
+    from .protocols import fit_expansion
+
     kind = args.kind
     if kind == "decay":
         dataset = read_dataset(args.data, "population")
@@ -318,19 +339,23 @@ def cmd_fit(cfg, args):
     elif kind == "tof":
         series = read_expansion(args.data)
         fit = fit_expansion(series, RB85)
+        # a degenerate fit has no initial width, so its two lines are left
+        # out; the slope (temperature) is still well defined
+        width = [] if fit.degenerate else [
+            ("sigma0_um", fit.sigma0 * 1e6, COMPUTED),
+            ("sigma0_err_um", fit.sigma0_err * 1e6, COMPUTED),
+        ]
         entries = [
             ("temperature_uK", fit.temperature * 1e6, COMPUTED),
             ("temperature_err_uK", fit.temperature_err * 1e6, COMPUTED),
-            ("sigma0_um", fit.sigma0 * 1e6, COMPUTED),
-            ("sigma0_err_um", fit.sigma0_err * 1e6, COMPUTED),
+            *width,
             ("n_atoms", fit.n_atoms, COMPUTED),
             ("n_atoms_err", fit.n_atoms_err, COMPUTED),
             ("degenerate", fit.degenerate, COMPUTED),
         ]
         _emit_report([("tof_fit", entries)], args.out)
         if fit.degenerate:
-            # the slope (temperature) is still well defined; flag and proceed
-            print("warning: negative fitted sigma0^2, width reported as nan",
+            print("warning: negative fitted sigma0^2, width omitted",
                   file=sys.stderr)
         return 0
     else:
@@ -390,6 +415,10 @@ def cmd_bound(cfg, args):
 
 
 def cmd_tof(cfg, args):
+    import numpy as np
+
+    from .protocols import synthesize_expansion
+
     if not args.out:
         raise ConfigError("tof requires --out for the series CSV")
     n_times = cfg["tof.n_times"]
@@ -492,6 +521,7 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = _build_parser()
     try:
         ns, rest = parser.parse_known_args(argv)

@@ -18,8 +18,6 @@ independently; they must agree to machine precision (tested).
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import CONST, M3_TO_CM3, Species, reduced_mass, thermal_velocity
 from .errors import DomainError
 from .trap import TrapState
@@ -58,11 +56,13 @@ class EvapParams:
 class TemperatureTrajectory:
     """Sampled T(t) with the generating parameters."""
 
-    t: np.ndarray
-    temperature: np.ndarray
+    t: "np.ndarray"
+    temperature: "np.ndarray"
     params: dict
 
     def __post_init__(self):
+        import numpy as np
+
         if np.any(np.diff(self.t) <= 0):
             raise ValueError("times must be strictly increasing")
         if np.any(self.temperature <= 0):
@@ -189,17 +189,34 @@ def mean_potential_energy(t0: float, eta_value: float) -> float:
     )
 
 
+def time_argument(t):
+    """(times, exp, is_scalar) for a closed form evaluated at t >= 0.
+
+    A Python int or float stays a float and is paired with math.exp, so
+    scalar callers never load numpy; anything else becomes a float array
+    paired with np.exp.
+    """
+    if isinstance(t, (int, float)):
+        if t < 0:
+            raise ValueError("time must be >= 0")
+        return float(t), math.exp, True
+    import numpy as np
+
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(t_arr < 0):
+        raise ValueError("time must be >= 0")
+    return t_arr, np.exp, bool(np.isscalar(t))
+
+
 def temperature(t, t0, epsilon_value, xi, gamma_per_s):
-    """Closed-form T(t) = T0 (1 - eps xi (1 - exp(-gamma t)))."""
+    """Closed-form T(t) = T0 (1 - eps xi (1 - exp(-gamma t))); scalar or array t."""
     if epsilon_value * xi >= 1.0:
         raise DomainError(
             "eps*xi >= 1: model predicts non-positive temperature"
         )
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("time must be >= 0")
-    result = t0 * (1.0 - epsilon_value * xi * (1.0 - np.exp(-gamma_per_s * t_arr)))
-    return float(result) if np.isscalar(t) else result
+    t, exp, scalar = time_argument(t)
+    result = t0 * (1.0 - epsilon_value * xi * (1.0 - exp(-gamma_per_s * t)))
+    return float(result) if scalar else result
 
 
 # ---------------------------------------------------------------------------

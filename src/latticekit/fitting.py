@@ -207,9 +207,14 @@ def fit_decay(dataset: Dataset, rho_peak_per_cm3, initial_guess,
     var_gamma, var_xi, var_n0 = np.diag(cov)
     cov_gx = cov[0, 1]
     # beta = 4 gamma xi / rho: first-order propagation incl. the cross term
-    var_beta = (4.0 / rho_peak_per_cm3) ** 2 * (
-        xi**2 * var_gamma + gamma**2 * var_xi + 2.0 * gamma * xi * cov_gx
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        var_beta = (4.0 / rho_peak_per_cm3) ** 2 * (
+            xi**2 * var_gamma + gamma**2 * var_xi + 2.0 * gamma * xi * cov_gx
+        )
+    if not math.isfinite(var_beta):
+        raise ValueError(
+            "the beta uncertainty overflows: the fitted gamma or xi is too large"
+        )
     return FitResult(
         params={
             "gamma_per_s": gamma,

@@ -12,10 +12,8 @@ integration combined_temperature_ode is kept only as the test oracle.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
-from .evaporation import TemperatureTrajectory, temperature
+from .evaporation import TemperatureTrajectory, temperature, time_argument
 from .integrate import rk4_path
 
 
@@ -23,10 +21,12 @@ from .integrate import rk4_path
 class NoiseSpectrum:
     """One-sided PSD of relative well-depth fluctuations (1/Hz)."""
 
-    freq_hz: np.ndarray
-    s_rel_per_hz: np.ndarray
+    freq_hz: "np.ndarray"
+    s_rel_per_hz: "np.ndarray"
 
     def __post_init__(self):
+        import numpy as np
+
         f = np.asarray(self.freq_hz, dtype=float)
         s = np.asarray(self.s_rel_per_hz, dtype=float)
         if f.ndim != 1 or f.size < 2 or f.size != s.size:
@@ -40,6 +40,8 @@ class NoiseSpectrum:
 
     def value_at(self, freq: float) -> float:
         """Interpolate linearly in log-frequency; no extrapolation."""
+        import numpy as np
+
         if freq < self.freq_hz[0] or freq > self.freq_hz[-1]:
             raise DomainError(
                 f"frequency {freq:g} Hz outside the spectrum domain "
@@ -52,7 +54,7 @@ class NoiseSpectrum:
 
 def flat_spectrum(s0: float, f_min: float, f_max: float) -> NoiseSpectrum:
     """White relative-intensity spectrum over [f_min, f_max]."""
-    return NoiseSpectrum(np.array([f_min, f_max]), np.array([s0, s0]))
+    return NoiseSpectrum([f_min, f_max], [s0, s0])
 
 
 def flat_level_for_total_rate(gamma_tot, nu_axial, nu_radial):
@@ -115,14 +117,12 @@ def combined_temperature(t, t0, epsilon_value, xi, gamma_per_s, gamma_tot):
         raise ValueError("temperature must be > 0")
     if gamma_tot < 0:
         raise ValueError("gamma_tot must be >= 0")
-    t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0):
-        raise ValueError("time must be >= 0")
+    t, exp, scalar = time_argument(t)
     rate = gamma_tot + gamma_per_s
-    result = t0 * np.exp(gamma_tot * t_arr) * (
-        1.0 - epsilon_value * xi * (gamma_per_s / rate) * (1.0 - np.exp(-rate * t_arr))
+    result = t0 * exp(gamma_tot * t) * (
+        1.0 - epsilon_value * xi * (gamma_per_s / rate) * (1.0 - exp(-rate * t))
     )
-    return float(result) if np.isscalar(t) else result
+    return float(result) if scalar else result
 
 
 def combined_temperature_ode(t0, epsilon_value, xi, gamma_per_s, gamma_tot,
@@ -132,6 +132,8 @@ def combined_temperature_ode(t0, epsilon_value, xi, gamma_per_s, gamma_tot,
     Fixed-step RK4 with the same step contract as the population integrator;
     gamma_tot = 0 reduces to the closed-form cooling law.
     """
+    import numpy as np
+
     if epsilon_value * xi >= 1.0:
         raise DomainError("eps*xi >= 1: model predicts non-positive temperature")
     t = np.asarray(t_grid, dtype=float)
@@ -165,9 +167,13 @@ def bound_gamma_tot(t0, epsilon_value, xi, gamma_per_s, t_max) -> float:
     0 <= eps xi < 1 and at t = 0 for eps xi < 0. Independent of T0.
     """
     del t0  # cancels in the ratio; kept in the signature for symmetry
-    ends = np.array([0.0, t_max])
+    ends = (0.0, t_max)
     # the cooling law at unit T0 raises for t_max < 0 and for eps xi >= 1,
     # so it runs before the numerator can overflow
-    cooled = temperature(ends, 1.0, epsilon_value, xi, gamma_per_s)
-    ratios = epsilon_value * xi * gamma_per_s * np.exp(-gamma_per_s * ends) / cooled
-    return float(ratios.min())
+    cooled = [temperature(t, 1.0, epsilon_value, xi, gamma_per_s) for t in ends]
+    ratios = [
+        epsilon_value * xi * gamma_per_s * math.exp(-gamma_per_s * t) / c
+        for t, c in zip(ends, cooled)
+    ]
+    # like an array minimum, a nan end point makes the bound nan
+    return math.nan if any(map(math.isnan, ratios)) else float(min(ratios))

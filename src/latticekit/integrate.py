@@ -8,8 +8,6 @@ Deterministic by construction: the step size is tied to the total span
 
 import math
 
-import numpy as np
-
 from .errors import DomainError
 
 DEFAULT_SUBSTEPS = 4096
@@ -22,6 +20,8 @@ def rk4_path(f, y0: float, t_grid, n_substeps: int = DEFAULT_SUBSTEPS):
     interval (rounded up so the grid points are hit exactly). Returns y at
     every grid point as an ndarray.
     """
+    import numpy as np
+
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 1:
         raise ValueError("t_grid must be a non-empty 1-d sequence")

@@ -13,8 +13,6 @@ matching how such coefficients are conventionally quoted.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .integrate import rk4_path
 
 
@@ -46,12 +44,14 @@ class LossParams:
 class PopulationTrajectory:
     """Sampled N(t) with the parameters that generated it."""
 
-    t: np.ndarray
-    n: np.ndarray
+    t: "np.ndarray"
+    n: "np.ndarray"
     params: LossParams
     n0: float
 
     def __post_init__(self):
+        import numpy as np
+
         if np.any(np.diff(self.t) <= 0):
             raise ValueError("times must be strictly increasing")
         # losses only: allow float-level wiggle but no genuine gain
@@ -71,6 +71,8 @@ def xi_from_beta(beta_cm3_per_s, rho_peak_per_cm3, gamma_per_s):
 
 def population(t, n0, gamma_per_s, xi):
     """Closed-form N(t); accepts scalar or array t >= 0."""
+    import numpy as np
+
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("time must be >= 0")
@@ -108,6 +110,8 @@ def integrate_eq1(n0, params: LossParams, density_model, t_grid,
     constant_temperature_closure); pass None to build that default closure,
     which requires rho_peak_per_cm3.
     """
+    import numpy as np
+
     t = np.asarray(t_grid, dtype=float)
     if t[0] != 0:
         raise ValueError("t_grid must start at 0")

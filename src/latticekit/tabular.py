@@ -2,19 +2,15 @@
 
 Files carry mandatory single-line headers whose column names state the
 units. Writes go through a temporary file plus rename, so a crashed run
-never leaves a half-written table behind.
+never leaves a half-written table behind. The report writers are plain
+Python; numpy loads only when a table is read or written.
 """
 
 import os
 import tempfile
 
-import numpy as np
-
 from .constants import CONST
 from .errors import ConfigError
-from .fitting import Dataset
-from .heating import NoiseSpectrum
-from .protocols import ExpansionSeries
 
 TRAJECTORY_DIGITS = 9
 
@@ -57,11 +53,16 @@ def format_value(value, sig_digits=None):
 
 
 def write_columns(path, header, columns, sig_digits=None):
-    """Write equal-length columns as CSV under the given header names."""
+    """Write equal-length nan-free columns as CSV under the given header names."""
+    import numpy as np
+
     columns = [np.asarray(c, dtype=float) for c in columns]
     length = columns[0].size
     if any(c.size != length for c in columns):
         raise ValueError("columns must have equal length")
+    for name, c in zip(header, columns):
+        if np.isnan(c).any():
+            raise ValueError(f"column {name} holds nan; refusing to write it")
     lines = [",".join(header)]
     for i in range(length):
         lines.append(",".join(format_value(c[i], sig_digits) for c in columns))
@@ -70,6 +71,8 @@ def write_columns(path, header, columns, sig_digits=None):
 
 def _read_rows(path, headers, source_kind):
     """Header and finite float rows of a CSV whose header is one of headers."""
+    import numpy as np
+
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -112,8 +115,11 @@ def _read_rows(path, headers, source_kind):
     return header, data
 
 
-def read_dataset(path, kind) -> Dataset:
-    """Read a `t_s,N` or `t_s,T_uK` series (optional third sigma column)."""
+def read_dataset(path, kind):
+    """Read a `t_s,N` or `t_s,T_uK` series (optional third sigma column)
+    into a fitting.Dataset."""
+    from .fitting import Dataset
+
     if kind not in DATASET_HEADERS:
         raise ConfigError(f"unknown dataset kind {kind!r}")
     columns = DATASET_HEADERS[kind]
@@ -122,13 +128,16 @@ def read_dataset(path, kind) -> Dataset:
     return Dataset(t=rows[:, 0], value=rows[:, 1], sigma=sigma, kind=kind)
 
 
-def read_noise_spectrum(path) -> NoiseSpectrum:
-    """Read a one-sided relative-intensity PSD, header freq_hz,S_rel_per_hz."""
+def read_noise_spectrum(path):
+    """Read a one-sided relative-intensity PSD, header freq_hz,S_rel_per_hz,
+    into a heating.NoiseSpectrum."""
+    from .heating import NoiseSpectrum
+
     _header, rows = _read_rows(path, (("freq_hz", "S_rel_per_hz"),), "spectrum")
     return NoiseSpectrum(freq_hz=rows[:, 0], s_rel_per_hz=rows[:, 1])
 
 
-def write_noise_spectrum(path, spectrum: NoiseSpectrum):
+def write_noise_spectrum(path, spectrum):
     write_columns(
         path,
         ("freq_hz", "S_rel_per_hz"),
@@ -137,8 +146,11 @@ def write_noise_spectrum(path, spectrum: NoiseSpectrum):
     )
 
 
-def read_expansion(path) -> ExpansionSeries:
-    """Read an expansion series, header t_ms,sigma_um,amplitude."""
+def read_expansion(path):
+    """Read an expansion series, header t_ms,sigma_um,amplitude, into a
+    protocols.ExpansionSeries."""
+    from .protocols import ExpansionSeries
+
     _header, rows = _read_rows(
         path, (("t_ms", "sigma_um", "amplitude"),), "expansion"
     )
@@ -151,7 +163,7 @@ def read_expansion(path) -> ExpansionSeries:
     )
 
 
-def write_expansion(path, series: ExpansionSeries):
+def write_expansion(path, series):
     write_columns(
         path,
         ("t_ms", "sigma_um", "amplitude"),

@@ -17,13 +17,8 @@ from latticekit.evaporation import mean_potential_energy, truncated_r4_integral
 from latticekit.fitting import Dataset, decay_jacobian, fit_decay, fit_epsilon
 from latticekit.heating import bound_gamma_tot, combined_temperature_ode
 from latticekit.losses import LossParams, integrate_eq1, population, xi_from_beta
-from latticekit.protocols import (
-    RampProfile,
-    adiabatic_final_temperature,
-    fit_expansion,
-    ramp_simulate,
-    synthesize_expansion,
-)
+from latticekit.protocols import fit_expansion, synthesize_expansion
+from latticekit.ramp import RampProfile, adiabatic_final_temperature, ramp_simulate
 
 KB = CONST.kB
 U_350 = 350e-6 * KB

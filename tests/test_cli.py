@@ -124,6 +124,7 @@ _PROBE_FILES = {
     "temp2.csv": "t_s,T_uK\n0,123\n1,120\n",
     "psd_nan.csv": "freq_hz,S_rel_per_hz\n100,nan\n1e6,1e-13\n",
     "tof_nan.csv": "t_ms,sigma_um,amplitude\n1,nan,1\n2,50,1\n3,60,1\n",
+    "tof_1e200.csv": "t_ms,sigma_um,amplitude\n1,1e200,1\n2,1e200,1\n3,1e200,1\n",
 }
 
 def _case(case_id, argv, stderr_has=None):
@@ -176,6 +177,12 @@ def _case(case_id, argv, stderr_has=None):
           "fit --kind decay --data {fixtures}/decay_noisy.csv --fit.guess_beta_cm3_per_s 1e300"),
     _case("simulate-decay-loss.beta_cm3_per_s-1e300",
           "simulate --model decay --out {out} --loss.beta_cm3_per_s 1e300"),
+    _case("fit-decay-fit.guess_gamma_per_s-1e300",
+          "fit --kind decay --data {fixtures}/decay_noisy.csv --fit.guess_gamma_per_s 1e300"),
+    _case("fit-tof-sigma_um-1e200", "fit --kind tof --data {tmp}/tof_1e200.csv"),
+    _case("bound-nan-at-window-end",
+          "bound --evap.epsilon -1e300 --loss.beta_cm3_per_s 1e10"
+          " --sample.rho_peak_per_cm3 1e10 --loss.gamma_per_s 1e20"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, stderr_has):
     for name, text in _PROBE_FILES.items():
@@ -354,6 +361,9 @@ def test_fit_tof_degenerate_flagged(tmp_path, capsys):
     assert main(["fit", "--kind", "tof", "--data", str(bad)]) == 0
     captured = capsys.readouterr()
     assert "degenerate = true" in captured.out
+    # the undefined width is left out of the report, not shown as nan
+    assert "sigma0" not in captured.out
+    assert "nan" not in captured.out
     assert "sigma0" in captured.err
 
 
@@ -472,25 +482,26 @@ def test_trap_implied_mode_matching_tracks_drive_power(capsys):
     assert rel(halved, base / 2) < 1e-9
 
 
-# Runs in a fresh interpreter: a plain import must not load scipy, and every
-# command must run with scipy made unimportable.
-_NO_SCIPY_SCRIPT = """
+# Runs in a fresh interpreter: importing the package and the CLI must not
+# load BLOCKED, and every run in RUNS must exit 0 with BLOCKED unimportable.
+_BLOCKED_SCRIPT = """
 import sys
 
 import latticekit
+import latticekit.cli
 
-if "scipy" in sys.modules:
-    sys.exit("import latticekit loaded scipy")
+if BLOCKED in sys.modules:
+    sys.exit(f"importing latticekit or latticekit.cli loaded {BLOCKED}")
 
 
-class BlockScipy:
+class Block:
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
-            raise ImportError(f"scipy is blocked: {name}")
+        if name == BLOCKED or name.startswith(BLOCKED + "."):
+            raise ImportError(f"{BLOCKED} is blocked: {name}")
         return None
 
 
-sys.meta_path.insert(0, BlockScipy())
+sys.meta_path.insert(0, Block())
 from latticekit.cli import main
 
 for argv in RUNS:
@@ -500,12 +511,23 @@ for argv in RUNS:
 """
 
 
+_SRC = os.path.dirname(os.path.dirname(os.path.abspath(latticekit.__file__)))
+
+
+def _run_with_blocked(module, runs):
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    script = f"BLOCKED = {module!r}\nRUNS = {runs!r}\n" + _BLOCKED_SCRIPT
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_commands_run_without_scipy(tmp_path):
     def out(name):
         return str(tmp_path / name)
 
     (tmp_path / "psd.csv").write_text("freq_hz,S_rel_per_hz\n100,1e-13\n1e6,1e-13\n")
-    runs = [
+    _run_with_blocked("scipy", [
         ["cavity"],
         ["trap"],
         ["simulate", "--model", "decay", "--out", out("decay.csv")],
@@ -519,10 +541,48 @@ def test_commands_run_without_scipy(tmp_path):
         ["bound", "--psd", out("psd.csv")],
         ["tof", "--out", out("tof.csv")],
         ["ramp"],
-    ]
-    src = os.path.dirname(os.path.dirname(os.path.abspath(latticekit.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    script = f"RUNS = {runs!r}\n" + _NO_SCIPY_SCRIPT
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
+    ])
+
+
+def test_scalar_commands_run_without_numpy(tmp_path):
+    _run_with_blocked("numpy", [
+        ["cavity", "--out", str(tmp_path / "cavity.txt")],
+        ["trap"],
+        ["ramp", "--ramp.rethermalization", "collision-gated"],
+        ["ramp", "--ramp.rethermalization", "instant"],
+        ["simulate", "--model", "ramp"],
+        ["bound"],
+    ])
+    assert (tmp_path / "cavity.txt.csv").exists()
+
+
+# Runs an array command in a fresh interpreter and prints the thread count
+# of the process afterwards, OpenBLAS's pool included.
+_THREADS_SCRIPT = """
+import sys
+
+from latticekit.cli import main
+
+code = main(["simulate", "--model", "decay", "--out", sys.argv[1]])
+with open("/proc/self/status") as fh:
+    threads = [line.split()[1] for line in fh if line.startswith("Threads:")]
+print(code, threads[0])
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the thread count from /proc/self/status")
+@pytest.mark.parametrize(("preset", "expected"), [(None, "1"), ("2", "2")])
+def test_cli_keeps_one_blas_thread_unless_set(tmp_path, preset, expected):
+    if preset is not None and len(os.sched_getaffinity(0)) < int(preset):
+        pytest.skip(f"OpenBLAS starts at most one thread per CPU; {preset} needed")
+    env = dict(os.environ, PYTHONPATH=_SRC)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    proc = subprocess.run(
+        [sys.executable, "-c", _THREADS_SCRIPT, str(tmp_path / "decay.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", expected]

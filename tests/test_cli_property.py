@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from latticekit.cli import main
 from latticekit.config import SCHEMA
 from latticekit.heating import flat_spectrum
-from latticekit.protocols import RETHERMALIZATION_MODES
+from latticekit.ramp import RETHERMALIZATION_MODES
 from latticekit.tabular import write_noise_spectrum
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
@@ -85,13 +85,8 @@ def overrides(draw):
 
 
 def nan_lines(report):
-    """Report lines showing nan, except the widths of a degenerate TOF fit."""
-    degenerate = "degenerate = true" in report
-    return [
-        line for line in report.splitlines()
-        if re.search(r"\bnan\b", line)
-        and not (degenerate and line.startswith(("sigma0_um ", "sigma0_err_um ")))
-    ]
+    """Report lines showing nan."""
+    return [line for line in report.splitlines() if re.search(r"\bnan\b", line)]
 
 
 @settings(max_examples=300, derandomize=True, deadline=None, database=None)

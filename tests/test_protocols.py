@@ -7,13 +7,11 @@ from conftest import state_a
 from latticekit.constants import CONST, RB85
 from latticekit.protocols import (
     ExpansionSeries,
-    RampProfile,
-    adiabatic_final_temperature,
     expansion_sigma,
     fit_expansion,
-    ramp_simulate,
     synthesize_expansion,
 )
+from latticekit.ramp import RampProfile, adiabatic_final_temperature, ramp_simulate
 
 KB = CONST.kB
 U_350 = 350e-6 * KB
