@@ -50,20 +50,16 @@ _EXPORTS = {
     ),
     "losses": (
         "LossParams",
-        "PopulationTrajectory",
-        "integrate_eq1",
         "loss_partition",
         "population",
         "xi_from_beta",
     ),
     "evaporation": (
         "EvapParams",
-        "TemperatureTrajectory",
         "beta_esc",
         "epsilon",
         "eta",
         "evaporation_rate",
-        "mean_potential_energy",
         "pac_scaling_comparator",
         "removed_energy_mean",
         "temperature",
@@ -74,7 +70,6 @@ _EXPORTS = {
         "NoiseSpectrum",
         "bound_gamma_tot",
         "combined_temperature",
-        "combined_temperature_ode",
         "parametric_rate",
         "total_rate",
     ),

@@ -18,7 +18,6 @@ class MirrorSpec:
 
     transmission: float
     scatter_loss: float
-    curvature_radius: float | None = None  # None means flat
 
     def __post_init__(self):
         if self.transmission < 0 or self.scatter_loss < 0:

@@ -52,23 +52,6 @@ class EvapParams:
         )
 
 
-@dataclass(frozen=True)
-class TemperatureTrajectory:
-    """Sampled T(t) with the generating parameters."""
-
-    t: "np.ndarray"
-    temperature: "np.ndarray"
-    params: dict
-
-    def __post_init__(self):
-        import numpy as np
-
-        if np.any(np.diff(self.t) <= 0):
-            raise ValueError("times must be strictly increasing")
-        if np.any(self.temperature <= 0):
-            raise ValueError("temperatures must stay positive")
-
-
 def eta(u0: float, temperature: float) -> float:
     """Truncation parameter U0 / (kB T)."""
     if temperature <= 0:
@@ -123,34 +106,19 @@ def evaporation_rate(rho_bar_per_cm3, species, temperature, eta_value):
 # ---------------------------------------------------------------------------
 # energy bookkeeping
 
-def truncated_r4_integral(eta_value: float, method: str = "closed") -> float:
-    """int_0^sqrt(eta) r^4 exp(-r^2) dr by antiderivative or quadrature.
-
-    Antiderivative: (3 sqrt(pi)/8) erf(x) - (x/4)(2 x^2 + 3) exp(-x^2),
-    evaluated with math.erf on scalars. The quadrature route is the test
-    oracle and loads scipy on demand. Both routes agree below 1e-10 absolute
-    (tested); the closed form is the default.
-    """
+def truncated_r4_integral(eta_value: float) -> float:
+    """int_0^sqrt(eta) r^4 exp(-r^2) dr from its antiderivative,
+    (3 sqrt(pi)/8) erf(x) - (x/4)(2 x^2 + 3) exp(-x^2), with math.erf."""
     if eta_value < 0:
         raise ValueError("eta must be >= 0")
     x = math.sqrt(eta_value)
-    if method == "closed":
-        return (
-            3.0 * math.sqrt(math.pi) / 8.0 * math.erf(x)
-            - x / 4.0 * (2.0 * eta_value + 3.0) * math.exp(-eta_value)
-        )
-    if method == "quadrature":
-        from scipy.integrate import quad
-
-        value, _ = quad(
-            lambda r: r**4 * math.exp(-r * r), 0.0, x,
-            epsabs=1e-13, epsrel=1e-12,
-        )
-        return value
-    raise ValueError(f"unknown method {method!r}")
+    return (
+        3.0 * math.sqrt(math.pi) / 8.0 * math.erf(x)
+        - x / 4.0 * (2.0 * eta_value + 3.0) * math.exp(-eta_value)
+    )
 
 
-def epsilon(eta_value: float, method: str = "closed") -> float:
+def epsilon(eta_value: float) -> float:
     """Energy-removal coefficient of the temperature evolution.
 
     epsilon(0) = -1 and epsilon -> (2/3) eta - 2 for large eta. Negative
@@ -159,7 +127,7 @@ def epsilon(eta_value: float, method: str = "closed") -> float:
     """
     if eta_value < 0:
         raise ValueError("eta must be >= 0")
-    integral = truncated_r4_integral(eta_value, method=method)
+    integral = truncated_r4_integral(eta_value)
     return (
         2.0 / 3.0 * eta_value
         - 1.0
@@ -173,20 +141,6 @@ def removed_energy_mean(t0: float, eta_value: float) -> float:
     if t0 <= 0:
         raise ValueError("temperature must be > 0")
     return 1.5 * CONST.kB * t0 * (1.0 + epsilon(eta_value))
-
-
-def mean_potential_energy(t0: float, eta_value: float) -> float:
-    """Mean potential energy inside the trapping volume at temperature T0,
-    (4/sqrt(pi)) kB T0 int_0^sqrt(eta) r^4 exp(-r^2) dr, J.
-
-    Independent route; U0 - removed_energy_mean must match it (tested).
-    """
-    if t0 <= 0:
-        raise ValueError("temperature must be > 0")
-    return (
-        4.0 / math.sqrt(math.pi) * CONST.kB * t0
-        * truncated_r4_integral(eta_value, method="quadrature")
-    )
 
 
 def time_argument(t):

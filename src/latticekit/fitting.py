@@ -282,50 +282,6 @@ def fit_epsilon(dataset: Dataset, xi, gamma_per_s, t0) -> FitResult:
     )
 
 
-def fit_cooling_joint(dataset: Dataset, initial_guess, t0,
-                      max_iterations=200) -> FitResult:
-    """Joint fit of the cooling law without fixing the decay parameters.
-
-    epsilon and xi enter the model only through their product, so the
-    identifiable parameters are (epsilon_xi, gamma). Offered for
-    exploration; the standard procedure keeps (xi, gamma) at the decay-fit
-    values and uses fit_epsilon.
-    """
-    if len(dataset) < 4:
-        raise ValueError("need at least 4 points for the joint fit")
-    t, y, s = dataset.t, dataset.value, dataset.sigma
-    p0 = np.asarray(initial_guess, dtype=float)
-    if p0.size != 2:
-        raise ValueError("initial guess is (epsilon_xi, gamma)")
-
-    def eval_fn(p):
-        eps_xi, gamma = p
-        u = np.exp(-gamma * t)
-        model = t0 * (1.0 - eps_xi * (1.0 - u))
-        r = (model - y) / s
-        d_eps_xi = -t0 * (1.0 - u) / s
-        d_gamma = -t0 * eps_xi * t * u / s
-        return r, np.column_stack([d_eps_xi, d_gamma])
-
-    p, _r, jac, rss, converged, iterations, message = _levenberg_marquardt(
-        eval_fn, p0, max_iterations
-    )
-    cov = _covariance(jac, rss, len(dataset), 2)
-    names = ("epsilon_xi", "gamma_per_s")
-    return FitResult(
-        params=dict(zip(names, p)),
-        uncertainties={
-            k: math.sqrt(max(v, 0.0)) for k, v in zip(names, np.diag(cov))
-        },
-        rss=rss,
-        converged=converged,
-        iterations=iterations,
-        message=message,
-        model="temperature_joint",
-        fixed={"t0": t0},
-    )
-
-
 # ---------------------------------------------------------------------------
 # residual bookkeeping
 
@@ -345,11 +301,6 @@ def _model_values(result: FitResult, t):
         f = result.fixed
         return temperature(
             t, f["t0"], result.params["epsilon"], f["xi"], f["gamma_per_s"]
-        )
-    if result.model == "temperature_joint":
-        p = result.params
-        return temperature(
-            t, result.fixed["t0"], p["epsilon_xi"], 1.0, p["gamma_per_s"]
         )
     raise ValueError(f"unknown model {result.model!r}")
 

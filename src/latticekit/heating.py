@@ -5,16 +5,14 @@ twice each secular frequency with rate gamma = pi^2 nu^2 S_rel(2 nu); the
 thermal-equilibrium weighting gamma_tot = (gamma_a + 2 gamma_r) / 3 combines
 the axial and radial rates. The one-sided PSD convention with units 1/Hz for
 relative fluctuations is used throughout, including the CSV file format.
-Cooling plus heating has the closed form combined_temperature; its RK4
-integration combined_temperature_ode is kept only as the test oracle.
+Cooling plus heating has the closed form combined_temperature.
 """
 
 import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .evaporation import TemperatureTrajectory, temperature, time_argument
-from .integrate import rk4_path
+from .evaporation import temperature, time_argument
 
 
 @dataclass(frozen=True)
@@ -123,38 +121,6 @@ def combined_temperature(t, t0, epsilon_value, xi, gamma_per_s, gamma_tot):
         1.0 - epsilon_value * xi * (gamma_per_s / rate) * (1.0 - exp(-rate * t))
     )
     return float(result) if scalar else result
-
-
-def combined_temperature_ode(t0, epsilon_value, xi, gamma_per_s, gamma_tot,
-                             t_grid) -> TemperatureTrajectory:
-    """Test oracle: RK4 integration of the equation combined_temperature solves.
-
-    Fixed-step RK4 with the same step contract as the population integrator;
-    gamma_tot = 0 reduces to the closed-form cooling law.
-    """
-    import numpy as np
-
-    if epsilon_value * xi >= 1.0:
-        raise DomainError("eps*xi >= 1: model predicts non-positive temperature")
-    t = np.asarray(t_grid, dtype=float)
-    if t[0] != 0:
-        raise ValueError("t_grid must start at 0")
-
-    def rhs(time, temp):
-        return (
-            -epsilon_value * xi * gamma_per_s * math.exp(-gamma_per_s * time) * t0
-            + gamma_tot * temp
-        )
-
-    temps = rk4_path(rhs, t0, t)
-    return TemperatureTrajectory(
-        t=t,
-        temperature=temps,
-        params={
-            "t0": t0, "epsilon": epsilon_value, "xi": xi,
-            "gamma_per_s": gamma_per_s, "gamma_tot_per_s": gamma_tot,
-        },
-    )
 
 
 def bound_gamma_tot(t0, epsilon_value, xi, gamma_per_s, t_max) -> float:

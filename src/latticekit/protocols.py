@@ -41,10 +41,6 @@ class ExpansionSeries:
     times: np.ndarray      # s
     sigma: np.ndarray      # m
     amplitude: np.ndarray  # counts (peak areal density scale)
-    fall: np.ndarray       # m, free-fall center displacement g t^2 / 2
-    n_atoms: float | None = None      # generating values when synthetic
-    temperature: float | None = None
-    sigma0: float | None = None
 
     def __post_init__(self):
         if not (len(self.times) == len(self.sigma) == len(self.amplitude)):
@@ -57,8 +53,6 @@ def synthesize_expansion(n_atoms, temperature, sigma0, times, noise_sigma,
 
     noise_sigma is the fractional Gaussian noise applied to the widths;
     amplitudes are the noiseless Gaussian peak areal densities N/(2 pi s^2).
-    The lattice is vertical, so the free-fall displacement of the cloud
-    center is recorded alongside each point.
     """
     t = np.asarray(times, dtype=float)
     if np.any(t < 0):
@@ -70,16 +64,7 @@ def synthesize_expansion(n_atoms, temperature, sigma0, times, noise_sigma,
         area = 2.0 * math.pi * sigma_true**2
     if not (np.all(np.isfinite(sigma_meas)) and np.all(np.isfinite(area))):
         raise ValueError("expansion series overflows: the cloud widths are too large")
-    amplitude = n_atoms / area
-    return ExpansionSeries(
-        times=t,
-        sigma=sigma_meas,
-        amplitude=amplitude,
-        fall=0.5 * CONST.g * t**2,
-        n_atoms=n_atoms,
-        temperature=temperature,
-        sigma0=sigma0,
-    )
+    return ExpansionSeries(times=t, sigma=sigma_meas, amplitude=n_atoms / area)
 
 
 @dataclass(frozen=True)

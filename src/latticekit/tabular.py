@@ -9,7 +9,6 @@ Python; numpy loads only when a table is read or written.
 import os
 import tempfile
 
-from .constants import CONST
 from .errors import ConfigError
 
 TRAJECTORY_DIGITS = 9
@@ -154,12 +153,10 @@ def read_expansion(path):
     _header, rows = _read_rows(
         path, (("t_ms", "sigma_um", "amplitude"),), "expansion"
     )
-    times = rows[:, 0] * 1e-3
     return ExpansionSeries(
-        times=times,
+        times=rows[:, 0] * 1e-3,
         sigma=rows[:, 1] * 1e-6,
         amplitude=rows[:, 2],
-        fall=0.5 * CONST.g * times**2,
     )
 
 

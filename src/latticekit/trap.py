@@ -24,9 +24,6 @@ from dataclasses import dataclass
 from .constants import CONST, Species
 from .cavity import ModeGeometry
 
-LATTICE_CONVENTION = "lattice"
-SINGLE_GAUSSIAN_CONVENTION = "single_gaussian"
-
 
 # ---------------------------------------------------------------------------
 # dipole potential and scattering
@@ -131,7 +128,6 @@ class TrapParameters:
     wavelength: float          # lattice laser wavelength, m
     nu_axial: float            # Hz
     nu_radial: float           # Hz
-    scattering_rate: float = 0.0  # photon scattering rate, 1/s
 
     def __post_init__(self):
         if self.u0 <= 0:
@@ -144,11 +140,10 @@ class TrapParameters:
         return self.u0 / CONST.kB * 1e6
 
 
-def trap_parameters(u0, wavelength, mode: ModeGeometry, species,
-                    scattering_rate=0.0) -> TrapParameters:
+def trap_parameters(u0, wavelength, mode: ModeGeometry, species) -> TrapParameters:
     """Build TrapParameters with frequencies derived from (U0, lambda, w0)."""
     nu_a, nu_r = secular_frequencies(u0, wavelength, mode.effective_waist, species)
-    return TrapParameters(u0, wavelength, nu_a, nu_r, scattering_rate)
+    return TrapParameters(u0, wavelength, nu_a, nu_r)
 
 
 @dataclass(frozen=True)
@@ -257,36 +252,27 @@ def envelope_z_for_peak_density(n_atoms, rho_peak_target, sigma_x, sigma_y,
     )
 
 
-def density_squared_integral(n_atoms, rho_peak, convention=LATTICE_CONVENTION):
-    """Integral of rho^2 over space (atoms^2 per volume).
+def density_squared_integral(n_atoms, rho_peak):
+    """Integral of rho^2 over space (atoms^2 per volume), N rho_peak / 4.
 
-    The lattice convention returns N rho_peak / 4 so that the dimensionless
-    two-body strength equals beta rho_peak / (4 gamma); a bare Gaussian cloud
-    gives N rho_peak / 2^(3/2) and is kept as a named alternative.
+    This lattice convention makes the dimensionless two-body strength
+    beta rho_peak / (4 gamma); a bare Gaussian cloud would give
+    N rho_peak / 2^(3/2).
     """
     if n_atoms < 0:
         raise ValueError("atom number must be >= 0")
-    if convention == LATTICE_CONVENTION:
-        return n_atoms * rho_peak / 4.0
-    if convention == SINGLE_GAUSSIAN_CONVENTION:
-        return n_atoms * rho_peak / 2.0**1.5
-    raise ValueError(f"unknown density convention {convention!r}")
+    return n_atoms * rho_peak / 4.0
 
 
-def mean_density(n_atoms, rho_peak, convention=LATTICE_CONVENTION):
+def mean_density(n_atoms, rho_peak):
     """Density-weighted mean density, integral(rho^2)/N."""
     if n_atoms <= 0:
         raise ValueError("atom number must be positive")
-    return density_squared_integral(n_atoms, rho_peak, convention) / n_atoms
+    return density_squared_integral(n_atoms, rho_peak) / n_atoms
 
 
-def state_density_squared_integral(state: TrapState,
-                                   convention=LATTICE_CONVENTION):
-    return density_squared_integral(state.n_atoms, peak_density(state), convention)
-
-
-def state_mean_density(state: TrapState, convention=LATTICE_CONVENTION):
-    return mean_density(state.n_atoms, peak_density(state), convention)
+def state_mean_density(state: TrapState):
+    return mean_density(state.n_atoms, peak_density(state))
 
 
 def phase_space_density(species, rho_peak, temperature):

@@ -10,13 +10,19 @@ import math
 import numpy as np
 import pytest
 from conftest import check, state_a, state_b
+from oracles import (
+    combined_temperature_rk4,
+    mean_potential_energy,
+    population_rk4,
+    truncated_r4_quadrature,
+)
 
 import latticekit as lk
 from latticekit.constants import CONST, RB85
-from latticekit.evaporation import mean_potential_energy, truncated_r4_integral
+from latticekit.evaporation import truncated_r4_integral
 from latticekit.fitting import Dataset, decay_jacobian, fit_decay, fit_epsilon
-from latticekit.heating import bound_gamma_tot, combined_temperature_ode
-from latticekit.losses import LossParams, integrate_eq1, population, xi_from_beta
+from latticekit.heating import bound_gamma_tot
+from latticekit.losses import LossParams, population, xi_from_beta
 from latticekit.protocols import fit_expansion, synthesize_expansion
 from latticekit.ramp import RampProfile, adiabatic_final_temperature, ramp_simulate
 
@@ -34,8 +40,8 @@ def make_reference_cavity():
     return lk.CavitySpec(
         mirrors=(
             lk.MirrorSpec(23e-6, 3e-6),
-            lk.MirrorSpec(0.8e-6, 3e-6, curvature_radius=0.2),
-            lk.MirrorSpec(0.8e-6, 3e-6, curvature_radius=0.2),
+            lk.MirrorSpec(0.8e-6, 3e-6),
+            lk.MirrorSpec(0.8e-6, 3e-6),
         ),
         round_trip_length=0.097,
         input_power_per_mode=60e-6,
@@ -171,16 +177,16 @@ def test_criterion_6_ramp():
 def test_criterion_7_model_reductions():
     params = LossParams.from_beta(0.6, 7.5e-12, 9e11)
     t = np.linspace(0, 5, 51)
-    rk4 = integrate_eq1(4e6, params, None, t, rho_peak_per_cm3=9e11)
+    rk4 = population_rk4(4e6, params, 9e11, t)
     closed = population(t, 4e6, 0.6, params.xi)
-    dev_pop = float(np.max(np.abs(rk4.n - closed) / closed))
+    dev_pop = float(np.max(np.abs(rk4 - closed) / closed))
     check("criterion 7a (closed form vs RK4)", dev_pop < 1e-6,
           f"max rel dev {dev_pop:.2e} (bound 1e-6)")
 
     grid = np.linspace(0, 4, 81)
-    traj = combined_temperature_ode(123e-6, 0.057, 2.80, 0.6, 0.0, grid)
+    ode = combined_temperature_rk4(123e-6, 0.057, 2.80, 0.6, 0.0, grid)
     closed_t = lk.temperature(grid, 123e-6, 0.057, 2.80, 0.6)
-    dev_temp = float(np.max(np.abs(traj.temperature - closed_t) / closed_t))
+    dev_temp = float(np.max(np.abs(ode - closed_t) / closed_t))
     check("criterion 7b (combined ODE reduction)", dev_temp < 1e-9,
           f"max rel dev {dev_temp:.2e} (bound 1e-9)")
 
@@ -224,7 +230,7 @@ def test_criterion_7_model_reductions():
           f"worst column rel dev {worst_jac:.2e} (bound 1e-6)")
 
     worst_quad = max(
-        abs(truncated_r4_integral(x, "closed") - truncated_r4_integral(x, "quadrature"))
+        abs(truncated_r4_integral(x) - truncated_r4_quadrature(x))
         for x in np.linspace(0.0, 10.0, 81)
     )
     check("criterion 7e (quadrature dual route)", worst_quad < 1e-10,

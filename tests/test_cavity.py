@@ -30,8 +30,8 @@ def make_cavity(length=0.097, power=60e-6, eta_mm=1.0):
     return CavitySpec(
         mirrors=(
             MirrorSpec(23e-6, 3e-6),
-            MirrorSpec(0.8e-6, 3e-6, curvature_radius=0.2),
-            MirrorSpec(0.8e-6, 3e-6, curvature_radius=0.2),
+            MirrorSpec(0.8e-6, 3e-6),
+            MirrorSpec(0.8e-6, 3e-6),
         ),
         round_trip_length=length,
         input_power_per_mode=power,

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 import re
@@ -212,16 +213,27 @@ def test_bound_psd_with_sigma_column_exits_2(tmp_path, capsys):
     assert "line 1: expected header freq_hz,S_rel_per_hz, got" in capsys.readouterr().err
 
 
-def test_simulate_never_calls_the_integrator(tmp_path, monkeypatch):
-    # the RK4 integrator is a test oracle; simulate runs the closed forms
-    def refuse(*_args, **_kwargs):
-        raise AssertionError("rk4_path called on the product path")
+def test_simulate_never_calls_the_integrator():
+    # the RK4 and quadrature oracles live in tests/oracles.py; the product
+    # package has no integrator module and names none in any source file
+    assert importlib.util.find_spec("latticekit.integrate") is None
+    package = os.path.dirname(os.path.abspath(latticekit.__file__))
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                text = fh.read().lower()
+            for word in ("rk4", "scipy", "quad"):
+                assert word not in text, f"{name} mentions {word}"
 
-    monkeypatch.setattr("latticekit.losses.rk4_path", refuse)
-    monkeypatch.setattr("latticekit.heating.rk4_path", refuse)
-    for model in ("decay", "temperature", "combined"):
-        out = tmp_path / f"{model}.csv"
-        assert main(["simulate", "--model", model, "--out", str(out)]) == 0
+
+def test_unknown_model_or_kind_exits_2(capsys):
+    # argparse rejects both before any command runs
+    for argv in (["simulate", "--model", "bogus"],
+                 ["fit", "--kind", "bogus", "--data", "x"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "invalid choice: 'bogus'" in err
+        assert "Traceback" not in err
 
 
 def test_simulate_requires_out(capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import state_a, state_b
+from oracles import mean_potential_energy, truncated_r4_quadrature
 
 from latticekit.constants import CONST, RB85, thermal_velocity
 from latticekit.errors import DomainError
@@ -12,7 +13,6 @@ from latticekit.evaporation import (
     epsilon,
     eta,
     evaporation_rate,
-    mean_potential_energy,
     pac_scaling_comparator,
     removed_energy_mean,
     temperature,
@@ -144,8 +144,8 @@ def test_epsilon_asymptote():
 
 def test_r4_integral_dual_route():
     for eta_value in np.linspace(0.0, 10.0, 101):
-        closed = truncated_r4_integral(eta_value, "closed")
-        quadrature = truncated_r4_integral(eta_value, "quadrature")
+        closed = truncated_r4_integral(eta_value)
+        quadrature = truncated_r4_quadrature(eta_value)
         assert abs(closed - quadrature) < 1e-10
 
 
@@ -164,7 +164,12 @@ def test_r4_integral_matches_scipy_erf_antiderivative():
 
 def test_epsilon_quadrature_route_agrees():
     for eta_value in (0.5, 2.3, 2.85, 6.0):
-        assert abs(epsilon(eta_value) - epsilon(eta_value, "quadrature")) < 1e-10
+        quadrature = (
+            2.0 / 3.0 * eta_value
+            - 1.0
+            - 8.0 / (3.0 * math.sqrt(math.pi)) * truncated_r4_quadrature(eta_value)
+        )
+        assert abs(epsilon(eta_value) - quadrature) < 1e-10
 
 
 def test_epsilon_increasing_for_eta_above_one():

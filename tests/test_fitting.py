@@ -5,7 +5,6 @@ from latticekit.evaporation import temperature
 from latticekit.fitting import (
     Dataset,
     decay_jacobian,
-    fit_cooling_joint,
     fit_decay,
     fit_epsilon,
     residual_report,
@@ -186,16 +185,6 @@ def test_epsilon_needs_three_points():
     ds = Dataset(t=t, value=np.full(t.size, 123.0), kind="temperature")
     with pytest.raises(ValueError):
         fit_epsilon(ds, 2.80, 0.6, 123.0)
-
-
-def test_joint_cooling_fit_recovers_parameters():
-    # epsilon and xi only appear as a product; that product and gamma are
-    # the identifiable pair
-    ds = cooling_dataset(0.057, 2.80, 0.6, 123.0, n_points=25)
-    result = fit_cooling_joint(ds, (0.3, 0.4), 123.0)
-    assert result.converged
-    assert rel(result.params["epsilon_xi"], 0.057 * 2.80) < 1e-5
-    assert rel(result.params["gamma_per_s"], 0.6) < 1e-5
 
 
 # ---------------------------------------------------------------------------

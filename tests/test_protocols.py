@@ -145,7 +145,6 @@ def test_synthesize_noiseless_is_exact():
     series = synthesize_expansion(1e6, 123e-6, 40e-6, times, 0.0, 1, RB85)
     expected = expansion_sigma(40e-6, 123e-6, times, RB85)
     assert np.max(np.abs(series.sigma - expected)) == 0.0
-    assert np.allclose(series.fall, 0.5 * CONST.g * times**2, rtol=0, atol=0)
 
 
 def test_synthesize_deterministic():
@@ -194,7 +193,6 @@ def test_fit_expansion_order_invariant():
         times=series.times[perm],
         sigma=series.sigma[perm],
         amplitude=series.amplitude[perm],
-        fall=series.fall[perm],
     )
     a = fit_expansion(series, RB85)
     b = fit_expansion(shuffled, RB85)
@@ -219,7 +217,6 @@ def test_fit_expansion_degenerate_intercept():
         times=times,
         sigma=sigma,
         amplitude=1e6 / (2 * math.pi * sigma**2),
-        fall=0.5 * CONST.g * times**2,
     )
     fit = fit_expansion(series, RB85)
     assert fit.degenerate

@@ -238,19 +238,13 @@ def test_wells_resolved_flag():
 
 
 def test_density_squared_integral_conventions():
-    # single Gaussian: N rho / 2^(3/2); lattice: N rho / 4  (per-cm^3 units)
-    single = density_squared_integral(1e6, 1e12, "single_gaussian")
-    assert rel(single, 1e6 * 1e12 / 2**1.5) < 1e-15
-    assert abs(single - 3.54e17) < 0.01e17
-    assert density_squared_integral(1e6, 1e12, "lattice") == 2.5e17
+    # lattice convention: N rho / 4  (per-cm^3 units)
+    assert density_squared_integral(1e6, 1e12) == 2.5e17
     assert density_squared_integral(0.0, 1e12) == 0.0
-    with pytest.raises(ValueError):
-        density_squared_integral(1e6, 1e12, "bogus")
 
 
 def test_mean_density_conventions():
-    assert rel(mean_density(1e6, 1e12, "lattice"), 2.5e11) < 1e-15
-    assert rel(mean_density(1e6, 1e12, "single_gaussian"), 1e12 / 2**1.5) < 1e-15
+    assert rel(mean_density(1e6, 1e12), 2.5e11) < 1e-15
     with pytest.raises(ValueError):
         mean_density(0.0, 1e12)
 
