@@ -90,7 +90,6 @@ _EXPORTS = {
         "FitResult",
         "fit_decay",
         "fit_epsilon",
-        "residual_report",
     ),
     "errors": ("ConfigError", "DomainError"),
 }

@@ -59,6 +59,7 @@ from .trap import (
     collective_coupling,
     dipole_depth_and_scatter,
     intensity_for_depth,
+    lattice_peak_intensity,
     peak_density,
     phase_space_density,
     polarizability,
@@ -158,8 +159,9 @@ def cmd_trap(cfg, args):
     depth_scatter_ratio = abs(u_unit) / rate_unit        # J s
     scattering_rate = trap.u0 / depth_scatter_ratio
 
+    # the power per mode whose standing wave reaches the configured depth
     intensity = intensity_for_depth(trap.u0, trap.wavelength, species)
-    p_implied = intensity * math.pi * mode.waist_sagittal * mode.waist_transversal / 8.0
+    p_implied = intensity / lattice_peak_intensity(1.0, mode)
     entries = [
         ("depth_uK", cfg["trap.depth_uK"], CONFIGURED),
         ("input_power_uW", cfg["trap.input_power_uW"], CONFIGURED),
@@ -269,12 +271,11 @@ def cmd_simulate(cfg, args):
     return 0
 
 
-def _emit_fit(result, report, out):
+def _emit_fit(result, out):
     for name, value in result.params.items():
         _reject_nan(name, value)
         _reject_nan(f"{name} uncertainty", result.uncertainties[name])
-    _reject_nan("rss", result.rss)
-    _reject_nan("chi2_reduced", report.chi2_reduced)
+    _reject_nan("rss", result.rss)  # chi2_reduced = rss / dof follows suit
     lines = [f"model = {result.model}"]
     for name, value in result.params.items():
         err = result.uncertainties[name]
@@ -284,7 +285,7 @@ def _emit_fit(result, report, out):
         )
     lines += [
         f"rss = {format_value(result.rss, REPORT_DIGITS)}",
-        f"chi2_reduced = {format_value(report.chi2_reduced, REPORT_DIGITS)}",
+        f"chi2_reduced = {format_value(result.chi2_reduced, REPORT_DIGITS)}",
         f"converged = {format_value(result.converged)}",
         f"iterations = {result.iterations}",
         f"message = {result.message}",
@@ -299,20 +300,20 @@ def _emit_fit(result, report, out):
     if out:
         atomic_write_text(out, text)
         atomic_write_text(out + ".csv", "\n".join(csv_lines) + "\n")
-        atomic_write_text(out + ".residuals.csv", _residuals_csv(report))
+        atomic_write_text(out + ".residuals.csv", _residuals_csv(result.residuals))
     else:
         sys.stdout.write("\n" + "\n".join(csv_lines) + "\n")
 
 
-def _residuals_csv(report):
+def _residuals_csv(residuals):
     lines = ["index,residual"]
-    for i, r in enumerate(report.residuals):
+    for i, r in enumerate(residuals):
         lines.append(f"{i},{format_value(float(r))}")
     return "\n".join(lines) + "\n"
 
 
 def cmd_fit(cfg, args):
-    from .fitting import fit_decay, fit_epsilon, residual_report
+    from .fitting import fit_decay, fit_epsilon
     from .protocols import fit_expansion
 
     kind = args.kind
@@ -357,8 +358,7 @@ def cmd_fit(cfg, args):
                   file=sys.stderr)
         return 0
 
-    report = residual_report(result, dataset)
-    _emit_fit(result, report, args.out)
+    _emit_fit(result, args.out)
     if not result.converged:
         print(
             f"fit did not converge after {result.iterations} iterations: "
@@ -375,9 +375,8 @@ def cmd_bound(cfg, args):
         cfg["sample.rho_peak_per_cm3"],
         cfg["loss.gamma_per_s"],
     )
-    t0 = cfg["sample.temperature_uK"] * 1e-6
     bound = bound_gamma_tot(
-        t0, cfg["evap.epsilon"], xi, cfg["loss.gamma_per_s"], cfg["bound.t_max_s"]
+        cfg["evap.epsilon"], xi, cfg["loss.gamma_per_s"], cfg["bound.t_max_s"]
     )
     entries = [
         ("epsilon", cfg["evap.epsilon"], CONFIGURED),

@@ -80,16 +80,6 @@ _DIMENSIONLESS = {
 }
 
 
-def _check_suffix_discipline():
-    for key, (typ, _default) in SCHEMA.items():
-        if typ is float and key not in _DIMENSIONLESS:
-            if not key.endswith(UNIT_SUFFIXES):
-                raise AssertionError(f"schema key {key} lacks a unit suffix")
-
-
-_check_suffix_discipline()
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """Typed configuration values keyed by schema name."""

@@ -3,12 +3,16 @@
 A damped Gauss-Newton engine with Marquardt scaling binds the closed-form
 models to measured series: (gamma, beta) from N(t) data and the
 energy-removal coefficient from T(t) data. The models themselves are
-losses.population and evaporation.temperature. Everything is double precision
-with a fixed iteration order, so identical inputs give bit-identical fits.
+losses.population and evaporation.temperature. Each fit returns the weighted
+residuals (model - data)/sigma at its optimum, their sum of squares and the
+degrees of freedom (points minus free parameters: 3 for the decay, 1 for the
+cooling law), so the reduced chi^2 and the covariance share one count.
+Everything is double precision with a fixed iteration order, so identical
+inputs give bit-identical fits.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +27,6 @@ class Dataset:
     t: np.ndarray
     value: np.ndarray
     sigma: np.ndarray | None = None
-    kind: str = "population"  # or "temperature"
 
     def __post_init__(self):
         t = np.asarray(self.t, dtype=float)
@@ -45,8 +48,6 @@ class Dataset:
             raise ValueError("values must be positive")
         if np.any(s <= 0):
             raise ValueError("sigmas must be positive")
-        if self.kind not in ("population", "temperature"):
-            raise ValueError(f"unknown dataset kind {self.kind!r}")
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "value", v)
         object.__setattr__(self, "sigma", s)
@@ -61,12 +62,17 @@ class FitResult:
 
     params: dict
     uncertainties: dict
+    residuals: np.ndarray  # weighted, (model - data)/sigma at the optimum
     rss: float
+    dof: int               # points minus free parameters
     converged: bool
     iterations: int
     message: str
     model: str
-    fixed: dict = field(default_factory=dict)
+
+    @property
+    def chi2_reduced(self):
+        return self.rss / self.dof
 
 
 # ---------------------------------------------------------------------------
@@ -155,16 +161,14 @@ def _levenberg_marquardt(eval_fn, p0, max_iterations=200):
     return p, r, jac, rss, converged, iterations, message
 
 
-def _covariance(jac, rss, n_points, n_free):
-    """Linearized covariance at the optimum, scaled by reduced chi^2."""
-    dof = max(n_points - n_free, 1)
-    chi2_red = rss / dof
+def _covariance(jac, chi2_reduced):
+    """Linearized covariance at the optimum, scaled by the reduced chi^2."""
     jtj = jac.T @ jac
     try:
         cov = np.linalg.inv(jtj)
     except np.linalg.LinAlgError:
         cov = np.linalg.pinv(jtj)
-    return cov * chi2_red
+    return cov * chi2_reduced
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +201,15 @@ def fit_decay(dataset: Dataset, rho_peak_per_cm3, initial_guess,
         jac = decay_jacobian(t, gamma, xi, n0) / s[:, None]
         return r, jac
 
-    p, _r, jac, rss, converged, iterations, message = _levenberg_marquardt(
+    p, r, jac, rss, converged, iterations, message = _levenberg_marquardt(
         eval_fn, p0, max_iterations
     )
     gamma, xi, n0 = p
     beta = 4.0 * gamma * xi / rho_peak_per_cm3
 
-    cov = _covariance(jac, rss, len(dataset), 3)
+    # beta is derived from xi, so three parameters are free
+    dof = len(dataset) - 3
+    cov = _covariance(jac, rss / dof)
     var_gamma, var_xi, var_n0 = np.diag(cov)
     cov_gx = cov[0, 1]
     # beta = 4 gamma xi / rho: first-order propagation incl. the cross term
@@ -228,12 +234,13 @@ def fit_decay(dataset: Dataset, rho_peak_per_cm3, initial_guess,
             "xi": math.sqrt(max(var_xi, 0.0)),
             "n0": math.sqrt(max(var_n0, 0.0)),
         },
+        residuals=r,
         rss=rss,
+        dof=dof,
         converged=converged,
         iterations=iterations,
         message=message,
         model="decay",
-        fixed={"rho_peak_per_cm3": rho_peak_per_cm3},
     )
 
 
@@ -247,7 +254,8 @@ def fit_epsilon(dataset: Dataset, xi, gamma_per_s, t0) -> FitResult:
     the decay first. The residual is linear in eps, so the normal equation
     gives the exact optimum. It is clipped to [0, 1/xi), with the upper end
     stepped down until eps xi < 1 in floating point so the cooling law stays
-    positive, and a clipped solution is reported as not converged.
+    positive, and a clipped solution is reported as not converged. The
+    residuals come from the cooling law itself.
     """
     if len(dataset) < 3:
         raise ValueError("need at least 3 points to fit")
@@ -264,56 +272,21 @@ def fit_epsilon(dataset: Dataset, xi, gamma_per_s, t0) -> FitResult:
     while eps_max * xi >= 1.0:
         eps_max = math.nextafter(eps_max, 0.0)
     eps = min(max(eps_free, 0.0), eps_max)
-    r = a * eps - z
+    r = (temperature(t, t0, eps, xi, gamma_per_s) - y) / s
     rss = float(r @ r)
 
     converged = 0.0 < eps_free < eps_max
-    dof = max(len(dataset) - 1, 1)
+    dof = len(dataset) - 1
     var_eps = (rss / dof) / denom if denom > 0 else math.inf
     return FitResult(
         params={"epsilon": eps},
         uncertainties={"epsilon": math.sqrt(var_eps)},
+        residuals=r,
         rss=rss,
+        dof=dof,
         converged=converged,
         iterations=1,
         message="converged" if converged else "minimum at domain boundary",
         model="temperature",
-        fixed={"xi": xi, "gamma_per_s": gamma_per_s, "t0": t0},
     )
 
-
-# ---------------------------------------------------------------------------
-# residual bookkeeping
-
-@dataclass(frozen=True)
-class ResidualReport:
-    residuals: np.ndarray  # weighted, (model - data)/sigma
-    rss: float
-    chi2_reduced: float
-    dof: int
-
-
-def _model_values(result: FitResult, t):
-    if result.model == "decay":
-        p = result.params
-        return population(t, p["n0"], p["gamma_per_s"], p["xi"])
-    if result.model == "temperature":
-        f = result.fixed
-        return temperature(
-            t, f["t0"], result.params["epsilon"], f["xi"], f["gamma_per_s"]
-        )
-    raise ValueError(f"unknown model {result.model!r}")
-
-
-def residual_report(result: FitResult, dataset: Dataset) -> ResidualReport:
-    """Per-point weighted residuals and reduced chi^2 for a finished fit."""
-    n_free = len(result.params)
-    residuals = (_model_values(result, dataset.t) - dataset.value) / dataset.sigma
-    rss = float(residuals @ residuals)
-    dof = max(len(dataset) - n_free, 1)
-    return ResidualReport(
-        residuals=residuals,
-        rss=rss,
-        chi2_reduced=rss / dof,
-        dof=dof,
-    )

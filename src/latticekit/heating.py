@@ -123,16 +123,15 @@ def combined_temperature(t, t0, epsilon_value, xi, gamma_per_s, gamma_tot):
     return float(result) if scalar else result
 
 
-def bound_gamma_tot(t0, epsilon_value, xi, gamma_per_s, t_max) -> float:
+def bound_gamma_tot(epsilon_value, xi, gamma_per_s, t_max) -> float:
     """Upper bound on the heating rate from a monotone temperature decrease.
 
     A negative temperature slope over [0, t_max] requires
     gamma_tot < r(t) = eps xi gamma u / (1 - eps xi (1 - u)), u = exp(-gamma t),
     at every t; the bound is the minimum of r. dr/du has the sign of
     eps xi (1 - eps xi), so r is monotone and its minimum sits at t_max for
-    0 <= eps xi < 1 and at t = 0 for eps xi < 0. Independent of T0.
+    0 <= eps xi < 1 and at t = 0 for eps xi < 0. T0 cancels in the ratio.
     """
-    del t0  # cancels in the ratio; kept in the signature for symmetry
     ends = (0.0, t_max)
     # the cooling law at unit T0 raises for t_max < 0 and for eps xi >= 1,
     # so it runs before the numerator can overflow

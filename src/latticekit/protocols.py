@@ -105,8 +105,7 @@ def fit_expansion(series: ExpansionSeries, species: Species) -> ExpansionFit:
     intercept = y_mean - slope * x_mean
 
     resid = y - (intercept + slope * x)
-    dof = n - 2
-    s2 = float(np.sum(resid**2)) / dof if dof > 0 else 0.0
+    s2 = float(np.sum(resid**2)) / (n - 2)
     var_slope = s2 / sxx
     var_intercept = s2 * (1.0 / n + x_mean**2 / sxx)
 
@@ -122,7 +121,7 @@ def fit_expansion(series: ExpansionSeries, species: Species) -> ExpansionFit:
 
     counts = 2.0 * math.pi * y * series.amplitude
     n_atoms = float(counts.mean())
-    n_err = float(counts.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    n_err = float(counts.std(ddof=1) / math.sqrt(n))
     return ExpansionFit(
         temperature=temp,
         temperature_err=temp_err,

@@ -124,7 +124,7 @@ def read_dataset(path, kind):
     columns = DATASET_HEADERS[kind]
     header, rows = _read_rows(path, (columns, columns + ("sigma",)), kind)
     sigma = rows[:, 2] if len(header) == 3 else None
-    return Dataset(t=rows[:, 0], value=rows[:, 1], sigma=sigma, kind=kind)
+    return Dataset(t=rows[:, 0], value=rows[:, 1], sigma=sigma)
 
 
 def read_noise_spectrum(path):

@@ -139,7 +139,7 @@ def test_criterion_4_xi_consistency():
 
 
 def test_criterion_5_heating_bound():
-    bound = bound_gamma_tot(123e-6, 0.057, 2.80, 0.6, 4.0)
+    bound = bound_gamma_tot(0.057, 2.80, 0.6, 4.0)
     check("criterion 5a (bound window)", 0.0095 <= bound <= 0.0107,
           f"gamma_tot bound = {bound:.5f} 1/s in [0.0095, 0.0107]")
     ratio = 0.041 / bound
@@ -240,14 +240,13 @@ def test_criterion_7_model_reductions():
 def test_criterion_8_fit_recovery():
     t = np.linspace(0, 4, 21)
     xi_true = xi_from_beta(7.5e-12, 9e11, 0.6)
-    clean = Dataset(t=t, value=population(t, 4e6, 0.6, xi_true), kind="population")
+    clean = Dataset(t=t, value=population(t, 4e6, 0.6, xi_true))
     result = fit_decay(clean, 9e11, (0.4, 5e-12))
     ok_noiseless = (
         rel(result.params["gamma_per_s"], 0.6) < 1e-6
         and rel(result.params["beta_cm3_per_s"], 7.5e-12) < 1e-6
     )
-    cooling = Dataset(t=t, value=lk.temperature(t, 123.0, 0.057, 2.80, 0.6),
-                      kind="temperature")
+    cooling = Dataset(t=t, value=lk.temperature(t, 123.0, 0.057, 2.80, 0.6))
     eps_fit = fit_epsilon(cooling, 2.80, 0.6, 123.0)
     ok_noiseless = ok_noiseless and rel(eps_fit.params["epsilon"], 0.057) < 1e-8
     check("criterion 8a (noiseless self-fits)", ok_noiseless,
@@ -261,7 +260,6 @@ def test_criterion_8_fit_recovery():
             t=t[:20],
             value=truth * (1 + 0.03 * rng.standard_normal(20)),
             sigma=0.03 * truth,
-            kind="population",
         )
         recovered.append(fit_decay(noisy, 9e11, (0.4, 5e-12)).params["gamma_per_s"])
     med = float(np.median(recovered))
@@ -276,12 +274,10 @@ def test_criterion_8_fit_recovery():
 
     # fitted-vs-computed coefficient gap, fits run on synthetic data built
     # from the quoted fitted values
-    trace_a = Dataset(t=t, value=lk.temperature(t, 123.0, 0.057, 2.80, 0.6),
-                      kind="temperature")
+    trace_a = Dataset(t=t, value=lk.temperature(t, 123.0, 0.057, 2.80, 0.6))
     fit_a = fit_epsilon(trace_a, 2.80, 0.6, 123.0).params["epsilon"]
     ratio_a = lk.epsilon(2.85) / fit_a
-    trace_b = Dataset(t=t, value=lk.temperature(t, 38.0, 0.12, 3.72, 0.76),
-                      kind="temperature")
+    trace_b = Dataset(t=t, value=lk.temperature(t, 38.0, 0.12, 3.72, 0.76))
     fit_b = fit_epsilon(trace_b, 3.72, 0.76, 38.0).params["epsilon"]
     ratio_b = lk.epsilon(2.63) / fit_b
     check(

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import math
 import os
@@ -286,6 +287,16 @@ def test_fit_decay_fixture(tmp_path, capsys):
     assert rel(float(beta_row.split(",")[1]), 7.5e-12) < 0.05
 
 
+def test_fit_decay_chi2_counts_three_free_parameters(capsys):
+    # beta is derived from xi, so the 20-row fixture leaves 20 - 3 = 17 dof
+    data = os.path.join(FIXTURES, "decay_noisy.csv")
+    assert len(read_dataset(data, "population")) == 20
+    assert main(["fit", "--kind", "decay", "--data", data]) == 0
+    text = capsys.readouterr().out
+    rss = report_value(text, "rss")
+    assert rel(report_value(text, "chi2_reduced"), rss / 17) < 1e-9
+
+
 def test_fit_temperature_roundtrip(tmp_path, capsys):
     traj = tmp_path / "cooling.csv"
     assert main(["simulate", "--model", "temperature", "--out", str(traj)]) == 0
@@ -466,6 +477,37 @@ def test_fixture_generator_reproduces_committed_bytes(tmp_path):
         assert decay.read_bytes() == fh.read()
     with open(os.path.join(FIXTURES, "tof_noisy.csv"), "rb") as fh:
         assert tof.read_bytes() == fh.read()
+
+
+# sha256 of stdout and of every file `fit --out fit.txt` writes on each
+# committed fixture; a change here changes the published fixture fits and
+# must be stated with the change
+FIXTURE_FIT_DIGESTS = {
+    "decay": {
+        "stdout": "cd56912730faee412a799653c4eecfaebb3ced678ef419e286e6a0a05df00e43",
+        "fit.txt": "cd56912730faee412a799653c4eecfaebb3ced678ef419e286e6a0a05df00e43",
+        "fit.txt.csv": "b1e08c27bfaccff953e25a7dec30001b4e5cf53c925e615a28baa4a57222f43e",
+        "fit.txt.residuals.csv":
+            "b618f6980d29af01d1f75f0e8ec3244aca05891f3aab38b45d9b6cfc410f7b51",
+    },
+    "tof": {
+        "stdout": "d0b993385cbce36444829fc9ba7aaa97b13b07eed8333accb19dc37fff5f2053",
+        "fit.txt": "d0b993385cbce36444829fc9ba7aaa97b13b07eed8333accb19dc37fff5f2053",
+        "fit.txt.csv": "2199da50b8eac2273e20a358a4cda7e9d018c75bdf7b76591029542494174017",
+    },
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FIXTURE_FIT_DIGESTS))
+def test_fixture_fits_are_pinned(tmp_path, capsys, kind):
+    data = os.path.join(FIXTURES, f"{kind}_noisy.csv")
+    assert main(["fit", "--kind", kind, "--data", data,
+                 "--out", str(tmp_path / "fit.txt")]) == 0
+    outputs = {"stdout": capsys.readouterr().out.encode()}
+    for path in sorted(tmp_path.iterdir()):
+        outputs[path.name] = path.read_bytes()
+    digests = {name: hashlib.sha256(raw).hexdigest() for name, raw in outputs.items()}
+    assert digests == FIXTURE_FIT_DIGESTS[kind]
 
 
 def test_fit_nonconvergence_exits_4(capsys):

@@ -7,7 +7,6 @@ from latticekit.fitting import (
     decay_jacobian,
     fit_decay,
     fit_epsilon,
-    residual_report,
 )
 from latticekit.losses import population
 
@@ -29,7 +28,7 @@ def decay_dataset(noise=0.0, seed=0, n_points=21, weighted=False):
     else:
         values = truth.copy()
     sigma = noise * truth if (noise and weighted) else None
-    return Dataset(t=t, value=values, sigma=sigma, kind="population")
+    return Dataset(t=t, value=values, sigma=sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -40,8 +39,6 @@ def test_dataset_validation():
         Dataset(t=np.array([0.0, 0.0]), value=np.array([1.0, 1.0]))
     with pytest.raises(ValueError):
         Dataset(t=np.array([0.0, 1.0]), value=np.array([1.0, -1.0]))
-    with pytest.raises(ValueError):
-        Dataset(t=np.array([0.0, 1.0]), value=np.array([1.0, 1.0]), kind="widths")
     for t, value, sigma in [
         ([0.0, 1.0], [1.0, np.nan], None),
         ([0.0, 1.0], [1.0, np.inf], None),
@@ -123,7 +120,7 @@ def test_fit_determinism_bit_identical():
 
 def test_scale_equivariance():
     ds = decay_dataset(noise=0.02, seed=3)
-    scaled = Dataset(t=ds.t, value=7.3 * ds.value, kind="population")
+    scaled = Dataset(t=ds.t, value=7.3 * ds.value)
     a = fit_decay(ds, RHO_T, GUESS)
     b = fit_decay(scaled, RHO_T, GUESS)
     assert rel(b.params["gamma_per_s"], a.params["gamma_per_s"]) < 1e-9
@@ -146,7 +143,7 @@ def cooling_dataset(eps, xi, gamma, t0_uk, noise=0.0, seed=0, n_points=17):
     if noise:
         rng = np.random.default_rng(seed)
         truth = truth * (1 + noise * rng.standard_normal(t.size))
-    return Dataset(t=t, value=truth, kind="temperature")
+    return Dataset(t=t, value=truth)
 
 
 def test_epsilon_recovery_trace_a():
@@ -165,7 +162,7 @@ def test_epsilon_recovery_trace_b():
 def test_epsilon_boundary_flagged():
     # flat data drives the optimum to the lower domain edge
     t = np.linspace(0, 4, 9)
-    ds = Dataset(t=t, value=np.full(t.size, 123.0), kind="temperature")
+    ds = Dataset(t=t, value=np.full(t.size, 123.0))
     result = fit_epsilon(ds, 2.80, 0.6, 123.0)
     assert not result.converged
     assert "boundary" in result.message
@@ -173,16 +170,16 @@ def test_epsilon_boundary_flagged():
     # data colder than the eps*xi -> 1 limit T0 exp(-gamma t) pins it to the
     # upper edge, where the cooling law must still be positive; at
     # xi = 2.8125, (1/xi) * xi rounds to exactly 1
-    cold = Dataset(t=t, value=0.9 * 123.0 * np.exp(-0.6 * t), kind="temperature")
+    cold = Dataset(t=t, value=0.9 * 123.0 * np.exp(-0.6 * t))
     result = fit_epsilon(cold, 2.8125, 0.6, 123.0)
     assert not result.converged
     assert result.params["epsilon"] * 2.8125 < 1.0
-    assert np.all(np.isfinite(residual_report(result, cold).residuals))
+    assert np.all(np.isfinite(result.residuals))
 
 
 def test_epsilon_needs_three_points():
     t = np.linspace(0, 1, 2)
-    ds = Dataset(t=t, value=np.full(t.size, 123.0), kind="temperature")
+    ds = Dataset(t=t, value=np.full(t.size, 123.0))
     with pytest.raises(ValueError):
         fit_epsilon(ds, 2.80, 0.6, 123.0)
 
@@ -191,20 +188,16 @@ def test_epsilon_needs_three_points():
 # residual bookkeeping
 
 def test_residuals_zero_for_noiseless_self_fit():
-    ds = decay_dataset()
-    result = fit_decay(ds, RHO_T, GUESS)
-    report = residual_report(result, ds)
-    assert np.max(np.abs(report.residuals)) < 1e-7
-    assert abs(report.rss - result.rss) <= 1e-12 * max(result.rss, 1.0)
+    result = fit_decay(decay_dataset(), RHO_T, GUESS)
+    assert np.max(np.abs(result.residuals)) < 1e-7
+    assert result.rss == float(result.residuals @ result.residuals)
 
 
 def test_halving_sigma_quadruples_chi2():
     ds = decay_dataset(noise=0.03, seed=2)
-    result = fit_decay(ds, RHO_T, GUESS)
-    halved = Dataset(t=ds.t, value=ds.value, sigma=np.full(len(ds), 0.5),
-                     kind="population")
-    r1 = residual_report(result, ds)
-    r2 = residual_report(result, halved)
+    halved = Dataset(t=ds.t, value=ds.value, sigma=np.full(len(ds), 0.5))
+    r1 = fit_decay(ds, RHO_T, GUESS)
+    r2 = fit_decay(halved, RHO_T, GUESS)
     assert rel(r2.rss, 4 * r1.rss) < 1e-12
     assert rel(r2.chi2_reduced, 4 * r1.chi2_reduced) < 1e-12
 
@@ -213,7 +206,24 @@ def test_reduced_chi2_near_one_at_matched_noise():
     values = []
     for seed in range(100):
         ds = decay_dataset(noise=0.03, seed=seed, weighted=True)
-        result = fit_decay(ds, RHO_T, GUESS)
-        values.append(residual_report(result, ds).chi2_reduced)
+        values.append(fit_decay(ds, RHO_T, GUESS).chi2_reduced)
     mean = float(np.mean(values))
     assert 0.7 < mean < 1.3
+
+
+@pytest.mark.parametrize(("kind", "n_free"), [("decay", 3), ("temperature", 1)])
+def test_fit_carries_its_residuals_and_dof(kind, n_free):
+    # one residual vector per fit: rss, dof and chi2_reduced all derive from it
+    if kind == "decay":
+        ds = decay_dataset(noise=0.03, seed=4, n_points=20, weighted=True)
+        result = fit_decay(ds, RHO_T, GUESS)
+        p = result.params
+        model = population(ds.t, p["n0"], p["gamma_per_s"], p["xi"])
+    else:
+        ds = cooling_dataset(0.057, 2.80, 0.6, 123.0, noise=0.005, seed=4)
+        result = fit_epsilon(ds, 2.80, 0.6, 123.0)
+        model = temperature(ds.t, 123.0, result.params["epsilon"], 2.80, 0.6)
+    assert np.array_equal(result.residuals, (model - ds.value) / ds.sigma)
+    assert result.rss == float(result.residuals @ result.residuals)
+    assert result.dof == len(ds) - n_free
+    assert result.chi2_reduced == result.rss / result.dof

@@ -183,8 +183,7 @@ def test_combined_domain_guard():
 # heating bound
 
 def test_bound_reference_value():
-    bound = bound_gamma_tot(TRACE_A["t0"], TRACE_A["eps"], TRACE_A["xi"],
-                            TRACE_A["gamma"], 4.0)
+    bound = bound_gamma_tot(TRACE_A["eps"], TRACE_A["xi"], TRACE_A["gamma"], 4.0)
     assert 0.0095 <= bound <= 0.0107
     e_folding = 1.0 / bound
     assert rel(e_folding, 100.0) < 0.05
@@ -193,10 +192,9 @@ def test_bound_reference_value():
 
 def test_bound_zero_window():
     expected = TRACE_A["eps"] * TRACE_A["xi"] * TRACE_A["gamma"]
-    assert bound_gamma_tot(TRACE_A["t0"], TRACE_A["eps"], TRACE_A["xi"],
-                           TRACE_A["gamma"], 0.0) == expected
-    tiny = bound_gamma_tot(TRACE_A["t0"], TRACE_A["eps"], TRACE_A["xi"],
-                           TRACE_A["gamma"], 1e-9)
+    assert bound_gamma_tot(TRACE_A["eps"], TRACE_A["xi"], TRACE_A["gamma"],
+                           0.0) == expected
+    tiny = bound_gamma_tot(TRACE_A["eps"], TRACE_A["xi"], TRACE_A["gamma"], 1e-9)
     assert rel(tiny, expected) < 1e-6
 
 
@@ -209,8 +207,7 @@ def test_bound_minimum_sits_at_window_end():
                       TRACE_A["gamma"])
     )
     assert np.argmin(ratio) == t.size - 1
-    bound = bound_gamma_tot(TRACE_A["t0"], TRACE_A["eps"], TRACE_A["xi"],
-                            TRACE_A["gamma"], 4.0)
+    bound = bound_gamma_tot(TRACE_A["eps"], TRACE_A["xi"], TRACE_A["gamma"], 4.0)
     assert rel(bound, ratio[-1]) < 1e-12
 
 
@@ -224,30 +221,21 @@ def test_bound_minimum_sits_at_window_start_for_negative_epsilon():
         / (1.0 - eps * TRACE_A["xi"] * (1.0 - decay))
     )
     assert np.argmin(ratio) == 0
-    bound = bound_gamma_tot(TRACE_A["t0"], eps, TRACE_A["xi"], TRACE_A["gamma"], 4.0)
+    bound = bound_gamma_tot(eps, TRACE_A["xi"], TRACE_A["gamma"], 4.0)
     assert bound == ratio.min()
 
 
 def test_bound_decreasing_in_window_length():
     bounds = [
-        bound_gamma_tot(TRACE_A["t0"], TRACE_A["eps"], TRACE_A["xi"],
-                        TRACE_A["gamma"], t_max)
+        bound_gamma_tot(TRACE_A["eps"], TRACE_A["xi"], TRACE_A["gamma"], t_max)
         for t_max in (0.5, 1.0, 2.0, 4.0, 8.0)
     ]
     assert all(b > a for a, b in zip(bounds[1:], bounds[:-1]))
 
 
-def test_bound_invariant_under_temperature_rescaling():
-    b1 = bound_gamma_tot(TRACE_A["t0"], TRACE_A["eps"], TRACE_A["xi"],
-                         TRACE_A["gamma"], 4.0)
-    b2 = bound_gamma_tot(7.3 * TRACE_A["t0"], TRACE_A["eps"], TRACE_A["xi"],
-                         TRACE_A["gamma"], 4.0)
-    assert b1 == b2
-
-
 def test_bound_domain_guard():
     with pytest.raises(DomainError):
-        bound_gamma_tot(123e-6, 0.4, 2.80, 0.6, 4.0)
+        bound_gamma_tot(0.4, 2.80, 0.6, 4.0)
 
 
 def test_heating_rates_validation():

@@ -43,7 +43,7 @@ EXPORTS = {
     "protocols": (
         "ExpansionSeries", "expansion_sigma", "fit_expansion", "synthesize_expansion",
     ),
-    "fitting": ("Dataset", "FitResult", "fit_decay", "fit_epsilon", "residual_report"),
+    "fitting": ("Dataset", "FitResult", "fit_decay", "fit_epsilon"),
     "errors": ("ConfigError", "DomainError"),
 }
 
