@@ -1,14 +1,17 @@
 """Command-line interface tying the toolkit together.
 
-Subcommands: cavity, trap, simulate, fit, bound, tof, ramp. Every command
-reads the schema defaults, an optional config file (--config or the
-LATTICEKIT_CONFIG environment variable) and trailing `--key value` overrides
-whose names mirror the config keys (unambiguous tails are accepted).
+Subcommands: cavity, trap, simulate, fit, bound, tof, ramp; _build_parser
+declares each one once, with its handler. Every command reads the schema
+defaults, an optional config file (--config or the LATTICEKIT_CONFIG
+environment variable) and trailing `--key value` overrides whose names mirror
+the config keys (unambiguous tails are accepted). simulate and tof always
+write a file, so their --out is a required argument.
 
 Exit codes: 0 success, 2 input or configuration error, 3 model-domain error,
 4 fit non-convergence. main is the only place that maps exceptions to codes:
 DomainError gives 3, any other ValueError (ConfigError included) or an
-OSError gives 2.
+OSError gives 2. A malformed command line (unknown command, missing --model
+or --out) exits 2 with argparse's usage message.
 
 Only numpy-free modules are imported here, so cavity, trap, ramp and bound
 (without --psd) never load numpy; the array commands import their modules
@@ -42,7 +45,7 @@ from .config import (
 from .constants import CONST, RB85
 from .errors import ConfigError, DomainError
 from .heating import bound_gamma_tot, combined_temperature, rates_from_spectrum
-from .losses import LossParams, population, xi_from_beta
+from .losses import LossParams, population
 from .ramp import RampProfile, ramp_simulate
 from .tabular import (
     TRAJECTORY_DIGITS,
@@ -206,48 +209,19 @@ def _time_grid(cfg):
     return np.linspace(0.0, t_max, n)
 
 
-def _run_ramp(cfg):
-    state = state_from_config(cfg)
-    profile = RampProfile(
-        u_initial=cfg["trap.depth_uK"] * 1e-6 * CONST.kB,
-        u_final=cfg["ramp.depth_final_uK"] * 1e-6 * CONST.kB,
-        duration=cfg["ramp.duration_ms"] * 1e-3,
-    )
-    result = ramp_simulate(
-        state,
-        profile,
-        RB85,
-        rethermalization=cfg["ramp.rethermalization"],
-        steps=cfg["ramp.steps"],
-        rho_bar_per_cm3=cfg["sample.rho_peak_per_cm3"] / 4.0,
-    )
-    entries = [
-        ("depth_initial_uK", cfg["trap.depth_uK"], CONFIGURED),
-        ("depth_final_uK", cfg["ramp.depth_final_uK"], CONFIGURED),
-        ("duration_ms", cfg["ramp.duration_ms"], CONFIGURED),
-        ("rethermalization", cfg["ramp.rethermalization"], CONFIGURED),
-        ("T_final_uK", result.t_final * 1e6, COMPUTED),
-        ("N_final", result.n_final, COMPUTED),
-        ("adiabatic_reference_uK", result.adiabatic_reference * 1e6, COMPUTED),
-        ("eta_final", result.eta_final, COMPUTED),
-        ("quasi_static", result.quasi_static, COMPUTED),
-    ]
-    return entries
-
-
-def cmd_simulate(cfg, args):
-    model = args.model
-    if model == "ramp":
-        _emit_report([("ramp", _run_ramp(cfg))], args.out)
-        return 0
-    if not args.out:
-        raise ConfigError(f"simulate --model {model} requires --out for the CSV")
-    grid = _time_grid(cfg)
-    params = LossParams.from_beta(
+def _loss_params(cfg):
+    """The configured decay parameters; rejects a negative beta or xi."""
+    return LossParams.from_beta(
         cfg["loss.gamma_per_s"],
         cfg["loss.beta_cm3_per_s"],
         cfg["sample.rho_peak_per_cm3"],
     )
+
+
+def cmd_simulate(cfg, args):
+    model = args.model
+    grid = _time_grid(cfg)
+    params = _loss_params(cfg)
     if model == "decay":
         header = ("t_s", "N")
         n0 = cfg["sample.atom_number"]
@@ -327,13 +301,9 @@ def cmd_fit(cfg, args):
         )
     elif kind == "temperature":
         dataset = read_dataset(args.data, "temperature")
-        xi = xi_from_beta(
-            cfg["loss.beta_cm3_per_s"],
-            cfg["sample.rho_peak_per_cm3"],
-            cfg["loss.gamma_per_s"],
-        )
+        params = _loss_params(cfg)
         result = fit_epsilon(
-            dataset, xi, cfg["loss.gamma_per_s"], cfg["sample.temperature_uK"]
+            dataset, params.xi, params.gamma_per_s, cfg["sample.temperature_uK"]
         )
     else:  # tof
         series = read_expansion(args.data)
@@ -370,17 +340,13 @@ def cmd_fit(cfg, args):
 
 
 def cmd_bound(cfg, args):
-    xi = xi_from_beta(
-        cfg["loss.beta_cm3_per_s"],
-        cfg["sample.rho_peak_per_cm3"],
-        cfg["loss.gamma_per_s"],
-    )
+    params = _loss_params(cfg)
     bound = bound_gamma_tot(
-        cfg["evap.epsilon"], xi, cfg["loss.gamma_per_s"], cfg["bound.t_max_s"]
+        cfg["evap.epsilon"], params.xi, params.gamma_per_s, cfg["bound.t_max_s"]
     )
     entries = [
         ("epsilon", cfg["evap.epsilon"], CONFIGURED),
-        ("xi", xi, COMPUTED),
+        ("xi", params.xi, COMPUTED),
         ("gamma_per_s", cfg["loss.gamma_per_s"], CONFIGURED),
         ("t_max_s", cfg["bound.t_max_s"], CONFIGURED),
         ("gamma_tot_bound_per_s", bound, COMPUTED),
@@ -414,8 +380,6 @@ def cmd_tof(cfg, args):
 
     from .protocols import synthesize_expansion
 
-    if not args.out:
-        raise ConfigError("tof requires --out for the series CSV")
     n_times = cfg["tof.n_times"]
     if n_times < 3:
         raise ConfigError("tof.n_times must be at least 3")
@@ -445,7 +409,32 @@ def cmd_tof(cfg, args):
 
 
 def cmd_ramp(cfg, args):
-    _emit_report([("ramp", _run_ramp(cfg))], args.out)
+    state = state_from_config(cfg)
+    profile = RampProfile(
+        u_initial=cfg["trap.depth_uK"] * 1e-6 * CONST.kB,
+        u_final=cfg["ramp.depth_final_uK"] * 1e-6 * CONST.kB,
+        duration=cfg["ramp.duration_ms"] * 1e-3,
+    )
+    result = ramp_simulate(
+        state,
+        profile,
+        RB85,
+        rethermalization=cfg["ramp.rethermalization"],
+        steps=cfg["ramp.steps"],
+        rho_bar_per_cm3=cfg["sample.rho_peak_per_cm3"] / 4.0,
+    )
+    entries = [
+        ("depth_initial_uK", cfg["trap.depth_uK"], CONFIGURED),
+        ("depth_final_uK", cfg["ramp.depth_final_uK"], CONFIGURED),
+        ("duration_ms", cfg["ramp.duration_ms"], CONFIGURED),
+        ("rethermalization", cfg["ramp.rethermalization"], CONFIGURED),
+        ("T_final_uK", result.t_final * 1e6, COMPUTED),
+        ("N_final", result.n_final, COMPUTED),
+        ("adiabatic_reference_uK", result.adiabatic_reference * 1e6, COMPUTED),
+        ("eta_final", result.eta_final, COMPUTED),
+        ("quasi_static", result.quasi_static, COMPUTED),
+    ]
+    _emit_report([("ramp", entries)], args.out)
     return 0
 
 
@@ -473,24 +462,27 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, **extra):
+    def add(name, run, help_text, out_required=False, **extra):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
         p.add_argument("--config", default=None, help="config file path")
-        p.add_argument("--out", default=None, help="output path")
+        p.add_argument("--out", required=out_required, help="output path")
         for flag, kwargs in extra.items():
             p.add_argument(flag, **kwargs)
-        return p
 
-    add("cavity", "resonator figures of merit")
-    add("trap", "trap, density and coupling parameters")
+    add("cavity", cmd_cavity, "resonator figures of merit")
+    add("trap", cmd_trap, "trap, density and coupling parameters")
     add(
         "simulate",
-        "write a model trajectory CSV or run a ramp",
+        cmd_simulate,
+        "write a model trajectory CSV",
+        out_required=True,
         **{"--model": {"required": True,
-                       "choices": ["decay", "temperature", "combined", "ramp"]}},
+                       "choices": ["decay", "temperature", "combined"]}},
     )
     add(
         "fit",
+        cmd_fit,
         "fit a measured series",
         **{
             "--kind": {"required": True,
@@ -498,21 +490,10 @@ def _build_parser():
             "--data": {"required": True, "help": "input CSV path"},
         },
     )
-    add("bound", "heating-rate upper bound", **{"--psd": {"default": None}})
-    add("tof", "synthesize an expansion series")
-    add("ramp", "simulate the configured depth ramp")
+    add("bound", cmd_bound, "heating-rate upper bound", **{"--psd": {"default": None}})
+    add("tof", cmd_tof, "synthesize an expansion series", out_required=True)
+    add("ramp", cmd_ramp, "simulate the configured depth ramp")
     return parser
-
-
-_COMMANDS = {
-    "cavity": cmd_cavity,
-    "trap": cmd_trap,
-    "simulate": cmd_simulate,
-    "fit": cmd_fit,
-    "bound": cmd_bound,
-    "tof": cmd_tof,
-    "ramp": cmd_ramp,
-}
 
 
 def main(argv=None) -> int:
@@ -525,7 +506,7 @@ def main(argv=None) -> int:
     try:
         overrides = _parse_overrides(rest)
         cfg = load_config(ns.config, overrides)
-        return _COMMANDS[ns.command](cfg, ns)
+        return ns.run(cfg, ns)
     except DomainError as exc:
         print(f"model domain error: {exc}", file=sys.stderr)
         return 3

@@ -266,8 +266,14 @@ def fit_epsilon(dataset: Dataset, xi, gamma_per_s, t0) -> FitResult:
     a = -t0 * xi * (1.0 - u) / s  # d(model)/d(eps), weighted
     z = (y - t0) / s
 
-    denom = float(a @ a)
-    eps_free = float(a @ z) / denom if denom > 0 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = float(a @ a)
+        numer = float(a @ z)
+    if not (math.isfinite(denom) and math.isfinite(numer)):
+        raise ValueError(
+            "the normal equation overflows: the fixed T0 or xi is too large"
+        )
+    eps_free = numer / denom if denom > 0 else 0.0
     eps_max = 1.0 / xi
     while eps_max * xi >= 1.0:
         eps_max = math.nextafter(eps_max, 0.0)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .constants import M3_TO_CM3, Species, thermal_velocity
 from .evaporation import beta_esc, epsilon, eta, unitarity_cross_section
-from .trap import TrapState, state_mean_density
+from .trap import TrapState
 
 RETHERMALIZATION_MODES = ("collision-gated", "instant", "off")
 
@@ -58,14 +58,14 @@ def adiabatic_final_temperature(t_initial, u_initial, u_final):
 
 
 def ramp_simulate(state: TrapState, profile: RampProfile, species: Species,
+                  rho_bar_per_cm3: float,
                   rethermalization: str = "collision-gated",
-                  steps: int = 1024,
-                  rho_bar_per_cm3: float | None = None) -> RampResult:
+                  steps: int = 1024) -> RampResult:
     """Quasi-static ramp of the well depth with gated evaporation.
 
-    The state supplies N, T and the density scale; the profile defines the
-    depth path. The mean density follows the harmonic scaling
-    rho_bar ~ N eta^(3/2) along the ramp.
+    The state supplies N and T, rho_bar_per_cm3 the initial mean density;
+    the profile defines the depth path. The mean density follows the
+    harmonic scaling rho_bar ~ N eta^(3/2) along the ramp.
     """
     if rethermalization not in RETHERMALIZATION_MODES:
         raise ValueError(
@@ -75,8 +75,6 @@ def ramp_simulate(state: TrapState, profile: RampProfile, species: Species,
         raise ValueError("steps must be >= 1")
     if state.n_atoms <= 0:
         raise ValueError("atom number must be positive")
-    if rho_bar_per_cm3 is None:
-        rho_bar_per_cm3 = state_mean_density(state) / M3_TO_CM3
 
     t_adiabatic = adiabatic_final_temperature(
         state.temperature, profile.u_initial, profile.u_final

@@ -135,10 +135,6 @@ class TrapParameters:
         if self.nu_axial <= self.nu_radial:
             raise ValueError("axial frequency must exceed radial for this geometry")
 
-    @property
-    def depth_uK(self) -> float:
-        return self.u0 / CONST.kB * 1e6
-
 
 def trap_parameters(u0, wavelength, mode: ModeGeometry, species) -> TrapParameters:
     """Build TrapParameters with frequencies derived from (U0, lambda, w0)."""
@@ -269,10 +265,6 @@ def mean_density(n_atoms, rho_peak):
     if n_atoms <= 0:
         raise ValueError("atom number must be positive")
     return density_squared_integral(n_atoms, rho_peak) / n_atoms
-
-
-def state_mean_density(state: TrapState):
-    return mean_density(state.n_atoms, peak_density(state))
 
 
 def phase_space_density(species, rho_peak, temperature):

@@ -17,14 +17,31 @@ from oracles import (
     truncated_r4_quadrature,
 )
 
-import latticekit as lk
+from latticekit.cavity import (
+    CavitySpec,
+    MirrorSpec,
+    ModeGeometry,
+    finesse_from_linewidth,
+    finesse_from_losses,
+    free_spectral_range,
+    linewidth_from_ring_down,
+    mode_volume,
+)
 from latticekit.constants import CONST, RB85
-from latticekit.evaporation import truncated_r4_integral
+from latticekit.evaporation import (
+    beta_esc,
+    epsilon,
+    evaporation_rate,
+    pac_scaling_comparator,
+    temperature,
+    truncated_r4_integral,
+)
 from latticekit.fitting import Dataset, decay_jacobian, fit_decay, fit_epsilon
 from latticekit.heating import bound_gamma_tot
 from latticekit.losses import LossParams, population, xi_from_beta
 from latticekit.protocols import fit_expansion, synthesize_expansion
 from latticekit.ramp import RampProfile, adiabatic_final_temperature, ramp_simulate
+from latticekit.trap import phase_space_density, secular_frequencies
 
 KB = CONST.kB
 U_350 = 350e-6 * KB
@@ -37,11 +54,11 @@ def rel(a, b):
 
 
 def make_reference_cavity():
-    return lk.CavitySpec(
+    return CavitySpec(
         mirrors=(
-            lk.MirrorSpec(23e-6, 3e-6),
-            lk.MirrorSpec(0.8e-6, 3e-6),
-            lk.MirrorSpec(0.8e-6, 3e-6),
+            MirrorSpec(23e-6, 3e-6),
+            MirrorSpec(0.8e-6, 3e-6),
+            MirrorSpec(0.8e-6, 3e-6),
         ),
         round_trip_length=0.097,
         input_power_per_mode=60e-6,
@@ -50,36 +67,36 @@ def make_reference_cavity():
 
 def test_criterion_1_cavity_consistency():
     cavity = make_reference_cavity()
-    fsr = lk.free_spectral_range(cavity)
+    fsr = free_spectral_range(cavity)
     check("criterion 1a (FSR)", rel(fsr, 3.09e9) < 0.01,
           f"FSR = {fsr:.4g} Hz vs 3.09 GHz, dev {rel(fsr, 3.09e9):.2e}")
-    linewidth = lk.linewidth_from_ring_down(9.2e-6)
+    linewidth = linewidth_from_ring_down(9.2e-6)
     check("criterion 1b (linewidth)", rel(linewidth, 17.3e3) < 0.005,
           f"linewidth = {linewidth:.6g} Hz vs 17.3 kHz, dev {rel(linewidth, 17.3e3):.2e}")
-    f_spectral = lk.finesse_from_linewidth(fsr, linewidth)
-    f_budget = lk.finesse_from_losses(cavity)
+    f_spectral = finesse_from_linewidth(fsr, linewidth)
+    f_budget = finesse_from_losses(cavity)
     check(
         "criterion 1c (finesse, both routes)",
         rel(f_spectral, 1.8e5) < 0.05 and rel(f_budget, 1.8e5) < 0.05,
         f"spectral {f_spectral:.4g} / budget {f_budget:.4g} vs 1.8e5 "
         f"(devs {rel(f_spectral, 1.8e5):.3f}, {rel(f_budget, 1.8e5):.3f})",
     )
-    volume = lk.mode_volume(lk.ModeGeometry(134e-6, 129e-6), cavity)
+    volume = mode_volume(ModeGeometry(134e-6, 129e-6), cavity)
     check("criterion 1d (mode volume)", rel(volume, 1.3e-9) < 0.05,
           f"V = {volume*1e9:.4g} mm^3 vs 1.3 mm^3, dev {rel(volume, 1.3e-9):.3f}")
 
 
 def test_criterion_2_trap_parameters():
     w0 = math.sqrt(134e-6 * 129e-6)
-    nu_a, nu_r = lk.secular_frequencies(U_350, 787.6e-9, w0, RB85)
+    nu_a, nu_r = secular_frequencies(U_350, 787.6e-9, w0, RB85)
     check(
         "criterion 2a (secular frequencies)",
         rel(nu_a, 340e3) < 0.05 and rel(nu_r, 460.0) < 0.05,
         f"nu_a = {nu_a/1e3:.1f} kHz vs 340 kHz ({rel(nu_a, 340e3):.3f}), "
         f"nu_r = {nu_r:.1f} Hz vs 460 Hz ({rel(nu_r, 460.0):.3f})",
     )
-    psd_a = lk.phase_space_density(RB85, 9e17, 123e-6)
-    psd_b = lk.phase_space_density(RB85, 6.8e17, 38e-6)
+    psd_a = phase_space_density(RB85, 9e17, 123e-6)
+    psd_b = phase_space_density(RB85, 6.8e17, 38e-6)
     check(
         "criterion 2b (phase-space densities)",
         rel(psd_a, 4.5e-6) < 0.10 and rel(psd_b, 2.0e-5) < 0.10,
@@ -89,7 +106,7 @@ def test_criterion_2_trap_parameters():
 
 
 def test_criterion_3_beta_escape_deep_trap():
-    value = lk.beta_esc(U_350, 2.85, RB85)
+    value = beta_esc(U_350, 2.85, RB85)
     check("criterion 3a (beta_esc deep trap)", rel(value, 1.2e-11) < 0.10,
           f"beta_esc(350 uK, 2.85) = {value:.4g} vs 1.2e-11, dev {rel(value, 1.2e-11):.3f}")
 
@@ -101,13 +118,13 @@ def test_criterion_3_beta_escape_deep_trap():
     "closed form it derives from, so the 10% bound cannot be met",
 )
 def test_criterion_3_beta_escape_shallow_trap():
-    value = lk.beta_esc(U_100, 2.60, RB85)
+    value = beta_esc(U_100, 2.60, RB85)
     check("criterion 3b (beta_esc shallow trap)", rel(value, 2.3e-11) < 0.10,
           f"beta_esc(100 uK, 2.60) = {value:.4g} vs 2.3e-11, dev {rel(value, 2.3e-11):.3f}")
 
 
 def test_criterion_3_energy_removal_coefficient():
-    eps_a, eps_b = lk.epsilon(2.85), lk.epsilon(2.63)
+    eps_a, eps_b = epsilon(2.85), epsilon(2.63)
     check(
         "criterion 3c (epsilon values)",
         abs(eps_a - 0.23) <= 0.01 and abs(eps_b - 0.14) <= 0.01,
@@ -121,8 +138,8 @@ def test_criterion_3_dual_route_identity():
         for u0_uk in (20.0, 100.0, 350.0, 900.0):
             u0 = u0_uk * 1e-6 * KB
             temp = u0 / (KB * eta_value)
-            composed = lk.evaporation_rate(1.0, RB85, temp, eta_value)
-            worst = max(worst, rel(composed, lk.beta_esc(u0, eta_value, RB85)))
+            composed = evaporation_rate(1.0, RB85, temp, eta_value)
+            worst = max(worst, rel(composed, beta_esc(u0, eta_value, RB85)))
     check("criterion 3d (dual-route identity)", worst < 1e-12,
           f"worst relative split {worst:.2e} (bound 1e-12)")
 
@@ -185,7 +202,7 @@ def test_criterion_7_model_reductions():
 
     grid = np.linspace(0, 4, 81)
     ode = combined_temperature_rk4(123e-6, 0.057, 2.80, 0.6, 0.0, grid)
-    closed_t = lk.temperature(grid, 123e-6, 0.057, 2.80, 0.6)
+    closed_t = temperature(grid, 123e-6, 0.057, 2.80, 0.6)
     dev_temp = float(np.max(np.abs(ode - closed_t) / closed_t))
     check("criterion 7b (combined ODE reduction)", dev_temp < 1e-9,
           f"max rel dev {dev_temp:.2e} (bound 1e-9)")
@@ -206,7 +223,7 @@ def test_criterion_7_model_reductions():
     h = 1e-4
     slope = (-temp_book(2 * h) + 8 * temp_book(h)
              - 8 * temp_book(-h) + temp_book(-2 * h)) / (12 * h)
-    dev_energy = rel(slope, -lk.epsilon(eta_value) * xi * gamma * t0)
+    dev_energy = rel(slope, -epsilon(eta_value) * xi * gamma * t0)
     check("criterion 7c (energy bookkeeping)", dev_energy < 1e-9,
           f"slope identity rel dev {dev_energy:.2e} (bound 1e-9)")
 
@@ -246,7 +263,7 @@ def test_criterion_8_fit_recovery():
         rel(result.params["gamma_per_s"], 0.6) < 1e-6
         and rel(result.params["beta_cm3_per_s"], 7.5e-12) < 1e-6
     )
-    cooling = Dataset(t=t, value=lk.temperature(t, 123.0, 0.057, 2.80, 0.6))
+    cooling = Dataset(t=t, value=temperature(t, 123.0, 0.057, 2.80, 0.6))
     eps_fit = fit_epsilon(cooling, 2.80, 0.6, 123.0)
     ok_noiseless = ok_noiseless and rel(eps_fit.params["epsilon"], 0.057) < 1e-8
     check("criterion 8a (noiseless self-fits)", ok_noiseless,
@@ -274,12 +291,12 @@ def test_criterion_8_fit_recovery():
 
     # fitted-vs-computed coefficient gap, fits run on synthetic data built
     # from the quoted fitted values
-    trace_a = Dataset(t=t, value=lk.temperature(t, 123.0, 0.057, 2.80, 0.6))
+    trace_a = Dataset(t=t, value=temperature(t, 123.0, 0.057, 2.80, 0.6))
     fit_a = fit_epsilon(trace_a, 2.80, 0.6, 123.0).params["epsilon"]
-    ratio_a = lk.epsilon(2.85) / fit_a
-    trace_b = Dataset(t=t, value=lk.temperature(t, 38.0, 0.12, 3.72, 0.76))
+    ratio_a = epsilon(2.85) / fit_a
+    trace_b = Dataset(t=t, value=temperature(t, 38.0, 0.12, 3.72, 0.76))
     fit_b = fit_epsilon(trace_b, 3.72, 0.76, 38.0).params["epsilon"]
-    ratio_b = lk.epsilon(2.63) / fit_b
+    ratio_b = epsilon(2.63) / fit_b
     check(
         "criterion 8d (epsilon factor gap)",
         rel(ratio_a, 4.0) < 0.15 and rel(ratio_b, 1.2) < 0.15,
@@ -289,7 +306,7 @@ def test_criterion_8_fit_recovery():
 
 
 def test_criterion_9_pac_comparator():
-    result = lk.pac_scaling_comparator(state_a(), state_b(), "unitarity")
+    result = pac_scaling_comparator(state_a(), state_b(), "unitarity")
     check(
         "criterion 9 (loss-scaling comparator)",
         rel(result.ratio, 0.375) < 1e-12 and result.direction == "decrease",

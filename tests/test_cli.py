@@ -124,6 +124,7 @@ def test_simulate_temperature_equals_combined_with_zero_heating(tmp_path):
 _PROBE_FILES = {
     "decay3.csv": "t_s,N\n0,4e6\n1,3e6\n2,2e6\n",
     "temp2.csv": "t_s,T_uK\n0,123\n1,120\n",
+    "temp3.csv": "t_s,T_uK\n0,123\n1,120\n2,117\n",
     "psd_nan.csv": "freq_hz,S_rel_per_hz\n100,nan\n1e6,1e-13\n",
     "tof_nan.csv": "t_ms,sigma_um,amplitude\n1,nan,1\n2,50,1\n3,60,1\n",
     "tof_1e200.csv": "t_ms,sigma_um,amplitude\n1,1e200,1\n2,1e200,1\n3,1e200,1\n",
@@ -162,8 +163,6 @@ def _case(case_id, argv, stderr_has=None):
     _case("bound-bound.t_max_s-nan", "bound --bound.t_max_s nan"),
     _case("tof-tof.sigma0_um-nan", "tof --out {out} --tof.sigma0_um nan"),
     _case("ramp-sample.atom_number-0", "ramp --sample.atom_number 0"),
-    _case("simulate-ramp-sample.atom_number-0",
-          "simulate --model ramp --sample.atom_number 0"),
     _case("trap-trap.laser_wavelength_nm-0", "trap --trap.laser_wavelength_nm 0"),
     _case("fit-decay-sample.rho_peak_per_cm3-0",
           "fit --kind decay --data {fixtures}/decay_noisy.csv --sample.rho_peak_per_cm3 0"),
@@ -185,6 +184,10 @@ def _case(case_id, argv, stderr_has=None):
     _case("bound-nan-at-window-end",
           "bound --evap.epsilon -1e300 --loss.beta_cm3_per_s 1e10"
           " --sample.rho_peak_per_cm3 1e10 --loss.gamma_per_s 1e20"),
+    _case("fit-temperature-sample.temperature_uK-1e160",
+          "fit --kind temperature --data {tmp}/temp3.csv --sample.temperature_uK 1e160",
+          stderr_has="overflows"),
+    _case("bound-loss.beta_cm3_per_s--1e-12", "bound --loss.beta_cm3_per_s -1e-12"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, stderr_has):
     for name, text in _PROBE_FILES.items():
@@ -197,6 +200,7 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, stderr_has):
     assert main([fill(a) for a in argv.split()]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
+    assert err.count("\n") == 1, err  # the one `error:` line, no warnings
     assert "Traceback" not in err
     assert not out.exists()
     if stderr_has is not None:
@@ -239,6 +243,7 @@ def test_unknown_model_or_kind_exits_2(capsys):
 
 def test_simulate_requires_out(capsys):
     assert main(["simulate", "--model", "decay"]) == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
 
 
 def test_simulate_outputs_reparse(tmp_path):
@@ -256,14 +261,6 @@ def test_ramp_report_contains_adiabatic_reference(capsys):
         text, "adiabatic_reference_uK"
     )
     assert "adiabatic_reference_uK = 79.7" in text
-
-
-def test_simulate_ramp_same_as_ramp_command(capsys):
-    assert main(["ramp"]) == 0
-    first = capsys.readouterr().out
-    assert main(["simulate", "--model", "ramp"]) == 0
-    second = capsys.readouterr().out
-    assert first == second
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +442,9 @@ def test_tof_writes_deterministic_series(tmp_path, capsys):
     assert series.times.size == 8
 
 
-def test_tof_requires_out():
+def test_tof_requires_out(capsys):
     assert main(["tof"]) == 2
+    assert "the following arguments are required: --out" in capsys.readouterr().err
 
 
 def test_tof_roundtrip_through_fit(tmp_path, capsys):
@@ -587,7 +585,6 @@ def test_commands_run_without_scipy(tmp_path):
         ["simulate", "--model", "decay", "--out", out("decay.csv")],
         ["simulate", "--model", "temperature", "--out", out("temperature.csv")],
         ["simulate", "--model", "combined", "--out", out("combined.csv")],
-        ["simulate", "--model", "ramp"],
         ["fit", "--kind", "decay", "--data", os.path.join(FIXTURES, "decay_noisy.csv")],
         ["fit", "--kind", "temperature", "--data", out("temperature.csv")],
         ["fit", "--kind", "tof", "--data", os.path.join(FIXTURES, "tof_noisy.csv")],
@@ -604,7 +601,6 @@ def test_scalar_commands_run_without_numpy(tmp_path):
         ["trap"],
         ["ramp", "--ramp.rethermalization", "collision-gated"],
         ["ramp", "--ramp.rethermalization", "instant"],
-        ["simulate", "--model", "ramp"],
         ["bound"],
     ])
     assert (tmp_path / "cavity.txt.csv").exists()

@@ -54,7 +54,7 @@ def variants(tmp_path_factory):
         ["bound", "--psd", psd],
         ["tof", "--out", out],
         *(["simulate", "--model", model, "--out", out]
-          for model in ("decay", "temperature", "combined", "ramp")),
+          for model in ("decay", "temperature", "combined")),
         *(["fit", "--kind", kind, "--data", path] for kind, path in data.items()),
     ]
 

@@ -1,12 +1,16 @@
-"""The package namespace: every exported name resolves lazily to its module."""
+"""The package namespace: `import latticekit` binds only `__version__`, and
+every public name has one import path, the module that defines it."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
 import latticekit
 
-# Every name `latticekit` exports, by defining module.
+# Every public name, by defining module (the README's library table).
 EXPORTS = {
     "constants": (
         "CONST", "RB85", "PhysicalConstants", "Species", "reduced_mass",
@@ -52,19 +56,12 @@ CASES = [(module, name) for module, names in EXPORTS.items() for name in names]
 
 @pytest.mark.parametrize(("module", "name"), CASES, ids=[n for _m, n in CASES])
 def test_exported_name_is_its_module_object(module, name):
-    namespace = {}
-    exec(f"from latticekit import {name}", namespace)
     defining = importlib.import_module(f"latticekit.{module}")
-    assert namespace[name] is getattr(defining, name)
-    assert getattr(latticekit, name) is getattr(defining, name)
-    assert name in dir(latticekit)
-
-
-def test_star_import_binds_every_name():
-    namespace = {}
-    exec("from latticekit import *", namespace)
-    assert {name for _m, name in CASES} <= set(namespace)
-    assert sorted(latticekit.__all__) == sorted(name for _m, name in CASES)
+    value = getattr(defining, name)
+    # defined in that module (an instance reports its class's module),
+    # not re-exported from another one, and not bound on the package
+    assert value.__module__ == defining.__name__
+    assert not hasattr(latticekit, name)
 
 
 def test_unknown_name_raises_attribute_error():
@@ -74,3 +71,36 @@ def test_unknown_name_raises_attribute_error():
             getattr(latticekit, name)
         with pytest.raises(ImportError):
             exec(f"from latticekit import {name}", {})
+
+
+# Runs in a fresh interpreter, where no test has imported a submodule yet.
+_IMPORT_SCRIPT = """
+import sys
+
+import latticekit
+
+loaded = sorted(m for m in sys.modules
+                if m.startswith("latticekit.") or m.split(".")[0] == "numpy")
+assert not loaded, f"import latticekit loaded {loaded}"
+public = sorted(n for n in vars(latticekit) if not n.startswith("__"))
+assert not public, f"latticekit binds {public}"
+assert isinstance(latticekit.__version__, str)
+
+namespace = {}
+exec("from latticekit import *", namespace)
+assert not set(namespace) - {"__builtins__"}, sorted(namespace)
+try:
+    from latticekit import population
+except ImportError:
+    pass
+else:
+    sys.exit("from latticekit import population succeeded")
+"""
+
+
+def test_import_binds_only_version():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(latticekit.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_SCRIPT],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -255,13 +255,13 @@ def test_mean_density_eta_scaling():
     trap = trap_parameters(U0_REF, LATTICE_WAVELENGTH, REFERENCE_MODE, RB85)
     sigma_env_z = 5.6e-4
 
-    from latticekit.trap import TrapState, state_mean_density
+    from latticekit.trap import TrapState
 
     def rho_bar(temp):
         v = math.sqrt(CONST.kB * temp / RB85.mass)
         sigma_r = v / (2 * math.pi * trap.nu_radial)
         shape = thermal_cloud_shape(RB85, trap, temp, (sigma_r, sigma_r, sigma_env_z))
-        return state_mean_density(TrapState(4e6, temp, trap, shape))
+        return mean_density(4e6, peak_density(TrapState(4e6, temp, trap, shape)))
 
     assert rel(rho_bar(123e-6 / 4), 8 * rho_bar(123e-6)) < 1e-12
 
