@@ -13,9 +13,9 @@ DomainError gives 3, any other ValueError (ConfigError included) or an
 OSError gives 2. A malformed command line (unknown command, missing --model
 or --out) exits 2 with argparse's usage message.
 
-Only numpy-free modules are imported here, so cavity, trap, ramp and bound
-(without --psd) never load numpy; the array commands import their modules
-when they run. main keeps numpy's OpenBLAS pool to one thread unless
+Only numpy-free modules are imported here, and cavity, trap, simulate, bound
+(with or without --psd) and ramp never load numpy; the array commands, fit
+and tof, import their modules when they run. main keeps numpy's OpenBLAS pool to one thread unless
 OPENBLAS_NUM_THREADS is already set: the largest product is J^T J of an
 n x 3 Jacobian, so helper threads only cost CPU.
 """
@@ -197,20 +197,34 @@ def cmd_trap(cfg, args):
     return 0
 
 
-def _time_grid(cfg):
-    import numpy as np
+def _linspace(start, stop, n):
+    """n >= 2 evenly spaced floats from start to stop, bit for bit
+    np.linspace: i * step + start, with the last point set to stop."""
+    delta = stop - start
+    step = delta / (n - 1)
+    if step == 0:  # numpy scales by delta last when the step underflows
+        grid = [i / (n - 1) * delta + start for i in range(n)]
+    else:
+        grid = [i * step + start for i in range(n)]
+    grid[-1] = stop
+    return grid
 
+
+def _time_grid(cfg):
     n = cfg["sim.n_points"]
     if n < 2:
         raise ConfigError("sim.n_points must be at least 2")
     t_max = cfg["sim.t_max_s"]
     if t_max <= 0:
         raise ConfigError("sim.t_max_s must be positive")
-    return np.linspace(0.0, t_max, n)
+    return _linspace(0.0, t_max, n)
 
 
 def _loss_params(cfg):
-    """The configured decay parameters; rejects a negative beta or xi."""
+    """The configured decay parameters; rejects a negative density, beta or
+    xi."""
+    if cfg["sample.rho_peak_per_cm3"] < 0:
+        raise ConfigError("sample.rho_peak_per_cm3 must be >= 0")
     return LossParams.from_beta(
         cfg["loss.gamma_per_s"],
         cfg["loss.beta_cm3_per_s"],
@@ -227,20 +241,20 @@ def cmd_simulate(cfg, args):
         n0 = cfg["sample.atom_number"]
         if n0 < 0:
             raise ValueError("atom number must be >= 0")
-        values = population(grid, n0, params.gamma_per_s, params.xi)
+        values = [population(t, n0, params.gamma_per_s, params.xi) for t in grid]
     else:
         # the pure cooling law is the combined solution with zero heating,
         # so both models share one code path
         header = ("t_s", "T_uK")
         gamma_tot = cfg["heating.gamma_tot_per_s"] if model == "combined" else 0.0
-        values = combined_temperature(
-            grid,
+        law = (
             cfg["sample.temperature_uK"],
             cfg["evap.epsilon"],
             params.xi,
             params.gamma_per_s,
             gamma_tot,
         )
+        values = [combined_temperature(t, *law) for t in grid]
     write_columns(args.out, header, (grid, values), TRAJECTORY_DIGITS)
     return 0
 
@@ -376,14 +390,12 @@ def cmd_bound(cfg, args):
 
 
 def cmd_tof(cfg, args):
-    import numpy as np
-
     from .protocols import synthesize_expansion
 
     n_times = cfg["tof.n_times"]
     if n_times < 3:
         raise ConfigError("tof.n_times must be at least 3")
-    times = np.linspace(
+    times = _linspace(
         cfg["tof.t_min_ms"] * 1e-3, cfg["tof.t_max_ms"] * 1e-3, n_times
     )
     series = synthesize_expansion(

@@ -8,6 +8,7 @@ relative fluctuations is used throughout, including the CSV file format.
 Cooling plus heating has the closed form combined_temperature.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -19,35 +20,40 @@ from .evaporation import temperature, time_argument
 class NoiseSpectrum:
     """One-sided PSD of relative well-depth fluctuations (1/Hz)."""
 
-    freq_hz: "np.ndarray"
-    s_rel_per_hz: "np.ndarray"
+    freq_hz: tuple[float, ...]
+    s_rel_per_hz: tuple[float, ...]
 
     def __post_init__(self):
-        import numpy as np
-
-        f = np.asarray(self.freq_hz, dtype=float)
-        s = np.asarray(self.s_rel_per_hz, dtype=float)
-        if f.ndim != 1 or f.size < 2 or f.size != s.size:
+        f = tuple(map(float, self.freq_hz))
+        s = tuple(map(float, self.s_rel_per_hz))
+        if len(f) < 2 or len(f) != len(s):
             raise ValueError("spectrum needs matching 1-d arrays, >= 2 points")
-        if f[0] <= 0 or np.any(np.diff(f) <= 0):
+        if f[0] <= 0 or any(b <= a for a, b in zip(f, f[1:])):
             raise ValueError("frequencies must be positive and increasing")
-        if np.any(s < 0):
+        if any(v < 0 for v in s):
             raise ValueError("spectral density must be >= 0")
         object.__setattr__(self, "freq_hz", f)
         object.__setattr__(self, "s_rel_per_hz", s)
 
     def value_at(self, freq: float) -> float:
-        """Interpolate linearly in log-frequency; no extrapolation."""
-        import numpy as np
+        """Interpolate linearly in log-frequency; no extrapolation.
 
-        if freq < self.freq_hz[0] or freq > self.freq_hz[-1]:
+        The arithmetic is np.interp's: a point on a knot or on the last
+        frequency takes that knot's value, any other
+        slope * (log f - log f_j) + S_j.
+        """
+        f, s = self.freq_hz, self.s_rel_per_hz
+        if freq < f[0] or freq > f[-1]:
             raise DomainError(
                 f"frequency {freq:g} Hz outside the spectrum domain "
-                f"[{self.freq_hz[0]:g}, {self.freq_hz[-1]:g}] Hz"
+                f"[{f[0]:g}, {f[-1]:g}] Hz"
             )
-        return float(
-            np.interp(math.log(freq), np.log(self.freq_hz), self.s_rel_per_hz)
-        )
+        j = bisect.bisect_right(f, freq) - 1
+        if j == len(f) - 1 or f[j] == freq:
+            return s[j]
+        x0, x1 = math.log(f[j]), math.log(f[j + 1])
+        slope = (s[j + 1] - s[j]) / (x1 - x0)
+        return slope * (math.log(freq) - x0) + s[j]
 
 
 def flat_spectrum(s0: float, f_min: float, f_max: float) -> NoiseSpectrum:
@@ -116,8 +122,12 @@ def combined_temperature(t, t0, epsilon_value, xi, gamma_per_s, gamma_tot):
     if gamma_tot < 0:
         raise ValueError("gamma_tot must be >= 0")
     t, exp, scalar = time_argument(t)
+    try:
+        growth = exp(gamma_tot * t)
+    except OverflowError:  # math.exp raises where np.exp overflows to inf
+        growth = math.inf
     rate = gamma_tot + gamma_per_s
-    result = t0 * exp(gamma_tot * t) * (
+    result = t0 * growth * (
         1.0 - epsilon_value * xi * (gamma_per_s / rate) * (1.0 - exp(-rate * t))
     )
     return float(result) if scalar else result

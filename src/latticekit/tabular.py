@@ -2,12 +2,15 @@
 
 Files carry mandatory single-line headers whose column names state the
 units. Writes go through a temporary file plus rename, so a crashed run
-never leaves a half-written table behind. The report writers are plain
-Python; numpy loads only when a table is read or written.
+never leaves a half-written table behind. Reading rows, writing columns and
+the noise spectrum are plain Python; numpy loads only when a fit dataset or
+an expansion series is built.
 """
 
+import math
 import os
 import tempfile
+from itertools import chain
 
 from .errors import ConfigError
 
@@ -52,26 +55,23 @@ def format_value(value, sig_digits=None):
 
 
 def write_columns(path, header, columns, sig_digits=None):
-    """Write equal-length nan-free columns as CSV under the given header names."""
-    import numpy as np
-
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    length = columns[0].size
-    if any(c.size != length for c in columns):
+    """Write equal-length nan-free sequences of floats as CSV under the given
+    header names."""
+    length = len(columns[0])
+    if any(len(c) != length for c in columns):
         raise ValueError("columns must have equal length")
     for name, c in zip(header, columns):
-        if np.isnan(c).any():
+        if any(map(math.isnan, c)):
             raise ValueError(f"column {name} holds nan; refusing to write it")
     lines = [",".join(header)]
-    for i in range(length):
-        lines.append(",".join(format_value(c[i], sig_digits) for c in columns))
+    for row in zip(*columns):
+        lines.append(",".join(format_value(v, sig_digits) for v in row))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def _read_rows(path, headers, source_kind):
-    """Header and finite float rows of a CSV whose header is one of headers."""
-    import numpy as np
-
+    """Header and rows (lists of finite floats) of a CSV whose header is one
+    of headers."""
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -102,29 +102,32 @@ def _read_rows(path, headers, source_kind):
             ) from None
     if not rows:
         raise ConfigError(f"{path}: no data rows")
-    data = np.asarray(rows, dtype=float)
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        # one array test per file; the failing line is located only on error
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
+        # one pass over all cells; the failing line is located only on error
         linenos = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
-        lineno = linenos[int(np.argmin(finite))]
+        lineno = next(
+            n for n, row in zip(linenos, rows) if not all(map(math.isfinite, row))
+        )
         raise ConfigError(
             f"{path}: line {lineno}: non-finite value in {lines[lineno - 1]!r}"
         )
-    return header, data
+    return header, rows
 
 
 def read_dataset(path, kind):
     """Read a `t_s,N` or `t_s,T_uK` series (optional third sigma column)
     into a fitting.Dataset."""
+    import numpy as np
+
     from .fitting import Dataset
 
     if kind not in DATASET_HEADERS:
         raise ConfigError(f"unknown dataset kind {kind!r}")
     columns = DATASET_HEADERS[kind]
     header, rows = _read_rows(path, (columns, columns + ("sigma",)), kind)
-    sigma = rows[:, 2] if len(header) == 3 else None
-    return Dataset(t=rows[:, 0], value=rows[:, 1], sigma=sigma)
+    data = np.asarray(rows, dtype=float)
+    sigma = data[:, 2] if len(header) == 3 else None
+    return Dataset(t=data[:, 0], value=data[:, 1], sigma=sigma)
 
 
 def read_noise_spectrum(path):
@@ -133,7 +136,8 @@ def read_noise_spectrum(path):
     from .heating import NoiseSpectrum
 
     _header, rows = _read_rows(path, (("freq_hz", "S_rel_per_hz"),), "spectrum")
-    return NoiseSpectrum(freq_hz=rows[:, 0], s_rel_per_hz=rows[:, 1])
+    freq_hz, s_rel_per_hz = zip(*rows)
+    return NoiseSpectrum(freq_hz=freq_hz, s_rel_per_hz=s_rel_per_hz)
 
 
 def write_noise_spectrum(path, spectrum):
@@ -148,15 +152,18 @@ def write_noise_spectrum(path, spectrum):
 def read_expansion(path):
     """Read an expansion series, header t_ms,sigma_um,amplitude, into a
     protocols.ExpansionSeries."""
+    import numpy as np
+
     from .protocols import ExpansionSeries
 
     _header, rows = _read_rows(
         path, (("t_ms", "sigma_um", "amplitude"),), "expansion"
     )
+    data = np.asarray(rows, dtype=float)
     return ExpansionSeries(
-        times=rows[:, 0] * 1e-3,
-        sigma=rows[:, 1] * 1e-6,
-        amplitude=rows[:, 2],
+        times=data[:, 0] * 1e-3,
+        sigma=data[:, 1] * 1e-6,
+        amplitude=data[:, 2],
     )
 
 

@@ -8,10 +8,14 @@ decay_noisy.csv: the `simulate --model decay` trajectory (20 points over
 4 s at the reference parameters) with 3% multiplicative Gaussian noise,
 seed 20240901. tof_noisy.csv: a synthetic ballistic-expansion series
 (1e6 atoms, 123 uK, 40 um initial width, 8 flight times between 0.5 and
-6 ms) with 1% width noise, same seed. Both writes are deterministic, so
-re-running this script must reproduce the committed bytes.
+6 ms) with 1% width noise, same seed. psd_noisy.csv: a relative-intensity
+noise spectrum, 48 log-spaced frequencies from 100 Hz to 2 MHz (both
+parametric resonances of the reference trap lie inside) with a 1/sqrt(f)
+slope around 1e-13 /Hz and 20% uniform scatter, same seed. Every write is
+deterministic, so re-running this script must reproduce the committed bytes.
 """
 
+import math
 import os
 import sys
 import tempfile
@@ -50,9 +54,20 @@ def make_tof(path):
     write_expansion(path, series)
 
 
+def make_psd(path):
+    from latticekit.heating import NoiseSpectrum
+    from latticekit.tabular import write_noise_spectrum
+
+    rng = np.random.default_rng(SEED)
+    freq = np.logspace(2.0, math.log10(2e6), 48)
+    density = 1e-13 * (freq / 1e3) ** -0.5 * (1.0 + 0.2 * rng.random(freq.size))
+    write_noise_spectrum(path, NoiseSpectrum(freq, density))
+
+
 def main_script():
     make_decay(os.path.join(FIXTURE_DIR, "decay_noisy.csv"))
     make_tof(os.path.join(FIXTURE_DIR, "tof_noisy.csv"))
+    make_psd(os.path.join(FIXTURE_DIR, "psd_noisy.csv"))
     print("fixtures written to", FIXTURE_DIR)
 
 

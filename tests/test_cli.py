@@ -188,6 +188,11 @@ def _case(case_id, argv, stderr_has=None):
           "fit --kind temperature --data {tmp}/temp3.csv --sample.temperature_uK 1e160",
           stderr_has="overflows"),
     _case("bound-loss.beta_cm3_per_s--1e-12", "bound --loss.beta_cm3_per_s -1e-12"),
+    _case("bound-sample.rho_peak_per_cm3--1", "bound --sample.rho_peak_per_cm3 -1",
+          stderr_has="sample.rho_peak_per_cm3"),
+    _case("simulate-decay-sample.rho_peak_per_cm3--1",
+          "simulate --model decay --out {out} --sample.rho_peak_per_cm3 -1",
+          stderr_has="sample.rho_peak_per_cm3"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, stderr_has):
     for name, text in _PROBE_FILES.items():
@@ -467,14 +472,11 @@ def test_fixture_generator_reproduces_committed_bytes(tmp_path):
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    decay = tmp_path / "decay_noisy.csv"
-    tof = tmp_path / "tof_noisy.csv"
-    module.make_decay(str(decay))
-    module.make_tof(str(tof))
-    with open(os.path.join(FIXTURES, "decay_noisy.csv"), "rb") as fh:
-        assert decay.read_bytes() == fh.read()
-    with open(os.path.join(FIXTURES, "tof_noisy.csv"), "rb") as fh:
-        assert tof.read_bytes() == fh.read()
+    for kind in ("decay", "tof", "psd"):
+        name = f"{kind}_noisy.csv"
+        getattr(module, f"make_{kind}")(str(tmp_path / name))
+        with open(os.path.join(FIXTURES, name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
 # sha256 of stdout and of every file `fit --out fit.txt` writes on each
@@ -496,16 +498,72 @@ FIXTURE_FIT_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(FIXTURE_FIT_DIGESTS))
-def test_fixture_fits_are_pinned(tmp_path, capsys, kind):
-    data = os.path.join(FIXTURES, f"{kind}_noisy.csv")
-    assert main(["fit", "--kind", kind, "--data", data,
-                 "--out", str(tmp_path / "fit.txt")]) == 0
+def _output_digests(argv, tmp_path, capsys):
+    """sha256 of stdout and of every file in tmp_path after main(argv)."""
+    assert main(argv) == 0
     outputs = {"stdout": capsys.readouterr().out.encode()}
     for path in sorted(tmp_path.iterdir()):
         outputs[path.name] = path.read_bytes()
-    digests = {name: hashlib.sha256(raw).hexdigest() for name, raw in outputs.items()}
-    assert digests == FIXTURE_FIT_DIGESTS[kind]
+    return {name: hashlib.sha256(raw).hexdigest() for name, raw in outputs.items()}
+
+
+@pytest.mark.parametrize("kind", sorted(FIXTURE_FIT_DIGESTS))
+def test_fixture_fits_are_pinned(tmp_path, capsys, kind):
+    data = os.path.join(FIXTURES, f"{kind}_noisy.csv")
+    argv = ["fit", "--kind", kind, "--data", data, "--out", str(tmp_path / "fit.txt")]
+    assert _output_digests(argv, tmp_path, capsys) == FIXTURE_FIT_DIGESTS[kind]
+
+
+# sha256 of stdout and of every file each trajectory and spectrum run writes,
+# at the default sim.n_points (201) and at 2001; a change here changes the
+# published trajectories or heating rates and must be stated with the change;
+# simulate prints nothing, so its stdout digest is that of no bytes
+_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+PINNED_RUN_DIGESTS = {
+    "bound-psd": {
+        "stdout": "9160574386128e3fa1a561a259da8a30710e7aee7fea7111b2279cbc13e864f0",
+        "out.txt": "9160574386128e3fa1a561a259da8a30710e7aee7fea7111b2279cbc13e864f0",
+        "out.txt.csv": "cce1a38d5a5de918a86129c65b70bf9129cc7b6084d8fb96f8f2c239dce42160",
+    },
+    "simulate-combined": {
+        "stdout": _EMPTY,
+        "out.csv": "68e2fbf76403f4ea8654a38ed99a4792c6c168a5cbf58f06b7c9ee2f764415fa",
+    },
+    "simulate-combined-2001": {
+        "stdout": _EMPTY,
+        "out.csv": "25e213812fea5457c8f81c66612274670dd0f65e19be219ca11a63184d124039",
+    },
+    "simulate-decay": {
+        "stdout": _EMPTY,
+        "out.csv": "e2fc7f3fd195ebb32c8668d2f9541ea120351368b98f5d05c60414ceec14694a",
+    },
+    "simulate-decay-2001": {
+        "stdout": _EMPTY,
+        "out.csv": "862072d7d91d931ce5d1056d9971ea1580d30fbefa1e7a559226e592702c4b45",
+    },
+    "simulate-temperature": {
+        "stdout": _EMPTY,
+        "out.csv": "b79e7c6ae67583581a31595bc48f33e5d40f86e56e2e53932b036c8e46d74a61",
+    },
+    "simulate-temperature-2001": {
+        "stdout": _EMPTY,
+        "out.csv": "9c91fed54ac58bcb5f8923d37c7656e341d88b044b951634827ad6412c667fe1",
+    },
+}
+
+
+@pytest.mark.parametrize("run", sorted(PINNED_RUN_DIGESTS))
+def test_trajectories_and_psd_bound_are_pinned(tmp_path, capsys, run):
+    command, _, rest = run.partition("-")
+    if command == "bound":
+        argv = ["bound", "--psd", os.path.join(FIXTURES, "psd_noisy.csv"),
+                "--out", str(tmp_path / "out.txt")]
+    else:
+        model, _, n_points = rest.partition("-")
+        argv = ["simulate", "--model", model, "--out", str(tmp_path / "out.csv")]
+        if n_points:
+            argv += ["--sim.n_points", n_points]
+    assert _output_digests(argv, tmp_path, capsys) == PINNED_RUN_DIGESTS[run]
 
 
 def test_fit_nonconvergence_exits_4(capsys):
@@ -514,6 +572,29 @@ def test_fit_nonconvergence_exits_4(capsys):
                  "--fit.max_iterations", "1"])
     assert code == 4
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_simulate_combined_overflow_writes_inf_without_warning(tmp_path, capsys):
+    # exp(gamma_tot t) overflows to inf, as np.exp does, and nothing leaks
+    # to stderr; inf is a valid trajectory value, nan is not
+    out = tmp_path / "combined.csv"
+    assert main(["simulate", "--model", "combined", "--out", str(out),
+                 "--heating.gamma_tot_per_s", "1e300"]) == 0
+    assert capsys.readouterr().err == ""
+    rows = out.read_text().splitlines()
+    assert rows[1] == "0,123"
+    assert rows[-1] == "4,inf"
+
+
+@pytest.mark.parametrize(("start", "stop", "n"), [
+    (0.0, 4.0, 201), (0.0, 7.123456789, 2001), (0.0, 1e-300, 3),
+    (5e-4, 6e-3, 8), (2e-3, 1e-3, 17), (5e-3, 5e-3, 4),
+    (0.0, 1.5e-323, 64), (0.0, 5e-324, 9), (-1e297, 1e297, 5),
+])
+def test_linspace_is_np_linspace_bit_for_bit(start, stop, n):
+    from latticekit.cli import _linspace
+
+    assert _linspace(start, stop, n) == np.linspace(start, stop, n).tolist()
 
 
 def test_simulate_combined_heats_relative_to_pure_cooling(tmp_path):
@@ -596,24 +677,35 @@ def test_commands_run_without_scipy(tmp_path):
 
 
 def test_scalar_commands_run_without_numpy(tmp_path):
+    def out(name):
+        return str(tmp_path / name)
+
     _run_with_blocked("numpy", [
-        ["cavity", "--out", str(tmp_path / "cavity.txt")],
+        ["cavity", "--out", out("cavity.txt")],
         ["trap"],
         ["ramp", "--ramp.rethermalization", "collision-gated"],
         ["ramp", "--ramp.rethermalization", "instant"],
         ["bound"],
+        ["simulate", "--model", "decay", "--out", out("decay.csv")],
+        ["simulate", "--model", "temperature", "--out", out("temperature.csv")],
+        ["simulate", "--model", "combined", "--out", out("combined.csv")],
+        ["bound", "--psd", os.path.join(FIXTURES, "psd_noisy.csv"), "--out", out("psd.txt")],
     ])
-    assert (tmp_path / "cavity.txt.csv").exists()
+    for name in ("cavity.txt.csv", "decay.csv", "temperature.csv", "combined.csv",
+                 "psd.txt.csv"):
+        assert (tmp_path / name).exists(), name
 
 
 # Runs an array command in a fresh interpreter and prints the thread count
-# of the process afterwards, OpenBLAS's pool included.
+# of the process afterwards, OpenBLAS's pool included; the command must have
+# loaded numpy, or the count says nothing about OpenBLAS.
 _THREADS_SCRIPT = """
 import sys
 
 from latticekit.cli import main
 
-code = main(["simulate", "--model", "decay", "--out", sys.argv[1]])
+code = main(["tof", "--out", sys.argv[1]])
+assert "numpy" in sys.modules, "tof ran without loading numpy"
 with open("/proc/self/status") as fh:
     threads = [line.split()[1] for line in fh if line.startswith("Threads:")]
 print(code, threads[0])
@@ -631,8 +723,8 @@ def test_cli_keeps_one_blas_thread_unless_set(tmp_path, preset, expected):
     if preset is not None:
         env["OPENBLAS_NUM_THREADS"] = preset
     proc = subprocess.run(
-        [sys.executable, "-c", _THREADS_SCRIPT, str(tmp_path / "decay.csv")],
+        [sys.executable, "-c", _THREADS_SCRIPT, str(tmp_path / "tof.csv")],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", expected]
+    assert proc.stdout.splitlines()[-1].split() == ["0", expected]  # after tof's report

@@ -44,6 +44,22 @@ def test_spectrum_log_frequency_interpolation():
     assert rel(spectrum.value_at(1000.0), 4e-13) < 1e-12
 
 
+def test_spectrum_interpolation_is_np_interp_bit_for_bit():
+    # with the same knot logarithms, value_at is np.interp to the last bit,
+    # on the knots and the last frequency included
+    rng = np.random.default_rng(7)
+    for n in (2, 3, 5, 40, 400):
+        freq = np.sort(np.exp(rng.uniform(math.log(10.0), math.log(1e7), n)))
+        density = 10.0 ** rng.uniform(-14.0, -11.0, freq.size)
+        spectrum = NoiseSpectrum(freq, density)
+        assert spectrum.freq_hz == tuple(freq.tolist())
+        log_knots = [math.log(f) for f in spectrum.freq_hz]
+        inner = np.exp(rng.uniform(math.log(freq[0]), math.log(freq[-1]), 50))
+        for x in [*freq.tolist(), *inner.tolist()]:
+            expected = float(np.interp(math.log(x), log_knots, density))
+            assert spectrum.value_at(x) == expected, (n, x)
+
+
 def test_spectrum_no_extrapolation():
     spectrum = flat_spectrum(1e-13, 10.0, 1e5)
     with pytest.raises(DomainError):
