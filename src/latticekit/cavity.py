@@ -1,8 +1,9 @@
 """Ring-resonator figures of merit.
 
-Free spectral range, ring-down/linewidth conversion, finesse by two
+Free spectral range, linewidth from the ring-down time, finesse by two
 independent routes (spectral and mirror loss budget), fundamental-mode
-volume, and resonant power build-up for a triangular ring cavity.
+volume, resonant power build-up and the mode matching implied by an observed
+circulating power, for a triangular ring cavity.
 """
 
 import math
@@ -81,8 +82,6 @@ class ModeGeometry:
 
 def free_spectral_range(cavity: CavitySpec) -> float:
     """Longitudinal mode spacing c / L for a ring of round-trip length L, Hz."""
-    if cavity.round_trip_length <= 0:
-        raise ValueError("round trip length must be positive")
     return CONST.c / cavity.round_trip_length
 
 
@@ -91,13 +90,6 @@ def linewidth_from_ring_down(tau: float) -> float:
     if tau <= 0:
         raise ValueError("ring-down time must be positive")
     return 1.0 / (2.0 * math.pi * tau)
-
-
-def ring_down_from_linewidth(linewidth: float) -> float:
-    """Inverse of linewidth_from_ring_down, s."""
-    if linewidth <= 0:
-        raise ValueError("linewidth must be positive")
-    return 1.0 / (2.0 * math.pi * linewidth)
 
 
 def finesse_from_linewidth(fsr: float, linewidth: float) -> float:

@@ -9,7 +9,8 @@ write a file, so their --out is a required argument.
 
 Exit codes: 0 success, 2 input or configuration error, 3 model-domain error,
 4 fit non-convergence. main is the only place that maps exceptions to codes:
-DomainError gives 3, any other ValueError (ConfigError included) or an
+DomainError gives 3; any other ValueError (ConfigError included), an
+ArithmeticError (a derived quantity that overflows or divides by zero) or an
 OSError gives 2. A malformed command line (unknown command, missing --model
 or --out) exits 2 with argparse's usage message.
 
@@ -374,11 +375,7 @@ def cmd_bound(cfg, args):
             ("psd_gamma_axial_per_s", rates.gamma_axial, COMPUTED),
             ("psd_gamma_radial_per_s", rates.gamma_radial, COMPUTED),
             ("psd_gamma_tot_per_s", rates.gamma_total, COMPUTED),
-            (
-                "psd_e_folding_s",
-                rates.e_folding_time if rates.e_folding_time is not None else float("inf"),
-                COMPUTED,
-            ),
+            ("psd_e_folding_s", rates.e_folding_time, COMPUTED),
             (
                 "psd_to_bound_ratio",
                 rates.gamma_total / bound if bound > 0 else float("inf"),
@@ -522,7 +519,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"model domain error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,14 +1,14 @@
 """Flat `key = value` configuration with unit-suffixed key names.
 
 The schema is the single source of truth: unknown keys are rejected at parse
-time, every physical key carries its unit in the name, and the defaults
-describe the reference apparatus (triangular ring cavity, 97 mm round trip,
-350 uK lattice) so each command runs out of the box.
+time, so load_config returns a plain dict holding every schema key and
+nothing else. Every physical key carries its unit in the name, and the
+defaults describe the reference apparatus (triangular ring cavity, 97 mm
+round trip, 350 uK lattice) so each command runs out of the box.
 """
 
 import math
 import os
-from dataclasses import dataclass
 
 from .cavity import CavitySpec, MirrorSpec, ModeGeometry
 from .constants import CONST, RB85, Species
@@ -65,33 +65,6 @@ _SCHEMA_ROWS = [
 ]
 
 SCHEMA = {key: (typ, default) for key, typ, default in _SCHEMA_ROWS}
-
-UNIT_SUFFIXES = (
-    "_mm", "_um", "_nm", "_uK", "_uW", "_s", "_ms", "_us", "_ppm",
-    "_per_s", "_per_cm3", "_cm3_per_s", "_hz",
-)
-
-# dimensionless floats exempt from the unit-suffix rule
-_DIMENSIONLESS = {
-    "cavity.mode_matching",
-    "sample.atom_number",
-    "evap.epsilon",
-    "tof.noise_frac",
-}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Typed configuration values keyed by schema name."""
-
-    values: dict
-
-    def __getitem__(self, key):
-        try:
-            return self.values[key]
-        except KeyError:
-            raise ConfigError(f"unknown config key: {key}") from None
-
 
 def _convert(key, raw, lineno=None):
     typ, _default = SCHEMA[key]
@@ -158,13 +131,13 @@ def load_config(path=None, overrides=()):
     for name, raw in overrides:
         key = resolve_key(name)
         values[key] = _convert(key, raw)
-    return RunConfig(values)
+    return values
 
 
 # ---------------------------------------------------------------------------
 # builders binding the configuration to domain objects
 
-def cavity_from_config(cfg: RunConfig) -> CavitySpec:
+def cavity_from_config(cfg: dict) -> CavitySpec:
     mirrors = tuple(
         MirrorSpec(
             transmission=cfg[f"cavity.mirror_{i}.transmission_ppm"] * 1e-6,
@@ -180,7 +153,7 @@ def cavity_from_config(cfg: RunConfig) -> CavitySpec:
     )
 
 
-def mode_from_config(cfg: RunConfig) -> ModeGeometry:
+def mode_from_config(cfg: dict) -> ModeGeometry:
     # the config stores 1/e^2 diameters; the model works with radii
     return ModeGeometry(
         waist_sagittal=cfg["mode.diameter_sagittal_um"] * 1e-6 / 2.0,
@@ -188,7 +161,7 @@ def mode_from_config(cfg: RunConfig) -> ModeGeometry:
     )
 
 
-def trap_from_config(cfg: RunConfig, species: Species = RB85) -> TrapParameters:
+def trap_from_config(cfg: dict, species: Species = RB85) -> TrapParameters:
     return trap_parameters(
         u0=cfg["trap.depth_uK"] * 1e-6 * CONST.kB,
         wavelength=cfg["trap.laser_wavelength_nm"] * 1e-9,
@@ -197,7 +170,7 @@ def trap_from_config(cfg: RunConfig, species: Species = RB85) -> TrapParameters:
     )
 
 
-def state_from_config(cfg: RunConfig, species: Species = RB85) -> TrapState:
+def state_from_config(cfg: dict, species: Species = RB85) -> TrapState:
     trap = trap_from_config(cfg, species)
     shape = thermal_cloud_shape(
         species,

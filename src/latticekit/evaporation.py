@@ -11,8 +11,10 @@ driven by the kinetic-energy bookkeeping of the loss channels, with
 
     eps = (2/3) eta - 1 - 8/(3 sqrt(pi)) * int_0^sqrt(eta) r^4 exp(-r^2) dr.
 
-beta_esc and the composition route through the cross section are implemented
-independently; they must agree to machine precision (tested).
+beta_esc is the closed form. The composition route through the cross
+section and the thermal velocity is the independent oracle
+tests/oracles.evaporation_rate; the two must agree to machine precision
+(acceptance criterion 3d).
 """
 
 import math
@@ -21,35 +23,6 @@ from dataclasses import dataclass
 from .constants import CONST, M3_TO_CM3, Species, reduced_mass, thermal_velocity
 from .errors import DomainError
 from .trap import TrapState
-
-
-@dataclass(frozen=True)
-class EvapParams:
-    """Evaporation working point."""
-
-    eta: float
-    u0: float                 # J
-    epsilon: float
-    beta_esc_cm3_per_s: float
-
-    def __post_init__(self):
-        if self.eta <= 0 or self.u0 <= 0:
-            raise ValueError("eta and U0 must be positive")
-        if self.epsilon < -1:
-            raise ValueError("epsilon cannot drop below -1")
-        if self.beta_esc_cm3_per_s <= 0:
-            raise ValueError("beta_esc must be positive")
-
-    @classmethod
-    def from_depth_and_temperature(cls, u0, temperature, species):
-        """Evaluate the working point for a given well depth and temperature."""
-        eta_value = eta(u0, temperature)
-        return cls(
-            eta=eta_value,
-            u0=u0,
-            epsilon=epsilon(eta_value),
-            beta_esc_cm3_per_s=beta_esc(u0, eta_value, species),
-        )
 
 
 def eta(u0: float, temperature: float) -> float:
@@ -83,26 +56,6 @@ def beta_esc(u0: float, eta_value: float, species: Species) -> float:
     return si * M3_TO_CM3
 
 
-def evaporation_rate(rho_bar_per_cm3, species, temperature, eta_value):
-    """Per-atom escape rate rho_bar sigma_esc v_rms eta exp(-eta), 1/s.
-
-    Composition route through the cross section and thermal velocity; kept
-    independent of beta_esc on purpose.
-    """
-    if rho_bar_per_cm3 < 0:
-        raise ValueError("density must be >= 0")
-    if eta_value <= 0:
-        raise ValueError("eta must be positive")
-    sigma_v = unitarity_cross_section(species, temperature) * thermal_velocity(
-        species, temperature
-    )
-    return (
-        rho_bar_per_cm3
-        * sigma_v * M3_TO_CM3
-        * eta_value * math.exp(-eta_value)
-    )
-
-
 # ---------------------------------------------------------------------------
 # energy bookkeeping
 
@@ -133,14 +86,6 @@ def epsilon(eta_value: float) -> float:
         - 1.0
         - 8.0 / (3.0 * math.sqrt(math.pi)) * integral
     )
-
-
-def removed_energy_mean(t0: float, eta_value: float) -> float:
-    """Mean kinetic energy removed per evaporated atom,
-    (3/2) kB T0 (1 + epsilon), J."""
-    if t0 <= 0:
-        raise ValueError("temperature must be > 0")
-    return 1.5 * CONST.kB * t0 * (1.0 + epsilon(eta_value))
 
 
 def time_argument(t):

@@ -79,13 +79,18 @@ class FitResult:
 # analytic Jacobian of losses.population
 
 def decay_jacobian(t, gamma, xi, n0):
-    """Columns dN/d(gamma), dN/d(xi), dN/d(n0)."""
+    """Columns dN/d(gamma), dN/d(xi), dN/d(n0).
+
+    An extreme xi overflows to inf or nan without a warning, and the
+    finiteness checks of fit_decay reject the result.
+    """
     t = np.asarray(t, dtype=float)
-    u = np.exp(-gamma * t)
-    denom = 1.0 + xi * (1.0 - u)
-    d_gamma = -t * u * n0 * (1.0 + xi) / denom**2
-    d_xi = -n0 * u * (1.0 - u) / denom**2
-    d_n0 = u / denom
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = np.exp(-gamma * t)
+        denom = 1.0 + xi * (1.0 - u)
+        d_gamma = -t * u * n0 * (1.0 + xi) / denom**2
+        d_xi = -n0 * u * (1.0 - u) / denom**2
+        d_n0 = u / denom
     return np.column_stack([d_gamma, d_xi, d_n0])
 
 
@@ -205,7 +210,8 @@ def fit_decay(dataset: Dataset, rho_peak_per_cm3, initial_guess,
         eval_fn, p0, max_iterations
     )
     gamma, xi, n0 = p
-    beta = 4.0 * gamma * xi / rho_peak_per_cm3
+    with np.errstate(over="ignore"):  # an inf beta fails the var_beta check
+        beta = 4.0 * gamma * xi / rho_peak_per_cm3
 
     # beta is derived from xi, so three parameters are free
     dof = len(dataset) - 3

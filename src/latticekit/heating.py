@@ -56,16 +56,6 @@ class NoiseSpectrum:
         return slope * (math.log(freq) - x0) + s[j]
 
 
-def flat_spectrum(s0: float, f_min: float, f_max: float) -> NoiseSpectrum:
-    """White relative-intensity spectrum over [f_min, f_max]."""
-    return NoiseSpectrum([f_min, f_max], [s0, s0])
-
-
-def flat_level_for_total_rate(gamma_tot, nu_axial, nu_radial):
-    """S0 of a white spectrum that produces a given total heating rate."""
-    return 3.0 * gamma_tot / (math.pi**2 * (nu_axial**2 + 2.0 * nu_radial**2))
-
-
 @dataclass(frozen=True)
 class HeatingRates:
     """Axial/radial parametric heating rates and their thermal combination."""
@@ -73,7 +63,7 @@ class HeatingRates:
     gamma_axial: float
     gamma_radial: float
     gamma_total: float
-    e_folding_time: float | None  # s, None when there is no heating
+    e_folding_time: float  # s, inf when there is no heating
 
     def __post_init__(self):
         if self.gamma_axial < 0 or self.gamma_radial < 0:
@@ -93,10 +83,8 @@ def parametric_rate(spectrum: NoiseSpectrum, trap_frequency: float) -> float:
 
 def total_rate(gamma_axial: float, gamma_radial: float) -> HeatingRates:
     """Thermal-equilibrium combination (gamma_a + 2 gamma_r) / 3."""
-    if gamma_axial < 0 or gamma_radial < 0:
-        raise ValueError("rates must be >= 0")
     gamma_tot = (gamma_axial + 2.0 * gamma_radial) / 3.0
-    e_fold = 1.0 / gamma_tot if gamma_tot > 0 else None
+    e_fold = 1.0 / gamma_tot if gamma_tot > 0 else math.inf
     return HeatingRates(gamma_axial, gamma_radial, gamma_tot, e_fold)
 
 

@@ -3,7 +3,9 @@
 The rate equation dN/dt = -gamma N - beta * integral(rho^2) with the
 constant-temperature closure rho_peak(t) proportional to N(t) has the closed
 form  N(t) = N0 exp(-gamma t) / (1 + xi (1 - exp(-gamma t)))  with
-xi = beta rho_peak / (4 gamma).
+xi = beta rho_peak / (4 gamma). The 4 is the lattice convention
+integral(rho^2) = N rho_peak / 4; a bare Gaussian cloud would give
+N rho_peak / 2^(3/2).
 
 Volume-carrying quantities (beta, densities) use cm^3 at this interface,
 matching how such coefficients are conventionally quoted.
@@ -56,12 +58,3 @@ def population(t, n0, gamma_per_s, xi):
     result = n0 * decay / (1.0 + xi * (1.0 - decay))
     return float(result) if scalar else result
 
-
-def loss_partition(t, n0, gamma_per_s, xi):
-    """(N1, N2): atoms lost to the background channel and to two-body
-    collisions. Bookkeeping identity N + N1 + N2 = N0 holds exactly."""
-    if t < 0:
-        raise ValueError("time must be >= 0")
-    n1 = n0 * (1.0 - math.exp(-gamma_per_s * t))
-    n2 = n0 - n1 - population(t, n0, gamma_per_s, xi)
-    return n1, n2

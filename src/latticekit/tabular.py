@@ -1,15 +1,14 @@
-"""CSV readers and writers for trajectories, datasets and spectra.
+"""CSV I/O for trajectories, datasets, noise spectra and expansion series.
 
 Files carry mandatory single-line headers whose column names state the
 units. Writes go through a temporary file plus rename, so a crashed run
 never leaves a half-written table behind. Reading rows, writing columns and
-the noise spectrum are plain Python; numpy loads only when a fit dataset or
-an expansion series is built.
+reading the noise spectrum are plain Python; numpy loads only when a fit
+dataset or an expansion series is built.
 """
 
 import math
 import os
-import tempfile
 from itertools import chain
 
 from .errors import ConfigError
@@ -26,7 +25,10 @@ def atomic_write_text(path, text):
     """Write text to path via a temporary file in the same directory.
 
     An OSError names the requested path, not the random temporary file.
+    tempfile is imported here, so commands that write no file never load it.
     """
+    import tempfile
+
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
@@ -138,15 +140,6 @@ def read_noise_spectrum(path):
     _header, rows = _read_rows(path, (("freq_hz", "S_rel_per_hz"),), "spectrum")
     freq_hz, s_rel_per_hz = zip(*rows)
     return NoiseSpectrum(freq_hz=freq_hz, s_rel_per_hz=s_rel_per_hz)
-
-
-def write_noise_spectrum(path, spectrum):
-    write_columns(
-        path,
-        ("freq_hz", "S_rel_per_hz"),
-        (spectrum.freq_hz, spectrum.s_rel_per_hz),
-        sig_digits=TRAJECTORY_DIGITS,
-    )
 
 
 def read_expansion(path):

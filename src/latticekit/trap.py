@@ -107,13 +107,6 @@ def secular_frequencies(u0, wavelength, w0, species):
     return nu_axial, nu_radial
 
 
-def depth_from_axial_frequency(nu_axial, wavelength, species):
-    """Invert the axial secular frequency back to the well depth (J)."""
-    if nu_axial <= 0:
-        raise ValueError("frequency must be positive")
-    return species.mass * (nu_axial * wavelength) ** 2 / 2.0
-
-
 def recoil_frequency(species: Species, wavelength: float) -> float:
     """Photon recoil frequency hbar k^2 / (4 pi m), Hz."""
     k = 2.0 * math.pi / wavelength
@@ -231,40 +224,6 @@ def peak_density(state: TrapState) -> float:
     envelope_peak = state.n_atoms / ((2.0 * math.pi) ** 1.5 * sx * sy * sz)
     bunching = state.shape.well_spacing / (math.sqrt(2.0 * math.pi) * sw_z)
     return envelope_peak * bunching
-
-
-def envelope_z_for_peak_density(n_atoms, rho_peak_target, sigma_x, sigma_y,
-                                per_well_sigma_z, well_spacing):
-    """Axial envelope width (m) that calibrates the model to a measured
-    peak density; the transverse envelope widths are usually thermal."""
-    if rho_peak_target <= 0:
-        raise ValueError("target density must be positive")
-    envelope_peak_needed = (
-        rho_peak_target
-        * math.sqrt(2.0 * math.pi) * per_well_sigma_z / well_spacing
-    )
-    return n_atoms / (
-        (2.0 * math.pi) ** 1.5 * sigma_x * sigma_y * envelope_peak_needed
-    )
-
-
-def density_squared_integral(n_atoms, rho_peak):
-    """Integral of rho^2 over space (atoms^2 per volume), N rho_peak / 4.
-
-    This lattice convention makes the dimensionless two-body strength
-    beta rho_peak / (4 gamma); a bare Gaussian cloud would give
-    N rho_peak / 2^(3/2).
-    """
-    if n_atoms < 0:
-        raise ValueError("atom number must be >= 0")
-    return n_atoms * rho_peak / 4.0
-
-
-def mean_density(n_atoms, rho_peak):
-    """Density-weighted mean density, integral(rho^2)/N."""
-    if n_atoms <= 0:
-        raise ValueError("atom number must be positive")
-    return density_squared_integral(n_atoms, rho_peak) / n_atoms
 
 
 def phase_space_density(species, rho_peak, temperature):

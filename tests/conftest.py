@@ -27,41 +27,39 @@ import math
 
 from latticekit.cavity import ModeGeometry
 from latticekit.constants import CONST, RB85
-from latticekit.trap import (
-    TrapState,
-    envelope_z_for_peak_density,
-    thermal_cloud_shape,
-    trap_parameters,
-)
+from latticekit.trap import TrapState, peak_density, thermal_cloud_shape, trap_parameters
 
 LATTICE_WAVELENGTH = 787.6e-9
 REFERENCE_MODE = ModeGeometry(268e-6 / 2, 258e-6 / 2)
+REFERENCE_SIGMA_Z = 555.56195528493e-6  # the cloud.envelope_sigma_z_um default
 
 
 def make_lattice_state(n_atoms, temperature, depth_uk, rho_peak_per_cm3=None):
     """TrapState at the reference geometry.
 
-    When a target peak density is given, the axial envelope width is
-    calibrated to reproduce it; otherwise the committed reference default
-    is used. Transverse envelope widths are thermal.
+    Transverse envelope widths are thermal, and the axial one is the
+    reference default. When a target peak density is given, the axial width
+    is rescaled to reproduce it: peak_density is inversely proportional to
+    that width.
     """
     trap = trap_parameters(
         depth_uk * 1e-6 * CONST.kB, LATTICE_WAVELENGTH, REFERENCE_MODE, RB85
     )
     v = math.sqrt(CONST.kB * temperature / RB85.mass)
     sigma_r = v / (2 * math.pi * trap.nu_radial)
-    sigma_wz = v / (2 * math.pi * trap.nu_axial)
-    if rho_peak_per_cm3 is None:
-        sigma_z = 555.56195528493e-6
-    else:
-        sigma_z = envelope_z_for_peak_density(
-            n_atoms, rho_peak_per_cm3 * 1e6, sigma_r, sigma_r,
-            sigma_wz, trap.wavelength / 2,
+
+    def state(sigma_z):
+        shape = thermal_cloud_shape(
+            RB85, trap, temperature, (sigma_r, sigma_r, sigma_z)
         )
-    shape = thermal_cloud_shape(
-        RB85, trap, temperature, (sigma_r, sigma_r, sigma_z)
+        return TrapState(n_atoms, temperature, trap, shape)
+
+    reference = state(REFERENCE_SIGMA_Z)
+    if rho_peak_per_cm3 is None:
+        return reference
+    return state(
+        REFERENCE_SIGMA_Z * peak_density(reference) / (rho_peak_per_cm3 * 1e6)
     )
-    return TrapState(n_atoms, temperature, trap, shape)
 
 
 def state_a(rho=9e11):

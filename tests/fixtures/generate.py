@@ -55,13 +55,13 @@ def make_tof(path):
 
 
 def make_psd(path):
-    from latticekit.heating import NoiseSpectrum
-    from latticekit.tabular import write_noise_spectrum
+    from latticekit.tabular import write_columns
 
     rng = np.random.default_rng(SEED)
     freq = np.logspace(2.0, math.log10(2e6), 48)
     density = 1e-13 * (freq / 1e3) ** -0.5 * (1.0 + 0.2 * rng.random(freq.size))
-    write_noise_spectrum(path, NoiseSpectrum(freq, density))
+    write_columns(path, ("freq_hz", "S_rel_per_hz"), (freq.tolist(), density.tolist()),
+                  sig_digits=9)
 
 
 def main_script():

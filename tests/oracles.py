@@ -1,17 +1,20 @@
 """Independent numerical routes the closed forms are tested against.
 
 A fixed-step fourth-order Runge-Kutta integrator of the raw rate equations
-for N(t) and T(t), and adaptive quadrature of the truncated r^4 integral.
-None of this is on the product path. The RK4 step size is tied to the total
-span (span / 4096 by default), so repeated runs give bit-identical arrays.
+for N(t) and T(t), adaptive quadrature of the truncated r^4 integral, the
+escape rate composed from the cross section and the thermal velocity, and
+the mean energy an escaping atom removes. None of this is on the product
+path. The RK4 step size is tied to the total span (span / 4096 by default),
+so repeated runs give bit-identical arrays.
 """
 
 import math
 
 import numpy as np
 
-from latticekit.constants import CONST
+from latticekit.constants import CONST, M3_TO_CM3, thermal_velocity
 from latticekit.errors import DomainError
+from latticekit.evaporation import epsilon, unitarity_cross_section
 
 DEFAULT_SUBSTEPS = 4096
 
@@ -99,8 +102,30 @@ def truncated_r4_quadrature(eta_value):
 def mean_potential_energy(t0, eta_value):
     """Mean potential energy inside the trapping volume at temperature T0,
     (4/sqrt(pi)) kB T0 int_0^sqrt(eta) r^4 exp(-r^2) dr, J, by quadrature;
-    U0 - evaporation.removed_energy_mean must match it."""
+    U0 - removed_energy_mean must match it."""
     return (
         4.0 / math.sqrt(math.pi) * CONST.kB * t0
         * truncated_r4_quadrature(eta_value)
+    )
+
+
+def removed_energy_mean(t0, eta_value):
+    """Mean kinetic energy removed per evaporated atom,
+    (3/2) kB T0 (1 + epsilon), J."""
+    return 1.5 * CONST.kB * t0 * (1.0 + epsilon(eta_value))
+
+
+def evaporation_rate(rho_bar_per_cm3, species, temperature, eta_value):
+    """Per-atom escape rate rho_bar sigma_esc v_rms eta exp(-eta), 1/s.
+
+    The composition route through the cross section and the thermal
+    velocity; evaporation.beta_esc is the closed form it must match.
+    """
+    sigma_v = unitarity_cross_section(species, temperature) * thermal_velocity(
+        species, temperature
+    )
+    return (
+        rho_bar_per_cm3
+        * sigma_v * M3_TO_CM3
+        * eta_value * math.exp(-eta_value)
     )

@@ -12,6 +12,7 @@ import pytest
 from conftest import check, state_a, state_b
 from oracles import (
     combined_temperature_rk4,
+    evaporation_rate,
     mean_potential_energy,
     population_rk4,
     truncated_r4_quadrature,
@@ -31,7 +32,6 @@ from latticekit.constants import CONST, RB85
 from latticekit.evaporation import (
     beta_esc,
     epsilon,
-    evaporation_rate,
     pac_scaling_comparator,
     temperature,
     truncated_r4_integral,

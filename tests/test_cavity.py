@@ -14,7 +14,6 @@ from latticekit.cavity import (
     linewidth_from_ring_down,
     mode_volume,
     power_buildup,
-    ring_down_from_linewidth,
 )
 from latticekit.constants import CONST
 from latticekit.errors import DomainError
@@ -94,25 +93,18 @@ def test_linewidth_unit_case():
     assert rel(linewidth_from_ring_down(1.0 / (2 * math.pi)), 1.0) < 1e-15
 
 
-def test_ring_down_inverse_direction():
-    assert rel(ring_down_from_linewidth(17.3e3), 9.20e-6) < 0.005
-
-
 def test_linewidth_tau_product_is_one():
     tau = 9.2e-6
     assert linewidth_from_ring_down(tau) * tau * 2 * math.pi == 1.0
-
-
-def test_ring_down_round_trip_machine_precision():
+    # inverted by hand, the linewidth returns tau to machine precision
     for tau in (1e-7, 9.2e-6, 3.3e-3):
-        assert rel(ring_down_from_linewidth(linewidth_from_ring_down(tau)), tau) < 1e-15
+        assert rel(1.0 / (2 * math.pi * linewidth_from_ring_down(tau)), tau) < 1e-15
 
 
 def test_nonpositive_inputs_rejected():
-    with pytest.raises(ValueError):
-        linewidth_from_ring_down(0.0)
-    with pytest.raises(ValueError):
-        ring_down_from_linewidth(-1.0)
+    for tau in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            linewidth_from_ring_down(tau)
 
 
 # ---------------------------------------------------------------------------

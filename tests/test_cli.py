@@ -13,8 +13,7 @@ import latticekit
 from latticekit.cli import main
 from latticekit.constants import CONST, RB85
 from latticekit.losses import population
-from latticekit.tabular import read_dataset, read_expansion, write_noise_spectrum
-from latticekit.heating import flat_level_for_total_rate, flat_spectrum
+from latticekit.tabular import read_dataset, read_expansion
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
@@ -193,6 +192,24 @@ def _case(case_id, argv, stderr_has=None):
     _case("simulate-decay-sample.rho_peak_per_cm3--1",
           "simulate --model decay --out {out} --sample.rho_peak_per_cm3 -1",
           stderr_has="sample.rho_peak_per_cm3"),
+    # a derived quantity divides by zero or overflows a float power
+    _case("trap-mode.diameter_sagittal_um-1e-300",
+          "trap --mode.diameter_sagittal_um 1e-300"),
+    _case("ramp-mode.diameter_transversal_um-1e-300",
+          "ramp --mode.diameter_transversal_um 1e-300"),
+    _case("bound-psd-mode.diameter_sagittal_um-1e-300",
+          "bound --psd {fixtures}/psd_noisy.csv --mode.diameter_sagittal_um 1e-300"),
+    _case("trap-trap.laser_wavelength_nm-1e-200", "trap --trap.laser_wavelength_nm 1e-200"),
+    _case("ramp-trap.depth_uK-1e300", "ramp --trap.depth_uK 1e300"),
+    _case("fit-decay-sample.rho_peak_per_cm3-1e-200",
+          "fit --kind decay --data {fixtures}/decay_noisy.csv --sample.rho_peak_per_cm3 1e-200"),
+    # numpy overflows in the decay fit's Jacobian or beta, without a warning
+    _case("fit-decay-sample.rho_peak_per_cm3-5e-324",
+          "fit --kind decay --data {fixtures}/decay_noisy.csv --sample.rho_peak_per_cm3 5e-324"),
+    _case("fit-decay-sample.rho_peak_per_cm3-1e300",
+          "fit --kind decay --data {fixtures}/decay_noisy.csv --sample.rho_peak_per_cm3 1e300"),
+    _case("fit-decay-fit.guess_beta_cm3_per_s-1e200",
+          "fit --kind decay --data {fixtures}/decay_noisy.csv --fit.guess_beta_cm3_per_s 1e200"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, stderr_has):
     for name, text in _PROBE_FILES.items():
@@ -404,10 +421,11 @@ def test_bound_reference(capsys):
 
 
 def test_bound_with_flat_psd(tmp_path, capsys):
+    # the white level that gives gamma_tot = 0.041 1/s in the reference trap
     nu_a, nu_r = 332411.78138682665, 448.19807851141104
-    s0 = flat_level_for_total_rate(0.041, nu_a, nu_r)
+    s0 = 3.0 * 0.041 / (math.pi**2 * (nu_a**2 + 2.0 * nu_r**2))
     psd = tmp_path / "flat_psd.csv"
-    write_noise_spectrum(str(psd), flat_spectrum(s0, 100.0, 1e6))
+    psd.write_text(f"freq_hz,S_rel_per_hz\n100,{s0!r}\n1000000,{s0!r}\n")
     assert main(["bound", "--psd", str(psd)]) == 0
     text = capsys.readouterr().out
     assert rel(report_value(text, "psd_gamma_tot_per_s"), 0.041) < 1e-6
@@ -423,7 +441,7 @@ def test_bound_zero_window(capsys):
 
 def test_bound_psd_with_zero_bound_reports_inf(tmp_path, capsys):
     psd = tmp_path / "flat_psd.csv"
-    write_noise_spectrum(str(psd), flat_spectrum(1e-13, 100.0, 1e6))
+    psd.write_text("freq_hz,S_rel_per_hz\n100,1e-13\n1000000,1e-13\n")
     assert main(["bound", "--psd", str(psd), "--evap.epsilon", "0"]) == 0
     text = capsys.readouterr().out
     assert report_value(text, "gamma_tot_bound_per_s") == 0.0
@@ -674,6 +692,24 @@ def test_commands_run_without_scipy(tmp_path):
         ["tof", "--out", out("tof.csv")],
         ["ramp"],
     ])
+
+
+# Imports the CLI in a fresh interpreter without site (-S): the site
+# packages' .pth files may import tempfile themselves.
+_NO_TEMPFILE_SCRIPT = """
+import sys
+
+import latticekit.cli
+
+assert "tempfile" not in sys.modules, "import latticekit.cli loaded tempfile"
+"""
+
+
+def test_cli_import_leaves_tempfile_unloaded():
+    proc = subprocess.run([sys.executable, "-S", "-c", _NO_TEMPFILE_SCRIPT],
+                          env=dict(os.environ, PYTHONPATH=_SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_scalar_commands_run_without_numpy(tmp_path):

@@ -16,9 +16,7 @@ from hypothesis import strategies as st
 
 from latticekit.cli import main
 from latticekit.config import SCHEMA
-from latticekit.heating import flat_spectrum
 from latticekit.ramp import RETHERMALIZATION_MODES
-from latticekit.tabular import write_noise_spectrum
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
@@ -37,10 +35,10 @@ def variants(tmp_path_factory):
     """Every command variant, with the data files the fits and --psd read."""
     root = tmp_path_factory.mktemp("cli_property")
     temperature = str(root / "temperature.csv")
-    psd = str(root / "psd.csv")
+    psd = root / "psd.csv"
     out = str(root / "out.csv")
     assert main(["simulate", "--model", "temperature", "--out", temperature]) == 0
-    write_noise_spectrum(psd, flat_spectrum(1e-13, 100.0, 1e6))
+    psd.write_text("freq_hz,S_rel_per_hz\n100,1e-13\n1000000,1e-13\n")
     data = {
         "decay": os.path.join(FIXTURES, "decay_noisy.csv"),
         "temperature": temperature,
@@ -51,7 +49,7 @@ def variants(tmp_path_factory):
         ["trap"],
         ["ramp"],
         ["bound"],
-        ["bound", "--psd", psd],
+        ["bound", "--psd", str(psd)],
         ["tof", "--out", out],
         *(["simulate", "--model", model, "--out", out]
           for model in ("decay", "temperature", "combined")),

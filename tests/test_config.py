@@ -2,8 +2,6 @@ import pytest
 
 from latticekit.config import (
     SCHEMA,
-    UNIT_SUFFIXES,
-    _DIMENSIONLESS,
     cavity_from_config,
     load_config,
     mode_from_config,
@@ -25,12 +23,6 @@ def test_defaults_load():
     assert cfg["cavity.round_trip_length_mm"] == 97.0
     assert cfg["sim.n_points"] == 201
     assert cfg["ramp.rethermalization"] == "collision-gated"
-
-
-def test_unknown_key_lookup_fails():
-    cfg = load_config()
-    with pytest.raises(ConfigError):
-        cfg["cavity.coating_loss_ppm"]
 
 
 def test_parse_comments_and_values():
@@ -83,9 +75,23 @@ def test_parse_int_accepts_long_literal():
     assert parse_config_text(f"sim.n_points = {digits}\n") == {"sim.n_points": int(digits)}
 
 
+UNIT_SUFFIXES = (
+    "_mm", "_um", "_nm", "_uK", "_uW", "_s", "_ms", "_us", "_ppm",
+    "_per_s", "_per_cm3", "_cm3_per_s", "_hz",
+)
+
+# dimensionless floats exempt from the unit-suffix rule
+DIMENSIONLESS = {
+    "cavity.mode_matching",
+    "sample.atom_number",
+    "evap.epsilon",
+    "tof.noise_frac",
+}
+
+
 def test_unit_suffix_discipline():
     for key, (typ, _default) in SCHEMA.items():
-        if typ is float and key not in _DIMENSIONLESS:
+        if typ is float and key not in DIMENSIONLESS:
             assert key.endswith(UNIT_SUFFIXES), key
 
 

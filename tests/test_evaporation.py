@@ -3,18 +3,20 @@ import math
 import numpy as np
 import pytest
 from conftest import state_a, state_b
-from oracles import mean_potential_energy, truncated_r4_quadrature
+from oracles import (
+    evaporation_rate,
+    mean_potential_energy,
+    removed_energy_mean,
+    truncated_r4_quadrature,
+)
 
 from latticekit.constants import CONST, RB85, thermal_velocity
 from latticekit.errors import DomainError
 from latticekit.evaporation import (
-    EvapParams,
     beta_esc,
     epsilon,
     eta,
-    evaporation_rate,
     pac_scaling_comparator,
-    removed_energy_mean,
     temperature,
     truncated_r4_integral,
     unitarity_cross_section,
@@ -304,21 +306,8 @@ def test_pac_unknown_regime():
         pac_scaling_comparator(state_a(), state_b(), "warm")
 
 
-def test_evap_params_validation():
-    with pytest.raises(ValueError):
-        EvapParams(eta=2.85, u0=U0_A, epsilon=-1.5, beta_esc_cm3_per_s=1e-11)
-    with pytest.raises(ValueError):
-        EvapParams(eta=0.0, u0=U0_A, epsilon=0.2, beta_esc_cm3_per_s=1e-11)
-
-
 def test_epsilon_zero_crossing_location():
     # escape stops removing net kinetic energy below eta ~ 2.30
     assert epsilon(2.30) < 0 < epsilon(2.3002)
     assert abs(epsilon(2.3001248582)) < 1e-7
 
-
-def test_evap_params_from_depth_and_temperature():
-    params = EvapParams.from_depth_and_temperature(U0_A, 123e-6, RB85)
-    assert rel(params.eta, 350 / 123) < 1e-12
-    assert rel(params.epsilon, epsilon(350 / 123)) < 1e-12
-    assert rel(params.beta_esc_cm3_per_s, beta_esc(U0_A, 350 / 123, RB85)) < 1e-12

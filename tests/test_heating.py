@@ -11,8 +11,6 @@ from latticekit.heating import (
     NoiseSpectrum,
     bound_gamma_tot,
     combined_temperature,
-    flat_level_for_total_rate,
-    flat_spectrum,
     parametric_rate,
     rates_from_spectrum,
     total_rate,
@@ -24,6 +22,11 @@ TRACE_A = dict(t0=123e-6, eps=0.057, xi=2.80, gamma=0.6)
 
 def rel(a, b):
     return abs(a - b) / abs(b)
+
+
+def flat_level_for_total_rate(gamma_tot, nu_axial, nu_radial):
+    """S0 of a white spectrum that produces a given total heating rate."""
+    return 3.0 * gamma_tot / (math.pi**2 * (nu_axial**2 + 2.0 * nu_radial**2))
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +64,7 @@ def test_spectrum_interpolation_is_np_interp_bit_for_bit():
 
 
 def test_spectrum_no_extrapolation():
-    spectrum = flat_spectrum(1e-13, 10.0, 1e5)
+    spectrum = NoiseSpectrum((10.0, 1e5), (1e-13, 1e-13))
     with pytest.raises(DomainError):
         spectrum.value_at(1.0)
     with pytest.raises(DomainError):
@@ -72,18 +75,18 @@ def test_spectrum_no_extrapolation():
 # parametric rates
 
 def test_zero_spectrum_no_heating():
-    spectrum = flat_spectrum(0.0, 1.0, 1e7)
+    spectrum = NoiseSpectrum((1.0, 1e7), (0.0, 0.0))
     assert parametric_rate(spectrum, NU_A) == 0.0
 
 
 def test_rate_linear_in_spectrum():
-    s1 = flat_spectrum(1e-13, 1.0, 1e7)
-    s2 = flat_spectrum(2e-13, 1.0, 1e7)
+    s1 = NoiseSpectrum((1.0, 1e7), (1e-13, 1e-13))
+    s2 = NoiseSpectrum((1.0, 1e7), (2e-13, 2e-13))
     assert rel(parametric_rate(s2, NU_A), 2 * parametric_rate(s1, NU_A)) < 1e-15
 
 
 def test_rate_requires_coverage_at_twice_nu():
-    spectrum = flat_spectrum(1e-13, 1.0, 500e3)  # 2*340 kHz = 680 kHz missing
+    spectrum = NoiseSpectrum((1.0, 500e3), (1e-13, 1e-13))  # 2*340 kHz = 680 kHz missing
     with pytest.raises(DomainError):
         parametric_rate(spectrum, NU_A)
 
@@ -91,17 +94,15 @@ def test_rate_requires_coverage_at_twice_nu():
 def test_flat_spectrum_inversion_round_trip():
     # solve for the white level producing gamma_tot = 0.041 1/s, then verify
     s0 = flat_level_for_total_rate(0.041, NU_A, NU_R)
-    expected = 0.041 * 3.0 / (math.pi**2 * (NU_A**2 + 2 * NU_R**2))
-    assert rel(s0, expected) < 1e-15
-    spectrum = flat_spectrum(s0, 100.0, 1e6)
+    spectrum = NoiseSpectrum((100.0, 1e6), (s0, s0))
     rates = rates_from_spectrum(spectrum, NU_A, NU_R)
     assert abs(rates.gamma_total - 0.041) < 1e-6
 
 
 def test_rates_scale_with_spectrum_level():
     s0 = flat_level_for_total_rate(0.041, NU_A, NU_R)
-    r1 = rates_from_spectrum(flat_spectrum(s0, 100.0, 1e6), NU_A, NU_R)
-    r3 = rates_from_spectrum(flat_spectrum(3 * s0, 100.0, 1e6), NU_A, NU_R)
+    r1 = rates_from_spectrum(NoiseSpectrum((100.0, 1e6), (s0, s0)), NU_A, NU_R)
+    r3 = rates_from_spectrum(NoiseSpectrum((100.0, 1e6), (3 * s0, 3 * s0)), NU_A, NU_R)
     assert rel(r3.gamma_axial, 3 * r1.gamma_axial) < 1e-15
     assert rel(r3.gamma_radial, 3 * r1.gamma_radial) < 1e-15
     assert rel(r3.gamma_total, 3 * r1.gamma_total) < 1e-15
@@ -129,7 +130,7 @@ def test_total_rate_axial_only_weighting():
 def test_total_rate_zero_is_not_an_error():
     rates = total_rate(0.0, 0.0)
     assert rates.gamma_total == 0.0
-    assert rates.e_folding_time is None
+    assert rates.e_folding_time == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -256,4 +257,4 @@ def test_bound_domain_guard():
 
 def test_heating_rates_validation():
     with pytest.raises(ValueError):
-        HeatingRates(-0.1, 0.0, 0.0, None)
+        HeatingRates(-0.1, 0.0, 0.0, math.inf)

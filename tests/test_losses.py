@@ -1,13 +1,8 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 from oracles import population_rk4
 
-import latticekit
-from latticekit.losses import LossParams, loss_partition, population, xi_from_beta
+from latticekit.losses import LossParams, population, xi_from_beta
 
 GAMMA_A, BETA_A, RHO_A, N0_A = 0.6, 7.5e-12, 9e11, 4e6
 
@@ -121,59 +116,6 @@ def test_gamma_to_zero_limit_hyperbolic():
     expected = N0_A / (1.0 + two_body * t)
     values = population(t, N0_A, gamma, xi)
     assert np.max(np.abs(values - expected) / expected) < 1e-6
-
-
-# ---------------------------------------------------------------------------
-# loss partition
-
-def test_partition_at_zero():
-    assert loss_partition(0.0, N0_A, GAMMA_A, 2.8125) == (0.0, 0.0)
-
-
-def test_partition_long_time_limits():
-    t = 1e3 / GAMMA_A
-    n1, n2 = loss_partition(t, N0_A, GAMMA_A, 2.8125)
-    assert rel(n1, N0_A) < 1e-12
-    assert abs(n2) < 1e-6
-
-
-def test_partition_closure_identity():
-    xi = 2.80
-    for t in (0.05, 0.3, 1.0, 2.5, 4.0):
-        n = population(t, N0_A, GAMMA_A, xi)
-        n1, n2 = loss_partition(t, N0_A, GAMMA_A, xi)
-        assert abs(n + n1 + n2 - N0_A) < 1.0  # to better than one atom
-
-
-# Evaluates the loss partition in a fresh interpreter that refuses numpy.
-_NO_NUMPY_SCRIPT = """
-import sys
-
-
-class Block:
-    def find_spec(self, name, path=None, target=None):
-        if name == "numpy" or name.startswith("numpy."):
-            raise ImportError(f"numpy is blocked: {name}")
-        return None
-
-
-sys.meta_path.insert(0, Block())
-from latticekit.losses import loss_partition
-
-n1, n2 = loss_partition(1.0, 4e6, 0.6, 2.8125)
-print(n1 > 0 and n2 > 0)
-"""
-
-
-def test_loss_partition_runs_without_numpy():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(latticekit.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-c", _NO_NUMPY_SCRIPT],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "True"
 
 
 def test_population_monotone_in_parameters():

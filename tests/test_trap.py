@@ -11,12 +11,9 @@ from latticekit.trap import (
     TrapParameters,
     classify_regimes,
     collective_coupling,
-    density_squared_integral,
-    depth_from_axial_frequency,
     dipole_depth_and_scatter,
     intensity_for_depth,
     lattice_peak_intensity,
-    mean_density,
     peak_density,
     phase_space_density,
     polarizability,
@@ -142,8 +139,10 @@ def test_secular_frequency_100uk():
 
 
 def test_depth_round_trip_from_axial_frequency():
+    # nu_a = sqrt(2 U0 / m) / lambda inverts to U0 = m (nu_a lambda)^2 / 2
     nu_a, _ = secular_frequencies(U0_REF, LATTICE_WAVELENGTH, W0_REF, RB85)
-    assert rel(depth_from_axial_frequency(nu_a, LATTICE_WAVELENGTH, RB85), U0_REF) < 1e-10
+    depth = RB85.mass * (nu_a * LATTICE_WAVELENGTH) ** 2 / 2.0
+    assert rel(depth, U0_REF) < 1e-10
 
 
 def test_trap_parameters_validation():
@@ -237,33 +236,22 @@ def test_wells_resolved_flag():
     assert not hot.wells_resolved
 
 
-def test_density_squared_integral_conventions():
-    # lattice convention: N rho / 4  (per-cm^3 units)
-    assert density_squared_integral(1e6, 1e12) == 2.5e17
-    assert density_squared_integral(0.0, 1e12) == 0.0
-
-
-def test_mean_density_conventions():
-    assert rel(mean_density(1e6, 1e12), 2.5e11) < 1e-15
-    with pytest.raises(ValueError):
-        mean_density(0.0, 1e12)
-
-
-def test_mean_density_eta_scaling():
-    # at fixed depth and N, cooling T -> T/4 doubles eta twice over and the
-    # per-well widths halve per axis: rho_bar grows by 8 = eta^(3/2)
+def test_peak_density_eta_scaling():
+    # at fixed depth and N, cooling T -> T/4 quadruples eta and halves the
+    # thermal widths on all three axes: the density grows by 8 = 4^(3/2), the
+    # harmonic scaling rho ~ N eta^(3/2) the ramp applies to rho_peak / 4
     trap = trap_parameters(U0_REF, LATTICE_WAVELENGTH, REFERENCE_MODE, RB85)
     sigma_env_z = 5.6e-4
 
     from latticekit.trap import TrapState
 
-    def rho_bar(temp):
+    def rho_peak(temp):
         v = math.sqrt(CONST.kB * temp / RB85.mass)
         sigma_r = v / (2 * math.pi * trap.nu_radial)
         shape = thermal_cloud_shape(RB85, trap, temp, (sigma_r, sigma_r, sigma_env_z))
-        return mean_density(4e6, peak_density(TrapState(4e6, temp, trap, shape)))
+        return peak_density(TrapState(4e6, temp, trap, shape))
 
-    assert rel(rho_bar(123e-6 / 4), 8 * rho_bar(123e-6)) < 1e-12
+    assert rel(rho_peak(123e-6 / 4), 8 * rho_peak(123e-6)) < 1e-12
 
 
 def test_phase_space_density_reference_values():
