@@ -96,6 +96,9 @@ def test_linewidth_unit_case():
 def test_linewidth_tau_product_is_one():
     tau = 9.2e-6
     assert linewidth_from_ring_down(tau) * tau * 2 * math.pi == 1.0
+
+
+def test_ring_down_round_trip_machine_precision():
     # inverted by hand, the linewidth returns tau to machine precision
     for tau in (1e-7, 9.2e-6, 3.3e-3):
         assert rel(1.0 / (2 * math.pi * linewidth_from_ring_down(tau)), tau) < 1e-15
