@@ -3,44 +3,51 @@
 Free spectral range, linewidth from the ring-down time, finesse by two
 independent routes (spectral and mirror loss budget), fundamental-mode
 volume, resonant power build-up and the mode matching implied by an observed
-circulating power, for a triangular ring cavity.
+circulating power, for a triangular ring cavity. The mirrors, the cavity and
+the mode are namedtuple records (MirrorSpec, CavitySpec, ModeGeometry) whose
+constructors check the values.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constants import CONST
 from .errors import DomainError
 
 
-@dataclass(frozen=True)
-class MirrorSpec:
+class MirrorSpec(namedtuple("MirrorSpec", "transmission scatter_loss")):
     """One mirror: power transmission and scatter loss as fractions."""
 
-    transmission: float
-    scatter_loss: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.transmission < 0 or self.scatter_loss < 0:
             raise ValueError("mirror losses must be non-negative")
         if self.transmission + self.scatter_loss >= 1:
             raise ValueError("mirror loss fractions must sum below 1")
+        return self
 
     @property
     def total_loss(self) -> float:
         return self.transmission + self.scatter_loss
 
 
-@dataclass(frozen=True)
-class CavitySpec:
-    """Triangular ring cavity: three mirrors plus geometry and drive."""
+class CavitySpec(namedtuple(
+    "CavitySpec",
+    "mirrors round_trip_length input_power_per_mode mode_matching_efficiency",
+    defaults=(0.0, 1.0),
+)):
+    """Triangular ring cavity: three mirrors plus geometry and drive.
 
-    mirrors: tuple[MirrorSpec, MirrorSpec, MirrorSpec]
-    round_trip_length: float          # m
-    input_power_per_mode: float = 0.0  # W, per traveling mode
-    mode_matching_efficiency: float = 1.0
+    The round-trip length is in m and the input power in W per traveling
+    mode (default 0); the mode-matching efficiency defaults to 1.
+    """
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.mirrors) != 3:
             raise ValueError("a triangular ring needs exactly 3 mirrors")
         if self.round_trip_length <= 0:
@@ -51,6 +58,7 @@ class CavitySpec:
             raise ValueError("mode matching efficiency must be in [0, 1]")
         if self.round_trip_loss >= 1:
             raise ValueError("total round-trip loss must stay below 1")
+        return self
 
     @property
     def round_trip_loss(self) -> float:
@@ -63,16 +71,16 @@ class CavitySpec:
         return max(self.mirrors, key=lambda m: m.transmission)
 
 
-@dataclass(frozen=True)
-class ModeGeometry:
+class ModeGeometry(namedtuple("ModeGeometry", "waist_sagittal waist_transversal")):
     """Fundamental Gaussian mode, 1/e^2 intensity radii (m)."""
 
-    waist_sagittal: float
-    waist_transversal: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.waist_sagittal <= 0 or self.waist_transversal <= 0:
             raise ValueError("waists must be positive")
+        return self
 
     @property
     def effective_waist(self) -> float:

@@ -11,8 +11,10 @@ Exit codes: 0 success, 2 input or configuration error, 3 model-domain error,
 4 fit non-convergence. main is the only place that maps exceptions to codes:
 DomainError gives 3; any other ValueError (ConfigError included), an
 ArithmeticError (a derived quantity that overflows or divides by zero) or an
-OSError gives 2. A malformed command line (unknown command, missing --model
-or --out) exits 2 with argparse's usage message.
+OSError gives 2. An OverflowError's line names the command and says that a
+derived quantity overflows the float range. A malformed command line
+(unknown command, missing --model or --out) exits 2 with argparse's usage
+message.
 
 Only numpy-free modules are imported here, and cavity, trap, simulate, bound
 (with or without --psd) and ramp never load numpy; the array commands, fit
@@ -27,6 +29,7 @@ import os
 import sys
 
 from .cavity import (
+    CavitySpec,
     circulating_power,
     finesse_from_linewidth,
     finesse_from_losses,
@@ -139,15 +142,16 @@ def cmd_cavity(cfg, args):
 
 
 def cmd_trap(cfg, args):
-    import dataclasses
-
     species = RB85
-    trap = trap_from_config(cfg, species)
-    state = state_from_config(cfg, species)
+    state = state_from_config(cfg)
+    trap = state.trap
     # the trap chain is driven at its own input power setting
-    cavity = dataclasses.replace(
-        cavity_from_config(cfg),
-        input_power_per_mode=cfg["trap.input_power_uW"] * 1e-6,
+    base = cavity_from_config(cfg)
+    cavity = CavitySpec(
+        base.mirrors,
+        base.round_trip_length,
+        cfg["trap.input_power_uW"] * 1e-6,
+        base.mode_matching_efficiency,
     )
     mode = mode_from_config(cfg)
     regimes = classify_regimes(trap, species)
@@ -519,6 +523,11 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"model domain error: {exc}", file=sys.stderr)
         return 3
+    except OverflowError as exc:
+        # a float power raises with (errno, text) as its arguments
+        print(f"error: {ns.command}: a derived quantity overflows the float "
+              f"range ({exc.args[-1]})", file=sys.stderr)
+        return 2
     except (ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ import math
 import os
 
 from .cavity import CavitySpec, MirrorSpec, ModeGeometry
-from .constants import CONST, RB85, Species
+from .constants import CONST, RB85
 from .errors import ConfigError
 from .trap import TrapParameters, TrapState, thermal_cloud_shape, trap_parameters
 
@@ -161,19 +161,19 @@ def mode_from_config(cfg: dict) -> ModeGeometry:
     )
 
 
-def trap_from_config(cfg: dict, species: Species = RB85) -> TrapParameters:
+def trap_from_config(cfg: dict) -> TrapParameters:
     return trap_parameters(
         u0=cfg["trap.depth_uK"] * 1e-6 * CONST.kB,
         wavelength=cfg["trap.laser_wavelength_nm"] * 1e-9,
         mode=mode_from_config(cfg),
-        species=species,
+        species=RB85,
     )
 
 
-def state_from_config(cfg: dict, species: Species = RB85) -> TrapState:
-    trap = trap_from_config(cfg, species)
+def state_from_config(cfg: dict) -> TrapState:
+    trap = trap_from_config(cfg)
     shape = thermal_cloud_shape(
-        species,
+        RB85,
         trap,
         cfg["sample.temperature_uK"] * 1e-6,
         (

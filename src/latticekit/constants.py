@@ -1,28 +1,29 @@
 """Physical constants and rubidium-85 atomic data.
 
 Values are compile-time literals (CODATA 2018 and standard alkali tables) so
-that every run reproduces the same numbers bit for bit.
+that every run reproduces the same numbers bit for bit. CONST and RB85 are
+instances of the namedtuple records PhysicalConstants and Species, whose
+constructors check the values.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fundamental constants, SI units."""
+class PhysicalConstants(namedtuple("PhysicalConstants", "c h hbar kB eps0 g")):
+    """Fundamental constants, SI units: the speed of light c (m/s), the
+    Planck constant h and reduced Planck constant hbar (J s), the Boltzmann
+    constant kB (J/K), the vacuum permittivity eps0 (F/m) and the standard
+    gravitational acceleration g (m/s^2)."""
 
-    c: float      # speed of light, m/s
-    h: float      # Planck constant, J s
-    hbar: float   # reduced Planck constant, J s
-    kB: float     # Boltzmann constant, J/K
-    eps0: float   # vacuum permittivity, F/m
-    g: float      # standard gravitational acceleration, m/s^2
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("c", "h", "hbar", "kB", "eps0", "g"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"constant {name} must be positive")
+        return self
 
 
 _H = 6.62607015e-34
@@ -41,24 +42,24 @@ ATOMIC_MASS_UNIT = 1.66053906660e-27  # kg
 M3_TO_CM3 = 1e6  # cm^3 per m^3
 
 
-@dataclass(frozen=True)
-class Species:
-    """Atomic species data for the two-line (D2 + D1) trap model."""
+class Species(namedtuple(
+    "Species", "name mass lambda_d2 lambda_d1 gamma_natural line_strengths"
+)):
+    """Atomic species data for the two-line (D2 + D1) trap model: the mass
+    (kg), the D2 and D1 transition wavelengths (m), the D2 natural linewidth
+    (rad/s) and the (D2, D1) relative dipole weights."""
 
-    name: str
-    mass: float                       # kg
-    lambda_d2: float                  # D2 transition wavelength, m
-    lambda_d1: float                  # D1 transition wavelength, m
-    gamma_natural: float              # D2 natural linewidth, rad/s
-    line_strengths: tuple[float, float]  # (D2, D1) relative dipole weights
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.mass <= 0:
             raise ValueError("mass must be positive")
         if self.lambda_d1 <= self.lambda_d2:
             raise ValueError("D1 wavelength must exceed D2 wavelength")
         if abs(sum(self.line_strengths) - 1.0) > 1e-12:
             raise ValueError("line strengths must sum to 1")
+        return self
 
 
 RB85 = Species(

@@ -18,7 +18,7 @@ tests/oracles.evaporation_rate; the two must agree to machine precision
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constants import CONST, M3_TO_CM3, Species, reduced_mass, thermal_velocity
 from .errors import DomainError
@@ -121,14 +121,7 @@ def temperature(t, t0, epsilon_value, xi, gamma_per_s):
 # ---------------------------------------------------------------------------
 # photo-associative-loss scaling comparator
 
-@dataclass(frozen=True)
-class PacComparison:
-    """Predicted change of the photo-associative loss rate between states."""
-
-    ratio: float
-    direction: str       # "decrease", "increase" or "unchanged"
-    regime: str
-    eta_consistent: bool  # False when the equal-eta assumption is violated
+PacComparison = namedtuple("PacComparison", "ratio direction regime eta_consistent")
 
 
 def pac_scaling_comparator(state_a: TrapState, state_b: TrapState,
@@ -140,6 +133,9 @@ def pac_scaling_comparator(state_a: TrapState, state_b: TrapState,
     unitarity regime: T sigma_cc constant, ratio = N_b / N_a.
     zero_T regime: T sigma_cc grows with T, ratio bounded by
     N_b T_b / (N_a T_a).
+
+    The direction is "decrease", "increase" or "unchanged", and
+    eta_consistent is False when the equal-eta assumption is violated.
     """
     eta_a, eta_b = state_a.eta, state_b.eta
     consistent = abs(eta_b - eta_a) <= eta_tolerance * eta_a

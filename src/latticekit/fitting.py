@@ -3,16 +3,17 @@
 A damped Gauss-Newton engine with Marquardt scaling binds the closed-form
 models to measured series: (gamma, beta) from N(t) data and the
 energy-removal coefficient from T(t) data. The models themselves are
-losses.population and evaporation.temperature. Each fit returns the weighted
-residuals (model - data)/sigma at its optimum, their sum of squares and the
-degrees of freedom (points minus free parameters: 3 for the decay, 1 for the
-cooling law), so the reduced chi^2 and the covariance share one count.
-Everything is double precision with a fixed iteration order, so identical
-inputs give bit-identical fits.
+losses.population and evaporation.temperature. A Dataset record holds the
+series as float arrays, checked when it is built. Each fit returns a
+FitResult record with the weighted residuals (model - data)/sigma at its
+optimum, their sum of squares and the degrees of freedom (points minus free
+parameters: 3 for the decay, 1 for the cooling law), so the reduced chi^2
+and the covariance share one count. Everything is double precision with a
+fixed iteration order, so identical inputs give bit-identical fits.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -20,22 +21,18 @@ from .evaporation import temperature
 from .losses import population, xi_from_beta
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Timestamped measurement series; sigma defaults to 1 (unweighted)."""
+class Dataset(namedtuple("Dataset", "t value sigma", defaults=(None,))):
+    """Timestamped measurement series of float arrays; sigma defaults to 1
+    (unweighted). len() is the row count."""
 
-    t: np.ndarray
-    value: np.ndarray
-    sigma: np.ndarray | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        v = np.asarray(self.value, dtype=float)
-        s = (
-            np.ones_like(v)
-            if self.sigma is None
-            else np.asarray(self.sigma, dtype=float)
-        )
+    def __new__(cls, *args, **kwargs):
+        # binds the arguments by name; the record is built from the arrays
+        t, value, sigma = super().__new__(cls, *args, **kwargs)
+        t = np.asarray(t, dtype=float)
+        v = np.asarray(value, dtype=float)
+        s = np.ones_like(v) if sigma is None else np.asarray(sigma, dtype=float)
         if t.ndim != 1 or t.size != v.size or s.size != v.size:
             raise ValueError("t, value and sigma must be 1-d of equal length")
         if not all(np.all(np.isfinite(x)) for x in (t, v, s)):
@@ -48,27 +45,22 @@ class Dataset:
             raise ValueError("values must be positive")
         if np.any(s <= 0):
             raise ValueError("sigmas must be positive")
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "value", v)
-        object.__setattr__(self, "sigma", s)
+        return super().__new__(cls, t, v, s)
 
     def __len__(self):
         return self.t.size
 
 
-@dataclass(frozen=True)
-class FitResult:
-    """Fitted parameters with 1-sigma uncertainties and diagnostics."""
+class FitResult(namedtuple(
+    "FitResult",
+    "params uncertainties residuals rss dof converged iterations message model",
+)):
+    """Fitted parameters with 1-sigma uncertainties and diagnostics: the
+    weighted residuals (model - data)/sigma at the optimum, their sum of
+    squares rss and the degrees of freedom dof (points minus free
+    parameters)."""
 
-    params: dict
-    uncertainties: dict
-    residuals: np.ndarray  # weighted, (model - data)/sigma at the optimum
-    rss: float
-    dof: int               # points minus free parameters
-    converged: bool
-    iterations: int
-    message: str
-    model: str
+    __slots__ = ()
 
     @property
     def chi2_reduced(self):

@@ -10,30 +10,30 @@ Cooling plus heating has the closed form combined_temperature.
 
 import bisect
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DomainError
 from .evaporation import temperature, time_argument
 
 
-@dataclass(frozen=True)
-class NoiseSpectrum:
-    """One-sided PSD of relative well-depth fluctuations (1/Hz)."""
+class NoiseSpectrum(namedtuple("NoiseSpectrum", "freq_hz s_rel_per_hz")):
+    """One-sided PSD of relative well-depth fluctuations (1/Hz); both
+    columns are stored as tuples of floats."""
 
-    freq_hz: tuple[float, ...]
-    s_rel_per_hz: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        f = tuple(map(float, self.freq_hz))
-        s = tuple(map(float, self.s_rel_per_hz))
+    def __new__(cls, *args, **kwargs):
+        # binds the arguments by name; the record is built from the floats
+        freq_hz, s_rel_per_hz = super().__new__(cls, *args, **kwargs)
+        f = tuple(map(float, freq_hz))
+        s = tuple(map(float, s_rel_per_hz))
         if len(f) < 2 or len(f) != len(s):
             raise ValueError("spectrum needs matching 1-d arrays, >= 2 points")
         if f[0] <= 0 or any(b <= a for a, b in zip(f, f[1:])):
             raise ValueError("frequencies must be positive and increasing")
         if any(v < 0 for v in s):
             raise ValueError("spectral density must be >= 0")
-        object.__setattr__(self, "freq_hz", f)
-        object.__setattr__(self, "s_rel_per_hz", s)
+        return super().__new__(cls, f, s)
 
     def value_at(self, freq: float) -> float:
         """Interpolate linearly in log-frequency; no extrapolation.
@@ -56,18 +56,19 @@ class NoiseSpectrum:
         return slope * (math.log(freq) - x0) + s[j]
 
 
-@dataclass(frozen=True)
-class HeatingRates:
-    """Axial/radial parametric heating rates and their thermal combination."""
+class HeatingRates(namedtuple(
+    "HeatingRates", "gamma_axial gamma_radial gamma_total e_folding_time"
+)):
+    """Axial/radial parametric heating rates and their thermal combination
+    (1/s), with the e-folding time (s, inf when there is no heating)."""
 
-    gamma_axial: float
-    gamma_radial: float
-    gamma_total: float
-    e_folding_time: float  # s, inf when there is no heating
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.gamma_axial < 0 or self.gamma_radial < 0:
             raise ValueError("rates must be >= 0")
+        return self
 
 
 def parametric_rate(spectrum: NoiseSpectrum, trap_frequency: float) -> float:

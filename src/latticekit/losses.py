@@ -12,25 +12,24 @@ matching how such coefficients are conventionally quoted.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .evaporation import time_argument
 
 
-@dataclass(frozen=True)
-class LossParams:
+class LossParams(namedtuple("LossParams", "gamma_per_s beta_cm3_per_s xi")):
     """Decay parameters: background rate, two-body coefficient and their
     dimensionless combination xi."""
 
-    gamma_per_s: float
-    beta_cm3_per_s: float
-    xi: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.gamma_per_s <= 0:
             raise ValueError("gamma must be positive")
         if self.beta_cm3_per_s < 0 or self.xi < 0:
             raise ValueError("beta and xi must be >= 0")
+        return self
 
     @classmethod
     def from_beta(cls, gamma_per_s, beta_cm3_per_s, rho_peak_per_cm3):

@@ -6,7 +6,7 @@ fractional width noise and the fit solves the linear least squares in t^2.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -34,17 +34,17 @@ def expansion_sigma(sigma0, temperature, t, species):
     return float(result) if np.isscalar(t) else result
 
 
-@dataclass(frozen=True)
-class ExpansionSeries:
-    """Measured or synthetic expansion widths versus flight time."""
+class ExpansionSeries(namedtuple("ExpansionSeries", "times sigma amplitude")):
+    """Measured or synthetic expansion widths sigma (m) versus flight time
+    (s), with amplitudes in counts (peak areal density scale)."""
 
-    times: np.ndarray      # s
-    sigma: np.ndarray      # m
-    amplitude: np.ndarray  # counts (peak areal density scale)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (len(self.times) == len(self.sigma) == len(self.amplitude)):
             raise ValueError("series columns must have equal length")
+        return self
 
 
 def synthesize_expansion(n_atoms, temperature, sigma0, times, noise_sigma,
@@ -67,17 +67,8 @@ def synthesize_expansion(n_atoms, temperature, sigma0, times, noise_sigma,
     return ExpansionSeries(times=t, sigma=sigma_meas, amplitude=n_atoms / area)
 
 
-@dataclass(frozen=True)
-class ExpansionFit:
-    """Temperature, initial width and atom number recovered from a series."""
-
-    temperature: float
-    temperature_err: float
-    sigma0: float
-    sigma0_err: float
-    n_atoms: float
-    n_atoms_err: float
-    degenerate: bool  # True when the fitted sigma0^2 came out non-positive
+ExpansionFit = namedtuple("ExpansionFit", "temperature temperature_err sigma0 "
+                          "sigma0_err n_atoms n_atoms_err degenerate")
 
 
 def fit_expansion(series: ExpansionSeries, species: Species) -> ExpansionFit:
@@ -85,6 +76,9 @@ def fit_expansion(series: ExpansionSeries, species: Species) -> ExpansionFit:
 
     Linear in t^2, solved by closed-form normal equations; uncertainties
     from the residual covariance. Order of the records is irrelevant.
+    Returns the temperature (K), initial width (m) and atom number with
+    their errors; degenerate is True when the fitted sigma0^2 came out
+    non-positive, and the width is then nan.
     """
     if len(series.times) < 3:
         raise ValueError("need at least 3 distinct expansion times")

@@ -12,7 +12,7 @@ Everything here is scalar arithmetic on math, so the ramp never loads numpy.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constants import M3_TO_CM3, Species, thermal_velocity
 from .evaporation import beta_esc, epsilon, eta, unitarity_cross_section
@@ -21,33 +21,27 @@ from .trap import TrapState
 RETHERMALIZATION_MODES = ("collision-gated", "instant", "off")
 
 
-@dataclass(frozen=True)
-class RampProfile:
-    """Linear well-depth ramp; duration 0 means a sudden jump."""
+class RampProfile(namedtuple("RampProfile", "u_initial u_final duration")):
+    """Linear well-depth ramp from u_initial to u_final (J) over a duration
+    (s); duration 0 means a sudden jump."""
 
-    u_initial: float  # J
-    u_final: float    # J
-    duration: float   # s
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.u_initial <= 0 or self.u_final <= 0:
             raise ValueError("depths must be positive")
         if self.duration < 0:
             raise ValueError("duration must be >= 0")
+        return self
 
     def depth_at(self, fraction: float) -> float:
         return self.u_initial + (self.u_final - self.u_initial) * fraction
 
 
-@dataclass(frozen=True)
-class RampResult:
-    """End point of a ramp simulation."""
-
-    t_final: float              # K
-    n_final: float
-    adiabatic_reference: float  # K, pure-adiabatic end temperature
-    eta_final: float
-    quasi_static: bool
+RampResult = namedtuple(
+    "RampResult", "t_final n_final adiabatic_reference eta_final quasi_static"
+)
 
 
 def adiabatic_final_temperature(t_initial, u_initial, u_final):
@@ -65,7 +59,10 @@ def ramp_simulate(state: TrapState, profile: RampProfile, species: Species,
 
     The state supplies N and T, rho_bar_per_cm3 the initial mean density;
     the profile defines the depth path. The mean density follows the
-    harmonic scaling rho_bar ~ N eta^(3/2) along the ramp.
+    harmonic scaling rho_bar ~ N eta^(3/2) along the ramp. The end point
+    holds the final temperature t_final (K), atom number and eta, the
+    pure-adiabatic end temperature adiabatic_reference (K) and the
+    quasi-static flag.
     """
     if rethermalization not in RETHERMALIZATION_MODES:
         raise ValueError(
@@ -96,12 +93,13 @@ def ramp_simulate(state: TrapState, profile: RampProfile, species: Species,
     n0 = state.n_atoms
     dt = profile.duration / steps
     quasi_static = True
+    nu_r0, u_ref = state.trap.nu_radial, state.trap.u0
 
     for i in range(steps):
         u_new = profile.depth_at((i + 1) / steps)
         # fractional depth change per step must stay slow on the radial
         # oscillation timescale for the quasi-static picture to hold
-        nu_r = state.trap.nu_radial * math.sqrt(u / state.trap.u0)
+        nu_r = nu_r0 * math.sqrt(u / u_ref)
         if abs(u_new - u) / u / dt > nu_r:
             quasi_static = False
         temp *= math.sqrt(u_new / u)

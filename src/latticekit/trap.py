@@ -16,10 +16,14 @@ width, i.e. the smooth envelope density boosted by the axial bunching factor
 not predictions. Gravity is neglected: the axial confinement is orders of
 magnitude stiffer than the gravitational sag scale even though the lattice
 is vertical.
+
+The well (TrapParameters), the cloud shape (CloudShape) and the sample
+(TrapState) are namedtuple records whose constructors check the values;
+RegimeFlags is a plain namedtuple of four flags.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .constants import CONST, Species
 from .cavity import ModeGeometry
@@ -113,20 +117,20 @@ def recoil_frequency(species: Species, wavelength: float) -> float:
     return CONST.hbar * k**2 / (4.0 * math.pi * species.mass)
 
 
-@dataclass(frozen=True)
-class TrapParameters:
-    """Harmonic well parameters of the lattice."""
+class TrapParameters(namedtuple("TrapParameters", "u0 wavelength nu_axial nu_radial")):
+    """Harmonic well parameters of the lattice: the well depth u0 (J), the
+    lattice laser wavelength (m) and the axial and radial secular
+    frequencies (Hz)."""
 
-    u0: float                  # well depth, J
-    wavelength: float          # lattice laser wavelength, m
-    nu_axial: float            # Hz
-    nu_radial: float           # Hz
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.u0 <= 0:
             raise ValueError("well depth must be positive")
         if self.nu_axial <= self.nu_radial:
             raise ValueError("axial frequency must exceed radial for this geometry")
+        return self
 
 
 def trap_parameters(u0, wavelength, mode: ModeGeometry, species) -> TrapParameters:
@@ -135,19 +139,13 @@ def trap_parameters(u0, wavelength, mode: ModeGeometry, species) -> TrapParamete
     return TrapParameters(u0, wavelength, nu_a, nu_r)
 
 
-@dataclass(frozen=True)
-class RegimeFlags:
-    """Confinement-regime classification per degree of freedom."""
-
-    lamb_dicke_axial: bool
-    lamb_dicke_radial: bool
-    strong_confinement_axial: bool
-    strong_confinement_radial: bool
+RegimeFlags = namedtuple("RegimeFlags", "lamb_dicke_axial lamb_dicke_radial "
+                         "strong_confinement_axial strong_confinement_radial")
 
 
 def classify_regimes(trap: TrapParameters, species: Species) -> RegimeFlags:
     """Lamb-Dicke (nu above recoil) and strong-confinement (nu above natural
-    linewidth) flags, strict inequalities."""
+    linewidth) flags per degree of freedom, strict inequalities."""
     nu_rec = recoil_frequency(species, trap.wavelength)
     nu_gamma = species.gamma_natural / (2.0 * math.pi)
     return RegimeFlags(
@@ -161,19 +159,19 @@ def classify_regimes(trap: TrapParameters, species: Species) -> RegimeFlags:
 # ---------------------------------------------------------------------------
 # cloud shape and densities
 
-@dataclass(frozen=True)
-class CloudShape:
-    """Gaussian envelope of well populations plus per-well thermal widths (m)."""
+class CloudShape(namedtuple("CloudShape", "envelope_sigma per_well_sigma well_spacing")):
+    """Gaussian envelope of well populations plus per-well thermal widths,
+    each an (x, y, z) triple, and the well spacing (m)."""
 
-    envelope_sigma: tuple[float, float, float]
-    per_well_sigma: tuple[float, float, float]
-    well_spacing: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if any(s <= 0 for s in self.envelope_sigma + self.per_well_sigma):
             raise ValueError("all widths must be positive")
         if self.well_spacing <= 0:
             raise ValueError("well spacing must be positive")
+        return self
 
     @property
     def wells_resolved(self) -> bool:
@@ -196,20 +194,18 @@ def thermal_cloud_shape(species, trap: TrapParameters, temperature,
     )
 
 
-@dataclass(frozen=True)
-class TrapState:
-    """Sample of N atoms at temperature T in a given trap and cloud shape."""
+class TrapState(namedtuple("TrapState", "n_atoms temperature trap shape")):
+    """Sample of N atoms at temperature T (K) in a given trap and cloud shape."""
 
-    n_atoms: float
-    temperature: float  # K
-    trap: TrapParameters
-    shape: CloudShape
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n_atoms < 0:
             raise ValueError("atom number must be >= 0")
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
+        return self
 
     @property
     def eta(self) -> float:

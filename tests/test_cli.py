@@ -149,6 +149,9 @@ def _case(case_id, argv, stderr_has=None):
     _case("cavity-ring_down_us-0", "cavity --ring_down_us 0"),
     _case("cavity-ring_down_us-inf", "cavity --ring_down_us inf"),
     _case("trap-laser_wavelength_nm-780.24", "trap --laser_wavelength_nm 780.24"),
+    # the trap report rebuilds its cavity at this power, through the checks
+    _case("trap-trap.input_power_uW--1", "trap --trap.input_power_uW -1",
+          stderr_has="input power"),
     _case("cavity-out-in-missing-directory", "cavity --out {tmp}/missing/x.txt",
           stderr_has="{tmp}/missing/x.txt"),
     _case("cavity-out-is-a-directory", "cavity --out {tmp}", stderr_has="{tmp}"),
@@ -199,10 +202,13 @@ def _case(case_id, argv, stderr_has=None):
           "ramp --mode.diameter_transversal_um 1e-300"),
     _case("bound-psd-mode.diameter_sagittal_um-1e-300",
           "bound --psd {fixtures}/psd_noisy.csv --mode.diameter_sagittal_um 1e-300"),
-    _case("trap-trap.laser_wavelength_nm-1e-200", "trap --trap.laser_wavelength_nm 1e-200"),
-    _case("ramp-trap.depth_uK-1e300", "ramp --trap.depth_uK 1e300"),
+    _case("trap-trap.laser_wavelength_nm-1e-200", "trap --trap.laser_wavelength_nm 1e-200",
+          stderr_has="error: trap: a derived quantity overflows the float range"),
+    _case("ramp-trap.depth_uK-1e300", "ramp --trap.depth_uK 1e300",
+          stderr_has="error: ramp: a derived quantity overflows the float range"),
     _case("fit-decay-sample.rho_peak_per_cm3-1e-200",
-          "fit --kind decay --data {fixtures}/decay_noisy.csv --sample.rho_peak_per_cm3 1e-200"),
+          "fit --kind decay --data {fixtures}/decay_noisy.csv --sample.rho_peak_per_cm3 1e-200",
+          stderr_has="error: fit: a derived quantity overflows the float range"),
     # numpy overflows in the decay fit's Jacobian or beta, without a warning
     _case("fit-decay-sample.rho_peak_per_cm3-5e-324",
           "fit --kind decay --data {fixtures}/decay_noisy.csv --sample.rho_peak_per_cm3 5e-324"),
@@ -665,51 +671,71 @@ for argv in RUNS:
 _SRC = os.path.dirname(os.path.dirname(os.path.abspath(latticekit.__file__)))
 
 
-def _run_with_blocked(module, runs):
+def _run_with_blocked(module, runs, cwd=None):
     env = dict(os.environ, PYTHONPATH=_SRC)
     script = f"BLOCKED = {module!r}\nRUNS = {runs!r}\n" + _BLOCKED_SCRIPT
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=cwd,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
 
 
-def test_commands_run_without_scipy(tmp_path):
-    def out(name):
-        return str(tmp_path / name)
+# One run of each of the 12 command variants. The output paths are relative:
+# the runs write into their working directory, which holds psd.csv.
+COMMAND_RUNS = [
+    ["cavity"],
+    ["trap"],
+    ["simulate", "--model", "decay", "--out", "decay.csv"],
+    ["simulate", "--model", "temperature", "--out", "temperature.csv"],
+    ["simulate", "--model", "combined", "--out", "combined.csv"],
+    ["fit", "--kind", "decay", "--data", os.path.join(FIXTURES, "decay_noisy.csv")],
+    ["fit", "--kind", "temperature", "--data", "temperature.csv"],
+    ["fit", "--kind", "tof", "--data", os.path.join(FIXTURES, "tof_noisy.csv")],
+    ["bound"],
+    ["bound", "--psd", "psd.csv"],
+    ["tof", "--out", "tof.csv"],
+    ["ramp"],
+]
 
+
+def _run_commands_with_blocked(module, tmp_path):
     (tmp_path / "psd.csv").write_text("freq_hz,S_rel_per_hz\n100,1e-13\n1e6,1e-13\n")
-    _run_with_blocked("scipy", [
-        ["cavity"],
-        ["trap"],
-        ["simulate", "--model", "decay", "--out", out("decay.csv")],
-        ["simulate", "--model", "temperature", "--out", out("temperature.csv")],
-        ["simulate", "--model", "combined", "--out", out("combined.csv")],
-        ["fit", "--kind", "decay", "--data", os.path.join(FIXTURES, "decay_noisy.csv")],
-        ["fit", "--kind", "temperature", "--data", out("temperature.csv")],
-        ["fit", "--kind", "tof", "--data", os.path.join(FIXTURES, "tof_noisy.csv")],
-        ["bound"],
-        ["bound", "--psd", out("psd.csv")],
-        ["tof", "--out", out("tof.csv")],
-        ["ramp"],
-    ])
+    _run_with_blocked(module, COMMAND_RUNS, cwd=tmp_path)
 
 
-# Imports the CLI in a fresh interpreter without site (-S): the site
-# packages' .pth files may import tempfile themselves.
-_NO_TEMPFILE_SCRIPT = """
+def test_commands_run_without_scipy(tmp_path):
+    _run_commands_with_blocked("scipy", tmp_path)
+
+
+def test_commands_run_without_dataclasses(tmp_path):
+    # the records are namedtuple classes; numpy loads inspect, not dataclasses
+    _run_commands_with_blocked("dataclasses", tmp_path)
+
+
+# Imports the CLI in a fresh interpreter without site (-S), where the site
+# packages' .pth files cannot import the modules named on the command line.
+_UNLOADED_SCRIPT = """
 import sys
 
 import latticekit.cli
 
-assert "tempfile" not in sys.modules, "import latticekit.cli loaded tempfile"
+loaded = [name for name in sys.argv[1:] if name in sys.modules]
+assert not loaded, f"import latticekit.cli loaded {loaded}"
 """
 
 
-def test_cli_import_leaves_tempfile_unloaded():
-    proc = subprocess.run([sys.executable, "-S", "-c", _NO_TEMPFILE_SCRIPT],
+def _assert_cli_import_leaves_unloaded(*modules):
+    proc = subprocess.run([sys.executable, "-S", "-c", _UNLOADED_SCRIPT, *modules],
                           env=dict(os.environ, PYTHONPATH=_SRC),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_tempfile_unloaded():
+    _assert_cli_import_leaves_unloaded("tempfile")
+
+
+def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
+    _assert_cli_import_leaves_unloaded("dataclasses", "inspect")
 
 
 def test_scalar_commands_run_without_numpy(tmp_path):

@@ -21,6 +21,7 @@ from latticekit.evaporation import (
     truncated_r4_integral,
     unitarity_cross_section,
 )
+from latticekit.trap import TrapState
 
 U0_A = 350e-6 * CONST.kB
 U0_B = 100e-6 * CONST.kB
@@ -285,10 +286,7 @@ def test_pac_identical_states():
 
 def test_pac_zero_t_regime():
     a = state_a()
-    colder = state_a()
-    import dataclasses
-
-    colder = dataclasses.replace(a, temperature=a.temperature / 2)
+    colder = TrapState(a.n_atoms, a.temperature / 2, a.trap, a.shape)
     result = pac_scaling_comparator(a, colder, "zero_T")
     assert result.ratio < 1.0
     assert result.direction == "decrease"

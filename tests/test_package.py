@@ -1,5 +1,6 @@
-"""The package namespace: `import latticekit` binds only `__version__`, and
-every public name has one import path, the module that defines it."""
+"""The package namespace: `import latticekit` binds only `__version__`,
+every public name has one import path, the module that defines it, and the
+records are read-only."""
 
 import importlib
 import inspect
@@ -8,8 +9,15 @@ import subprocess
 import sys
 
 import pytest
+from conftest import state_a
 
 import latticekit
+from latticekit.cavity import CavitySpec, MirrorSpec
+from latticekit.constants import CONST, RB85
+from latticekit.fitting import Dataset
+from latticekit.heating import NoiseSpectrum
+from latticekit.losses import LossParams
+from latticekit.ramp import RampProfile
 
 # Every public name, by defining module (the README's library table).
 EXPORTS = {
@@ -119,3 +127,28 @@ def test_import_binds_only_version():
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# One record per module, with the field that is assigned.
+RECORDS = [
+    pytest.param(CONST, "c", id="CONST"),
+    pytest.param(RB85, "mass", id="RB85"),
+    pytest.param(CavitySpec((MirrorSpec(23e-6, 3e-6),) * 3, 0.097),
+                 "input_power_per_mode", id="CavitySpec"),
+    pytest.param(state_a(), "temperature", id="TrapState"),
+    pytest.param(LossParams(0.6, 7.5e-12, 0.1), "xi", id="LossParams"),
+    pytest.param(NoiseSpectrum((100.0, 1e6), (1e-13, 1e-13)), "s_rel_per_hz",
+                 id="NoiseSpectrum"),
+    pytest.param(RampProfile(4.8e-27, 2.0e-27, 0.07), "duration", id="RampProfile"),
+    pytest.param(Dataset([0.0, 1.0], [2.0, 1.0]), "sigma", id="Dataset"),
+]
+
+
+@pytest.mark.parametrize(("record", "field"), RECORDS)
+def test_record_fields_cannot_be_assigned(record, field):
+    before = getattr(record, field)
+    with pytest.raises(AttributeError):
+        setattr(record, field, before)
+    with pytest.raises(AttributeError):
+        record.extra_field = 1.0
+    assert getattr(record, field) is before
