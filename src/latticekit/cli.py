@@ -46,13 +46,13 @@ from .config import (
     state_from_config,
     trap_from_config,
 )
-from .constants import CONST, RB85
+from .constants import CONST
 from .errors import ConfigError, DomainError
+from .evaporation import eta
 from .heating import bound_gamma_tot, combined_temperature, rates_from_spectrum
 from .losses import LossParams, population
 from .ramp import RampProfile, ramp_simulate
 from .tabular import (
-    TRAJECTORY_DIGITS,
     atomic_write_text,
     format_value,
     read_dataset,
@@ -70,7 +70,6 @@ from .trap import (
     peak_density,
     phase_space_density,
     polarizability,
-    state_phase_space_density,
 )
 
 COMPUTED = "computed"
@@ -89,24 +88,21 @@ def _reject_nan(label, value):
         raise ValueError(f"{label} is nan; refusing to report it")
 
 
-def render_report(sections):
-    """(text, csv) renderings of [(section, [(key, value, provenance)])]."""
-    text_lines = []
+def render_report(name, entries):
+    """(text, csv) renderings of section name's [(key, value, provenance)]."""
+    text_lines = [f"[{name}]"]
     csv_lines = ["section,key,value,provenance"]
-    for name, entries in sections:
-        text_lines.append(f"[{name}]")
-        for key, value, provenance in entries:
-            _reject_nan(f"{name}.{key}", value)
-            text_lines.append(
-                f"{key} = {format_value(value, REPORT_DIGITS)}  # {provenance}"
-            )
-            csv_lines.append(f"{name},{key},{format_value(value)},{provenance}")
-        text_lines.append("")
-    return "\n".join(text_lines).rstrip() + "\n", "\n".join(csv_lines) + "\n"
+    for key, value, provenance in entries:
+        _reject_nan(f"{name}.{key}", value)
+        text_lines.append(
+            f"{key} = {format_value(value, REPORT_DIGITS)}  # {provenance}"
+        )
+        csv_lines.append(f"{name},{key},{format_value(value)},{provenance}")
+    return "\n".join(text_lines) + "\n", "\n".join(csv_lines) + "\n"
 
 
-def _emit_report(sections, out):
-    text, csv_text = render_report(sections)
+def _emit_report(name, entries, out):
+    text, csv_text = render_report(name, entries)
     sys.stdout.write(text)
     if out:
         atomic_write_text(out, text)
@@ -137,12 +133,11 @@ def cmd_cavity(cfg, args):
         ("input_power_uW", cfg["cavity.input_power_uW"], CONFIGURED),
         ("circulating_power_w", circulating_power(cavity), COMPUTED),
     ]
-    _emit_report([("cavity", entries)], args.out)
+    _emit_report("cavity", entries, args.out)
     return 0
 
 
 def cmd_trap(cfg, args):
-    species = RB85
     state = state_from_config(cfg)
     trap = state.trap
     # the trap chain is driven at its own input power setting
@@ -154,21 +149,21 @@ def cmd_trap(cfg, args):
         base.mode_matching_efficiency,
     )
     mode = mode_from_config(cfg)
-    regimes = classify_regimes(trap, species)
+    regimes = classify_regimes(trap)
 
     rho_model = peak_density(state)                      # m^-3
-    rho_configured = cfg["sample.rho_peak_per_cm3"] * 1e6
-    alpha = polarizability(species, trap.wavelength)
+    rho_configured = _rho_peak_per_cm3(cfg) * 1e6
+    alpha = polarizability(trap.wavelength)
     rnf = collective_coupling(
         alpha, trap.wavelength, mode.effective_waist,
         state.n_atoms, finesse_from_losses(cavity),
     )
-    u_unit, rate_unit = dipole_depth_and_scatter(1.0, trap.wavelength, species)
+    u_unit, rate_unit = dipole_depth_and_scatter(1.0, trap.wavelength)
     depth_scatter_ratio = abs(u_unit) / rate_unit        # J s
     scattering_rate = trap.u0 / depth_scatter_ratio
 
     # the power per mode whose standing wave reaches the configured depth
-    intensity = intensity_for_depth(trap.u0, trap.wavelength, species)
+    intensity = intensity_for_depth(trap.u0, trap.wavelength)
     p_implied = intensity / lattice_peak_intensity(1.0, mode)
     entries = [
         ("depth_uK", cfg["trap.depth_uK"], CONFIGURED),
@@ -182,13 +177,17 @@ def cmd_trap(cfg, args):
         ("strong_confinement_radial", regimes.strong_confinement_radial, COMPUTED),
         ("atom_number", cfg["sample.atom_number"], CONFIGURED),
         ("temperature_uK", cfg["sample.temperature_uK"], CONFIGURED),
-        ("eta", state.eta, COMPUTED),
+        ("eta", eta(trap.u0, state.temperature), COMPUTED),
         ("peak_density_model_per_cm3", rho_model * 1e-6, COMPUTED),
         ("rho_peak_per_cm3", cfg["sample.rho_peak_per_cm3"], CONFIGURED),
-        ("phase_space_density_model", state_phase_space_density(state, species), COMPUTED),
+        (
+            "phase_space_density_model",
+            phase_space_density(rho_model, state.temperature),
+            COMPUTED,
+        ),
         (
             "phase_space_density",
-            phase_space_density(species, rho_configured, state.temperature),
+            phase_space_density(rho_configured, state.temperature),
             COMPUTED,
         ),
         ("scattering_rate_model_per_s", scattering_rate, COMPUTED),
@@ -198,7 +197,7 @@ def cmd_trap(cfg, args):
         ("implied_circulating_power_w", p_implied, COMPUTED),
         ("implied_mode_matching", implied_mode_matching(cavity, p_implied), COMPUTED),
     ]
-    _emit_report([("trap", entries)], args.out)
+    _emit_report("trap", entries, args.out)
     return 0
 
 
@@ -225,15 +224,21 @@ def _time_grid(cfg):
     return _linspace(0.0, t_max, n)
 
 
+def _rho_peak_per_cm3(cfg):
+    """The configured peak density (cm^-3); rejects a negative value."""
+    rho = cfg["sample.rho_peak_per_cm3"]
+    if rho < 0:
+        raise ConfigError("sample.rho_peak_per_cm3 must be >= 0")
+    return rho
+
+
 def _loss_params(cfg):
     """The configured decay parameters; rejects a negative density, beta or
     xi."""
-    if cfg["sample.rho_peak_per_cm3"] < 0:
-        raise ConfigError("sample.rho_peak_per_cm3 must be >= 0")
     return LossParams.from_beta(
         cfg["loss.gamma_per_s"],
         cfg["loss.beta_cm3_per_s"],
-        cfg["sample.rho_peak_per_cm3"],
+        _rho_peak_per_cm3(cfg),
     )
 
 
@@ -260,7 +265,7 @@ def cmd_simulate(cfg, args):
             gamma_tot,
         )
         values = [combined_temperature(t, *law) for t in grid]
-    write_columns(args.out, header, (grid, values), TRAJECTORY_DIGITS)
+    write_columns(args.out, header, (grid, values))
     return 0
 
 
@@ -326,7 +331,7 @@ def cmd_fit(cfg, args):
         )
     else:  # tof
         series = read_expansion(args.data)
-        fit = fit_expansion(series, RB85)
+        fit = fit_expansion(series)
         # a degenerate fit has no initial width, so its two lines are left
         # out; the slope (temperature) is still well defined
         width = [] if fit.degenerate else [
@@ -341,7 +346,7 @@ def cmd_fit(cfg, args):
             ("n_atoms_err", fit.n_atoms_err, COMPUTED),
             ("degenerate", fit.degenerate, COMPUTED),
         ]
-        _emit_report([("tof_fit", entries)], args.out)
+        _emit_report("tof_fit", entries, args.out)
         if fit.degenerate:
             print("warning: negative fitted sigma0^2, width omitted",
                   file=sys.stderr)
@@ -386,7 +391,7 @@ def cmd_bound(cfg, args):
                 COMPUTED,
             ),
         ]
-    _emit_report([("heating_bound", entries)], args.out)
+    _emit_report("heating_bound", entries, args.out)
     return 0
 
 
@@ -396,6 +401,8 @@ def cmd_tof(cfg, args):
     n_times = cfg["tof.n_times"]
     if n_times < 3:
         raise ConfigError("tof.n_times must be at least 3")
+    if cfg["tof.noise_frac"] < 0:
+        raise ConfigError("tof.noise_frac must be >= 0")
     times = _linspace(
         cfg["tof.t_min_ms"] * 1e-3, cfg["tof.t_max_ms"] * 1e-3, n_times
     )
@@ -406,7 +413,6 @@ def cmd_tof(cfg, args):
         times,
         cfg["tof.noise_frac"],
         cfg["tof.seed"],
-        RB85,
     )
     write_expansion(args.out, series)
     entries = [
@@ -417,7 +423,7 @@ def cmd_tof(cfg, args):
         ("seed", cfg["tof.seed"], CONFIGURED),
         ("n_times", n_times, CONFIGURED),
     ]
-    _emit_report([("tof_synth", entries)], None)
+    _emit_report("tof_synth", entries, None)
     return 0
 
 
@@ -431,10 +437,9 @@ def cmd_ramp(cfg, args):
     result = ramp_simulate(
         state,
         profile,
-        RB85,
         rethermalization=cfg["ramp.rethermalization"],
         steps=cfg["ramp.steps"],
-        rho_bar_per_cm3=cfg["sample.rho_peak_per_cm3"] / 4.0,
+        rho_bar_per_cm3=_rho_peak_per_cm3(cfg) / 4.0,
     )
     entries = [
         ("depth_initial_uK", cfg["trap.depth_uK"], CONFIGURED),
@@ -447,7 +452,7 @@ def cmd_ramp(cfg, args):
         ("eta_final", result.eta_final, COMPUTED),
         ("quasi_static", result.quasi_static, COMPUTED),
     ]
-    _emit_report([("ramp", entries)], args.out)
+    _emit_report("ramp", entries, args.out)
     return 0
 
 

@@ -11,7 +11,7 @@ import math
 import os
 
 from .cavity import CavitySpec, MirrorSpec, ModeGeometry
-from .constants import CONST, RB85
+from .constants import CONST
 from .errors import ConfigError
 from .trap import TrapParameters, TrapState, thermal_cloud_shape, trap_parameters
 
@@ -166,14 +166,12 @@ def trap_from_config(cfg: dict) -> TrapParameters:
         u0=cfg["trap.depth_uK"] * 1e-6 * CONST.kB,
         wavelength=cfg["trap.laser_wavelength_nm"] * 1e-9,
         mode=mode_from_config(cfg),
-        species=RB85,
     )
 
 
 def state_from_config(cfg: dict) -> TrapState:
     trap = trap_from_config(cfg)
     shape = thermal_cloud_shape(
-        RB85,
         trap,
         cfg["sample.temperature_uK"] * 1e-6,
         (

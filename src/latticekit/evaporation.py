@@ -20,7 +20,7 @@ tests/oracles.evaporation_rate; the two must agree to machine precision
 import math
 from collections import namedtuple
 
-from .constants import CONST, M3_TO_CM3, Species, reduced_mass, thermal_velocity
+from .constants import CONST, M3_TO_CM3, RB85, thermal_velocity
 from .errors import DomainError
 from .trap import TrapState
 
@@ -32,26 +32,26 @@ def eta(u0: float, temperature: float) -> float:
     return u0 / (CONST.kB * temperature)
 
 
-def unitarity_cross_section(species: Species, temperature: float) -> float:
+def unitarity_cross_section(temperature: float) -> float:
     """Unitarity-limited elastic cross section 4 pi hbar^2 / (mu^2 dv^2), m^2.
 
     dv^2 is the mean square relative velocity, twice the single-particle
-    v_rms^2.
+    v_rms^2, and mu = m/2 is the reduced mass of two identical atoms.
     """
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
-    mu = reduced_mass(species)
-    dv2 = 2.0 * thermal_velocity(species, temperature) ** 2
+    mu = RB85.mass / 2.0
+    dv2 = 2.0 * thermal_velocity(temperature) ** 2
     return 4.0 * math.pi * CONST.hbar**2 / (mu**2 * dv2)
 
 
-def beta_esc(u0: float, eta_value: float, species: Species) -> float:
+def beta_esc(u0: float, eta_value: float) -> float:
     """Equivalent two-body escape coefficient, cm^3/s (closed form)."""
     if u0 <= 0 or eta_value <= 0:
         raise ValueError("U0 and eta must be positive")
     si = (
         8.0 * math.pi * CONST.hbar**2 * eta_value**1.5 * math.exp(-eta_value)
-        / math.sqrt(3.0 * u0 * species.mass**3)
+        / math.sqrt(3.0 * u0 * RB85.mass**3)
     )
     return si * M3_TO_CM3
 
@@ -137,7 +137,8 @@ def pac_scaling_comparator(state_a: TrapState, state_b: TrapState,
     The direction is "decrease", "increase" or "unchanged", and
     eta_consistent is False when the equal-eta assumption is violated.
     """
-    eta_a, eta_b = state_a.eta, state_b.eta
+    eta_a = eta(state_a.trap.u0, state_a.temperature)
+    eta_b = eta(state_b.trap.u0, state_b.temperature)
     consistent = abs(eta_b - eta_a) <= eta_tolerance * eta_a
     if regime == "unitarity":
         ratio = state_b.n_atoms / state_a.n_atoms

@@ -3,6 +3,7 @@
 A cloud released from the lattice expands as
 sigma^2(t) = sigma0^2 + (kB T / m) t^2; the series generator adds seeded
 fractional width noise and the fit solves the linear least squares in t^2.
+The atom is 85Rb: m is constants.RB85.mass.
 """
 
 import math
@@ -10,10 +11,10 @@ from collections import namedtuple
 
 import numpy as np
 
-from .constants import CONST, Species
+from .constants import CONST, RB85
 
 
-def expansion_sigma(sigma0, temperature, t, species):
+def expansion_sigma(sigma0, temperature, t):
     """Cloud width after free expansion, sqrt(sigma0^2 + (kB T / m) t^2), m."""
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
@@ -25,7 +26,7 @@ def expansion_sigma(sigma0, temperature, t, species):
     with np.errstate(over="ignore"):
         result = np.sqrt(
             np.float64(sigma0) ** 2
-            + CONST.kB * temperature / species.mass * t_arr**2
+            + CONST.kB * temperature / RB85.mass * t_arr**2
         )
     if not np.all(np.isfinite(result)):
         raise ValueError(
@@ -36,7 +37,8 @@ def expansion_sigma(sigma0, temperature, t, species):
 
 class ExpansionSeries(namedtuple("ExpansionSeries", "times sigma amplitude")):
     """Measured or synthetic expansion widths sigma (m) versus flight time
-    (s), with amplitudes in counts (peak areal density scale)."""
+    (s), with amplitudes in counts (peak areal density scale). Times must be
+    >= 0, widths positive and amplitudes >= 0."""
 
     __slots__ = ()
 
@@ -44,11 +46,17 @@ class ExpansionSeries(namedtuple("ExpansionSeries", "times sigma amplitude")):
         self = super().__new__(cls, *args, **kwargs)
         if not (len(self.times) == len(self.sigma) == len(self.amplitude)):
             raise ValueError("series columns must have equal length")
+        if np.any(self.times < 0):
+            raise ValueError("expansion times must be >= 0")
+        if np.any(self.sigma <= 0):
+            raise ValueError("expansion widths must be positive")
+        if np.any(self.amplitude < 0):
+            raise ValueError("expansion amplitudes must be >= 0")
         return self
 
 
 def synthesize_expansion(n_atoms, temperature, sigma0, times, noise_sigma,
-                         seed, species) -> ExpansionSeries:
+                         seed) -> ExpansionSeries:
     """Deterministic synthetic expansion series.
 
     noise_sigma is the fractional Gaussian noise applied to the widths;
@@ -58,7 +66,7 @@ def synthesize_expansion(n_atoms, temperature, sigma0, times, noise_sigma,
     if np.any(t < 0):
         raise ValueError("expansion times must be >= 0")
     rng = np.random.default_rng(seed)
-    sigma_true = expansion_sigma(sigma0, temperature, t, species)
+    sigma_true = expansion_sigma(sigma0, temperature, t)
     with np.errstate(over="ignore"):
         sigma_meas = sigma_true * (1.0 + noise_sigma * rng.standard_normal(t.size))
         area = 2.0 * math.pi * sigma_true**2
@@ -71,7 +79,7 @@ ExpansionFit = namedtuple("ExpansionFit", "temperature temperature_err sigma0 "
                           "sigma0_err n_atoms n_atoms_err degenerate")
 
 
-def fit_expansion(series: ExpansionSeries, species: Species) -> ExpansionFit:
+def fit_expansion(series: ExpansionSeries) -> ExpansionFit:
     """Least squares on sigma^2(t) = sigma0^2 + (kB T / m) t^2.
 
     Linear in t^2, solved by closed-form normal equations; uncertainties
@@ -103,8 +111,8 @@ def fit_expansion(series: ExpansionSeries, species: Species) -> ExpansionFit:
     var_slope = s2 / sxx
     var_intercept = s2 * (1.0 / n + x_mean**2 / sxx)
 
-    temp = slope * species.mass / CONST.kB
-    temp_err = math.sqrt(var_slope) * species.mass / CONST.kB
+    temp = slope * RB85.mass / CONST.kB
+    temp_err = math.sqrt(var_slope) * RB85.mass / CONST.kB
     degenerate = bool(intercept <= 0)
     if degenerate:
         sigma0 = math.nan

@@ -14,7 +14,7 @@ Everything here is scalar arithmetic on math, so the ramp never loads numpy.
 import math
 from collections import namedtuple
 
-from .constants import M3_TO_CM3, Species, thermal_velocity
+from .constants import M3_TO_CM3, thermal_velocity
 from .evaporation import beta_esc, epsilon, eta, unitarity_cross_section
 from .trap import TrapState
 
@@ -51,7 +51,7 @@ def adiabatic_final_temperature(t_initial, u_initial, u_final):
     return t_initial * math.sqrt(u_final / u_initial)
 
 
-def ramp_simulate(state: TrapState, profile: RampProfile, species: Species,
+def ramp_simulate(state: TrapState, profile: RampProfile,
                   rho_bar_per_cm3: float,
                   rethermalization: str = "collision-gated",
                   steps: int = 1024) -> RampResult:
@@ -113,11 +113,11 @@ def ramp_simulate(state: TrapState, profile: RampProfile, species: Species,
         else:
             gamma_el = (
                 rho_now * M3_TO_CM3
-                * unitarity_cross_section(species, temp)
-                * thermal_velocity(species, temp)
+                * unitarity_cross_section(temp)
+                * thermal_velocity(temp)
             )
             gate = min(1.0, gamma_el * dt)
-        gamma_ev = gate * rho_now * beta_esc(u, eta_now, species)
+        gamma_ev = gate * rho_now * beta_esc(u, eta_now)
         temp *= math.exp(-epsilon(eta_now) * gamma_ev * dt)
         n *= math.exp(-gamma_ev * dt)
 

@@ -56,9 +56,9 @@ def format_value(value, sig_digits=None):
     return str(value)
 
 
-def write_columns(path, header, columns, sig_digits=None):
+def write_columns(path, header, columns):
     """Write equal-length nan-free sequences of floats as CSV under the given
-    header names."""
+    header names, each to TRAJECTORY_DIGITS significant digits."""
     length = len(columns[0])
     if any(len(c) != length for c in columns):
         raise ValueError("columns must have equal length")
@@ -67,7 +67,7 @@ def write_columns(path, header, columns, sig_digits=None):
             raise ValueError(f"column {name} holds nan; refusing to write it")
     lines = [",".join(header)]
     for row in zip(*columns):
-        lines.append(",".join(format_value(v, sig_digits) for v in row))
+        lines.append(",".join(format_value(v, TRAJECTORY_DIGITS) for v in row))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
@@ -123,8 +123,6 @@ def read_dataset(path, kind):
 
     from .fitting import Dataset
 
-    if kind not in DATASET_HEADERS:
-        raise ConfigError(f"unknown dataset kind {kind!r}")
     columns = DATASET_HEADERS[kind]
     header, rows = _read_rows(path, (columns, columns + ("sigma",)), kind)
     data = np.asarray(rows, dtype=float)
@@ -165,5 +163,4 @@ def write_expansion(path, series):
         path,
         ("t_ms", "sigma_um", "amplitude"),
         (series.times * 1e3, series.sigma * 1e6, series.amplitude),
-        sig_digits=TRAJECTORY_DIGITS,
     )

@@ -17,7 +17,8 @@ not predictions. Gravity is neglected: the axial confinement is orders of
 magnitude stiffer than the gravitational sag scale even though the lattice
 is vertical.
 
-The well (TrapParameters), the cloud shape (CloudShape) and the sample
+Every function models 85Rb and reads its data from constants.RB85. The
+well (TrapParameters), the cloud shape (CloudShape) and the sample
 (TrapState) are namedtuple records whose constructors check the values;
 RegimeFlags is a plain namedtuple of four flags.
 """
@@ -25,14 +26,14 @@ RegimeFlags is a plain namedtuple of four flags.
 import math
 from collections import namedtuple
 
-from .constants import CONST, Species
+from .constants import CONST, RB85, thermal_de_broglie
 from .cavity import ModeGeometry
 
 
 # ---------------------------------------------------------------------------
 # dipole potential and scattering
 
-def _line_terms(intensity, wavelength, species):
+def _line_terms(intensity, wavelength):
     """Per-line (potential, rate) contributions for the D2/D1 doublet.
 
     Rates carry the sign of the line detuning, so the Raman-coherent
@@ -40,10 +41,10 @@ def _line_terms(intensity, wavelength, species):
     callers take the magnitude of the total.
     """
     omega_laser = 2.0 * math.pi * CONST.c / wavelength
-    gamma = species.gamma_natural
+    gamma = RB85.gamma_natural
     terms = []
     for strength, lam in zip(
-        species.line_strengths, (species.lambda_d2, species.lambda_d1)
+        RB85.line_strengths, (RB85.lambda_d2, RB85.lambda_d1)
     ):
         omega_line = 2.0 * math.pi * CONST.c / lam
         detuning = omega_laser - omega_line
@@ -60,28 +61,28 @@ def _line_terms(intensity, wavelength, species):
     return terms
 
 
-def dipole_depth_and_scatter(intensity, wavelength, species):
+def dipole_depth_and_scatter(intensity, wavelength):
     """Dipole potential (J, signed) and photon scattering rate (1/s) at a
     given peak intensity (W/m^2)."""
     if intensity < 0:
         raise ValueError("intensity must be >= 0")
-    terms = _line_terms(intensity, wavelength, species)
+    terms = _line_terms(intensity, wavelength)
     u_total = sum(u for u, _ in terms)
     rate_total = abs(sum(r for _, r in terms))
     return u_total, rate_total
 
 
-def polarizability(species: Species, wavelength: float) -> float:
+def polarizability(wavelength: float) -> float:
     """Ground-state polarizability (SI, C m^2/V) from the two-line model."""
-    u_unit, _ = dipole_depth_and_scatter(1.0, wavelength, species)
+    u_unit, _ = dipole_depth_and_scatter(1.0, wavelength)
     return -2.0 * CONST.eps0 * CONST.c * u_unit
 
 
-def intensity_for_depth(depth, wavelength, species):
+def intensity_for_depth(depth, wavelength):
     """Peak intensity (W/m^2) producing a given trap depth |U| (J)."""
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    u_unit, _ = dipole_depth_and_scatter(1.0, wavelength, species)
+    u_unit, _ = dipole_depth_and_scatter(1.0, wavelength)
     return depth / abs(u_unit)
 
 
@@ -98,7 +99,7 @@ def lattice_peak_intensity(power_per_mode: float, mode: ModeGeometry) -> float:
 # ---------------------------------------------------------------------------
 # harmonic well parameters
 
-def secular_frequencies(u0, wavelength, w0, species):
+def secular_frequencies(u0, wavelength, w0):
     """(axial, radial) small-oscillation frequencies in Hz.
 
     Axial: standing-wave curvature, nu_a = (1/lambda) sqrt(2 U0 / m).
@@ -106,15 +107,15 @@ def secular_frequencies(u0, wavelength, w0, species):
     """
     if u0 <= 0 or wavelength <= 0 or w0 <= 0:
         raise ValueError("depth, wavelength and waist must be positive")
-    nu_axial = math.sqrt(2.0 * u0 / species.mass) / wavelength
-    nu_radial = math.sqrt(4.0 * u0 / (species.mass * w0**2)) / (2.0 * math.pi)
+    nu_axial = math.sqrt(2.0 * u0 / RB85.mass) / wavelength
+    nu_radial = math.sqrt(4.0 * u0 / (RB85.mass * w0**2)) / (2.0 * math.pi)
     return nu_axial, nu_radial
 
 
-def recoil_frequency(species: Species, wavelength: float) -> float:
+def recoil_frequency(wavelength: float) -> float:
     """Photon recoil frequency hbar k^2 / (4 pi m), Hz."""
     k = 2.0 * math.pi / wavelength
-    return CONST.hbar * k**2 / (4.0 * math.pi * species.mass)
+    return CONST.hbar * k**2 / (4.0 * math.pi * RB85.mass)
 
 
 class TrapParameters(namedtuple("TrapParameters", "u0 wavelength nu_axial nu_radial")):
@@ -133,9 +134,9 @@ class TrapParameters(namedtuple("TrapParameters", "u0 wavelength nu_axial nu_rad
         return self
 
 
-def trap_parameters(u0, wavelength, mode: ModeGeometry, species) -> TrapParameters:
+def trap_parameters(u0, wavelength, mode: ModeGeometry) -> TrapParameters:
     """Build TrapParameters with frequencies derived from (U0, lambda, w0)."""
-    nu_a, nu_r = secular_frequencies(u0, wavelength, mode.effective_waist, species)
+    nu_a, nu_r = secular_frequencies(u0, wavelength, mode.effective_waist)
     return TrapParameters(u0, wavelength, nu_a, nu_r)
 
 
@@ -143,11 +144,11 @@ RegimeFlags = namedtuple("RegimeFlags", "lamb_dicke_axial lamb_dicke_radial "
                          "strong_confinement_axial strong_confinement_radial")
 
 
-def classify_regimes(trap: TrapParameters, species: Species) -> RegimeFlags:
+def classify_regimes(trap: TrapParameters) -> RegimeFlags:
     """Lamb-Dicke (nu above recoil) and strong-confinement (nu above natural
     linewidth) flags per degree of freedom, strict inequalities."""
-    nu_rec = recoil_frequency(species, trap.wavelength)
-    nu_gamma = species.gamma_natural / (2.0 * math.pi)
+    nu_rec = recoil_frequency(trap.wavelength)
+    nu_gamma = RB85.gamma_natural / (2.0 * math.pi)
     return RegimeFlags(
         lamb_dicke_axial=trap.nu_axial > nu_rec,
         lamb_dicke_radial=trap.nu_radial > nu_rec,
@@ -179,12 +180,12 @@ class CloudShape(namedtuple("CloudShape", "envelope_sigma per_well_sigma well_sp
         return self.per_well_sigma[2] < 0.25 * self.well_spacing
 
 
-def thermal_cloud_shape(species, trap: TrapParameters, temperature,
+def thermal_cloud_shape(trap: TrapParameters, temperature,
                         envelope_sigma) -> CloudShape:
     """CloudShape with per-well widths set thermally at the given temperature."""
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
-    v = math.sqrt(CONST.kB * temperature / species.mass)
+    v = math.sqrt(CONST.kB * temperature / RB85.mass)
     sigma_radial = v / (2.0 * math.pi * trap.nu_radial)
     sigma_axial = v / (2.0 * math.pi * trap.nu_axial)
     return CloudShape(
@@ -207,11 +208,6 @@ class TrapState(namedtuple("TrapState", "n_atoms temperature trap shape")):
             raise ValueError("temperature must be > 0")
         return self
 
-    @property
-    def eta(self) -> float:
-        """Truncation parameter U0 / (kB T)."""
-        return self.trap.u0 / (CONST.kB * self.temperature)
-
 
 def peak_density(state: TrapState) -> float:
     """Central-well peak density (m^-3); formula in the module docstring."""
@@ -222,19 +218,13 @@ def peak_density(state: TrapState) -> float:
     return envelope_peak * bunching
 
 
-def phase_space_density(species, rho_peak, temperature):
+def phase_space_density(rho_peak, temperature):
     """Peak density (m^-3) times the cubed thermal de Broglie wavelength."""
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
     if rho_peak < 0:
         raise ValueError("density must be >= 0")
-    from .constants import thermal_de_broglie
-
-    return rho_peak * thermal_de_broglie(species, temperature) ** 3
-
-
-def state_phase_space_density(state: TrapState, species: Species) -> float:
-    return phase_space_density(species, peak_density(state), state.temperature)
+    return rho_peak * thermal_de_broglie(temperature) ** 3
 
 
 def collective_coupling(alpha, wavelength, w0, n_atoms, finesse):

@@ -43,15 +43,13 @@ def make_lattice_state(n_atoms, temperature, depth_uk, rho_peak_per_cm3=None):
     that width.
     """
     trap = trap_parameters(
-        depth_uk * 1e-6 * CONST.kB, LATTICE_WAVELENGTH, REFERENCE_MODE, RB85
+        depth_uk * 1e-6 * CONST.kB, LATTICE_WAVELENGTH, REFERENCE_MODE
     )
     v = math.sqrt(CONST.kB * temperature / RB85.mass)
     sigma_r = v / (2 * math.pi * trap.nu_radial)
 
     def state(sigma_z):
-        shape = thermal_cloud_shape(
-            RB85, trap, temperature, (sigma_r, sigma_r, sigma_z)
-        )
+        shape = thermal_cloud_shape(trap, temperature, (sigma_r, sigma_r, sigma_z))
         return TrapState(n_atoms, temperature, trap, shape)
 
     reference = state(REFERENCE_SIGMA_Z)

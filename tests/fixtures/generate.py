@@ -41,16 +41,15 @@ def make_decay(path):
         dataset = read_dataset(clean, "population")
     rng = np.random.default_rng(SEED)
     noisy = dataset.value * (1.0 + 0.03 * rng.standard_normal(dataset.value.size))
-    write_columns(path, ("t_s", "N"), (dataset.t, noisy), sig_digits=9)
+    write_columns(path, ("t_s", "N"), (dataset.t, noisy))
 
 
 def make_tof(path):
-    from latticekit.constants import RB85
     from latticekit.protocols import synthesize_expansion
     from latticekit.tabular import write_expansion
 
     times = np.linspace(0.5e-3, 6e-3, 8)
-    series = synthesize_expansion(1e6, 123e-6, 40e-6, times, 0.01, SEED, RB85)
+    series = synthesize_expansion(1e6, 123e-6, 40e-6, times, 0.01, SEED)
     write_expansion(path, series)
 
 
@@ -60,8 +59,7 @@ def make_psd(path):
     rng = np.random.default_rng(SEED)
     freq = np.logspace(2.0, math.log10(2e6), 48)
     density = 1e-13 * (freq / 1e3) ** -0.5 * (1.0 + 0.2 * rng.random(freq.size))
-    write_columns(path, ("freq_hz", "S_rel_per_hz"), (freq.tolist(), density.tolist()),
-                  sig_digits=9)
+    write_columns(path, ("freq_hz", "S_rel_per_hz"), (freq.tolist(), density.tolist()))
 
 
 def main_script():

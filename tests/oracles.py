@@ -115,15 +115,13 @@ def removed_energy_mean(t0, eta_value):
     return 1.5 * CONST.kB * t0 * (1.0 + epsilon(eta_value))
 
 
-def evaporation_rate(rho_bar_per_cm3, species, temperature, eta_value):
+def evaporation_rate(rho_bar_per_cm3, temperature, eta_value):
     """Per-atom escape rate rho_bar sigma_esc v_rms eta exp(-eta), 1/s.
 
     The composition route through the cross section and the thermal
     velocity; evaporation.beta_esc is the closed form it must match.
     """
-    sigma_v = unitarity_cross_section(species, temperature) * thermal_velocity(
-        species, temperature
-    )
+    sigma_v = unitarity_cross_section(temperature) * thermal_velocity(temperature)
     return (
         rho_bar_per_cm3
         * sigma_v * M3_TO_CM3

@@ -28,7 +28,7 @@ from latticekit.cavity import (
     linewidth_from_ring_down,
     mode_volume,
 )
-from latticekit.constants import CONST, RB85
+from latticekit.constants import CONST
 from latticekit.evaporation import (
     beta_esc,
     epsilon,
@@ -88,15 +88,15 @@ def test_criterion_1_cavity_consistency():
 
 def test_criterion_2_trap_parameters():
     w0 = math.sqrt(134e-6 * 129e-6)
-    nu_a, nu_r = secular_frequencies(U_350, 787.6e-9, w0, RB85)
+    nu_a, nu_r = secular_frequencies(U_350, 787.6e-9, w0)
     check(
         "criterion 2a (secular frequencies)",
         rel(nu_a, 340e3) < 0.05 and rel(nu_r, 460.0) < 0.05,
         f"nu_a = {nu_a/1e3:.1f} kHz vs 340 kHz ({rel(nu_a, 340e3):.3f}), "
         f"nu_r = {nu_r:.1f} Hz vs 460 Hz ({rel(nu_r, 460.0):.3f})",
     )
-    psd_a = phase_space_density(RB85, 9e17, 123e-6)
-    psd_b = phase_space_density(RB85, 6.8e17, 38e-6)
+    psd_a = phase_space_density(9e17, 123e-6)
+    psd_b = phase_space_density(6.8e17, 38e-6)
     check(
         "criterion 2b (phase-space densities)",
         rel(psd_a, 4.5e-6) < 0.10 and rel(psd_b, 2.0e-5) < 0.10,
@@ -106,7 +106,7 @@ def test_criterion_2_trap_parameters():
 
 
 def test_criterion_3_beta_escape_deep_trap():
-    value = beta_esc(U_350, 2.85, RB85)
+    value = beta_esc(U_350, 2.85)
     check("criterion 3a (beta_esc deep trap)", rel(value, 1.2e-11) < 0.10,
           f"beta_esc(350 uK, 2.85) = {value:.4g} vs 1.2e-11, dev {rel(value, 1.2e-11):.3f}")
 
@@ -118,7 +118,7 @@ def test_criterion_3_beta_escape_deep_trap():
     "closed form it derives from, so the 10% bound cannot be met",
 )
 def test_criterion_3_beta_escape_shallow_trap():
-    value = beta_esc(U_100, 2.60, RB85)
+    value = beta_esc(U_100, 2.60)
     check("criterion 3b (beta_esc shallow trap)", rel(value, 2.3e-11) < 0.10,
           f"beta_esc(100 uK, 2.60) = {value:.4g} vs 2.3e-11, dev {rel(value, 2.3e-11):.3f}")
 
@@ -138,8 +138,8 @@ def test_criterion_3_dual_route_identity():
         for u0_uk in (20.0, 100.0, 350.0, 900.0):
             u0 = u0_uk * 1e-6 * KB
             temp = u0 / (KB * eta_value)
-            composed = evaporation_rate(1.0, RB85, temp, eta_value)
-            worst = max(worst, rel(composed, beta_esc(u0, eta_value, RB85)))
+            composed = evaporation_rate(1.0, temp, eta_value)
+            worst = max(worst, rel(composed, beta_esc(u0, eta_value)))
     check("criterion 3d (dual-route identity)", worst < 1e-12,
           f"worst relative split {worst:.2e} (bound 1e-12)")
 
@@ -179,12 +179,12 @@ def test_criterion_6_ramp():
           f"T_f = {t_adiabatic*1e6:.4f} uK (exact formula value, quoted 79.7)")
 
     state = state_a()
-    fast = ramp_simulate(state, RampProfile(U_350, U_147, 0.010), RB85,
+    fast = ramp_simulate(state, RampProfile(U_350, U_147, 0.010),
                          rho_bar_per_cm3=2.25e11)
     check("criterion 6b (10 ms ramp near adiabatic)",
           rel(fast.t_final, t_adiabatic) < 0.05,
           f"T(10 ms) = {fast.t_final*1e6:.3f} uK, dev {rel(fast.t_final, t_adiabatic):.2e}")
-    slow = ramp_simulate(state, RampProfile(U_350, U_147, 0.070), RB85,
+    slow = ramp_simulate(state, RampProfile(U_350, U_147, 0.070),
                          rho_bar_per_cm3=2.25e11)
     check("criterion 6c (70 ms ramp strictly colder)",
           slow.t_final < t_adiabatic,
@@ -284,8 +284,8 @@ def test_criterion_8_fit_recovery():
           f"median gamma = {med:.4f} vs 0.6 over 100 seeds ({rel(med, 0.6):.3f})")
 
     times = np.linspace(0.5e-3, 6e-3, 8)
-    series = synthesize_expansion(1e6, 123e-6, 40e-6, times, 0.01, 7, RB85)
-    tof = fit_expansion(series, RB85)
+    series = synthesize_expansion(1e6, 123e-6, 40e-6, times, 0.01, 7)
+    tof = fit_expansion(series)
     check("criterion 8c (TOF round trip)", rel(tof.temperature, 123e-6) < 0.03,
           f"T = {tof.temperature*1e6:.2f} uK vs 123 uK ({rel(tof.temperature, 123e-6):.3f})")
 

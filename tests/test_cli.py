@@ -127,6 +127,9 @@ _PROBE_FILES = {
     "psd_nan.csv": "freq_hz,S_rel_per_hz\n100,nan\n1e6,1e-13\n",
     "tof_nan.csv": "t_ms,sigma_um,amplitude\n1,nan,1\n2,50,1\n3,60,1\n",
     "tof_1e200.csv": "t_ms,sigma_um,amplitude\n1,1e200,1\n2,1e200,1\n3,1e200,1\n",
+    "tof_neg_sigma.csv": "t_ms,sigma_um,amplitude\n1,-50,1\n2,-60,1\n3,-70,1\n",
+    "tof_neg_t.csv": "t_ms,sigma_um,amplitude\n-1,50,1\n2,60,1\n3,70,1\n",
+    "tof_neg_amplitude.csv": "t_ms,sigma_um,amplitude\n1,50,-1\n2,60,-1\n3,70,-1\n",
 }
 
 def _case(case_id, argv, stderr_has=None):
@@ -195,6 +198,24 @@ def _case(case_id, argv, stderr_has=None):
     _case("simulate-decay-sample.rho_peak_per_cm3--1",
           "simulate --model decay --out {out} --sample.rho_peak_per_cm3 -1",
           stderr_has="sample.rho_peak_per_cm3"),
+    _case("ramp-gated-sample.rho_peak_per_cm3--9e11",
+          "ramp --sample.rho_peak_per_cm3 -9e11 --ramp.duration_ms 1000",
+          stderr_has="sample.rho_peak_per_cm3"),
+    _case("ramp-instant-sample.rho_peak_per_cm3--9e11",
+          "ramp --sample.rho_peak_per_cm3 -9e11 --ramp.duration_ms 1000"
+          " --ramp.rethermalization instant",
+          stderr_has="sample.rho_peak_per_cm3"),
+    _case("trap-sample.rho_peak_per_cm3--9e11", "trap --sample.rho_peak_per_cm3 -9e11",
+          stderr_has="sample.rho_peak_per_cm3"),
+    # expansion series hold times >= 0, widths > 0 and amplitudes >= 0
+    _case("fit-tof-negative-sigma", "fit --kind tof --data {tmp}/tof_neg_sigma.csv"),
+    _case("fit-tof-negative-t", "fit --kind tof --data {tmp}/tof_neg_t.csv"),
+    _case("fit-tof-negative-amplitude",
+          "fit --kind tof --data {tmp}/tof_neg_amplitude.csv"),
+    _case("tof-sample.atom_number--5", "tof --out {out} --sample.atom_number -5"),
+    _case("tof-tof.noise_frac-5", "tof --out {out} --tof.noise_frac 5"),
+    _case("tof-tof.noise_frac--0.5", "tof --out {out} --tof.noise_frac -0.5",
+          stderr_has="tof.noise_frac"),
     # a derived quantity divides by zero or overflows a float power
     _case("trap-mode.diameter_sagittal_um-1e-300",
           "trap --mode.diameter_sagittal_um 1e-300"),
@@ -483,6 +504,13 @@ def test_tof_roundtrip_through_fit(tmp_path, capsys):
     assert main(["fit", "--kind", "tof", "--data", str(out)]) == 0
     text = capsys.readouterr().out
     assert rel(report_value(text, "temperature_uK"), 123.0) < 1e-6
+
+
+def test_tof_accepts_zero_atoms(tmp_path, capsys):
+    # an empty cloud is valid input: its amplitudes are 0, not negative
+    out = tmp_path / "series.csv"
+    assert main(["tof", "--out", str(out), "--sample.atom_number", "0"]) == 0
+    assert not read_expansion(str(out)).amplitude.any()
 
 
 # ---------------------------------------------------------------------------

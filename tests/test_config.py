@@ -12,6 +12,7 @@ from latticekit.config import (
 )
 from latticekit.constants import CONST
 from latticekit.errors import ConfigError
+from latticekit.evaporation import eta
 
 
 def rel(a, b):
@@ -135,7 +136,7 @@ def test_builders_reference_values():
     trap = trap_from_config(cfg)
     assert rel(trap.u0, 350e-6 * CONST.kB) < 1e-12
     state = state_from_config(cfg)
-    assert rel(state.eta, 350 / 123) < 1e-12
+    assert rel(eta(state.trap.u0, state.temperature), 350 / 123) < 1e-12
 
 
 def test_builders_wrap_validation_errors():

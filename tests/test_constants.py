@@ -7,15 +7,9 @@ from latticekit.constants import (
     ATOMIC_MASS_UNIT,
     CONST,
     RB85,
-    PhysicalConstants,
-    Species,
-    reduced_mass,
     thermal_de_broglie,
     thermal_velocity,
 )
-
-U = ATOMIC_MASS_UNIT
-
 
 def rel(a, b):
     return abs(a - b) / abs(b)
@@ -36,74 +30,48 @@ def test_h_is_two_pi_hbar_exactly():
     assert CONST.h == 2.0 * math.pi * CONST.hbar
 
 
-def test_constants_positive_enforced():
-    with pytest.raises(ValueError):
-        PhysicalConstants(c=-1.0, h=1.0, hbar=1.0, kB=1.0, eps0=1.0, g=1.0)
-
-
-def test_species_invariants():
-    with pytest.raises(ValueError):
-        Species("bad", -1.0, 780e-9, 795e-9, 1.0, (0.5, 0.5))
-    with pytest.raises(ValueError):
-        Species("bad", 1.0, 795e-9, 780e-9, 1.0, (0.5, 0.5))
-    with pytest.raises(ValueError):
-        Species("bad", 1.0, 780e-9, 795e-9, 1.0, (0.5, 0.6))
-
-
-def _toy(mass):
-    return Species("toy", mass, 780e-9, 795e-9, 1.0, (0.5, 0.5))
-
-
-@pytest.mark.parametrize(
-    "mass, expected",
-    [(85 * U, 42.5 * U), (2.0, 1.0), (87 * U, 43.5 * U)],
-)
-def test_reduced_mass(mass, expected):
-    assert reduced_mass(_toy(mass)) == expected
-
-
 def test_thermal_velocity_zero_and_value():
-    assert thermal_velocity(RB85, 0.0) == 0.0
+    assert thermal_velocity(0.0) == 0.0
     # direct evaluation oracle
     expected = math.sqrt(3 * CONST.kB * 123e-6 / RB85.mass)
-    v = thermal_velocity(RB85, 123e-6)
+    v = thermal_velocity(123e-6)
     assert v == expected
     assert abs(v - 0.190) < 0.001
 
 
 def test_thermal_velocity_sqrt_scaling():
-    v1 = thermal_velocity(RB85, 123e-6)
-    v4 = thermal_velocity(RB85, 4 * 123e-6)
+    v1 = thermal_velocity(123e-6)
+    v4 = thermal_velocity(4 * 123e-6)
     assert rel(v4, 2 * v1) < 1e-15
 
 
 def test_thermal_velocity_rejects_negative():
     with pytest.raises(ValueError):
-        thermal_velocity(RB85, -1e-6)
+        thermal_velocity(-1e-6)
 
 
 def test_thermal_de_broglie_values():
     expected = CONST.h / math.sqrt(2 * math.pi * RB85.mass * CONST.kB * 123e-6)
-    lam = thermal_de_broglie(RB85, 123e-6)
+    lam = thermal_de_broglie(123e-6)
     assert lam == expected
     assert abs(lam - 1.71e-8) < 0.005e-8
-    assert abs(thermal_de_broglie(RB85, 38e-6) - 3.07e-8) < 0.01e-8
+    assert abs(thermal_de_broglie(38e-6) - 3.07e-8) < 0.01e-8
 
 
 def test_thermal_de_broglie_halves_when_t_quadruples():
-    lam1 = thermal_de_broglie(RB85, 50e-6)
-    lam4 = thermal_de_broglie(RB85, 200e-6)
+    lam1 = thermal_de_broglie(50e-6)
+    lam4 = thermal_de_broglie(200e-6)
     assert rel(lam4, lam1 / 2) < 1e-15
 
 
 def test_thermal_de_broglie_rejects_nonpositive():
     with pytest.raises(ValueError):
-        thermal_de_broglie(RB85, 0.0)
+        thermal_de_broglie(0.0)
 
 
 @pytest.mark.parametrize("temp", [1e-6, 38e-6, 123e-6, 300.0])
 def test_dimensional_consistency(temp):
-    v = thermal_velocity(RB85, temp)
+    v = thermal_velocity(temp)
     assert rel(v**2 * RB85.mass / (3 * CONST.kB), temp) < 1e-12
 
 

@@ -10,7 +10,7 @@ from oracles import (
     truncated_r4_quadrature,
 )
 
-from latticekit.constants import CONST, RB85, thermal_velocity
+from latticekit.constants import CONST, thermal_velocity
 from latticekit.errors import DomainError
 from latticekit.evaporation import (
     beta_esc,
@@ -53,14 +53,14 @@ def test_eta_rejects_nonpositive_temperature():
 # cross section and escape coefficient
 
 def test_cross_section_temperature_scaling():
-    sigma = unitarity_cross_section(RB85, 123e-6)
-    assert rel(unitarity_cross_section(RB85, 4 * 123e-6), sigma / 4) < 1e-15
+    sigma = unitarity_cross_section(123e-6)
+    assert rel(unitarity_cross_section(4 * 123e-6), sigma / 4) < 1e-15
 
 
 def test_cross_section_reference_pin():
     # documented value at the 123 uK working point (the published comparison
     # against coupled-channel calculations is a statement, not an assertion)
-    assert rel(unitarity_cross_section(RB85, 123e-6), 3.8910377178e-16) < 1e-9
+    assert rel(unitarity_cross_section(123e-6), 3.8910377178e-16) < 1e-9
 
 
 def test_beta_esc_two_route_identity():
@@ -71,18 +71,18 @@ def test_beta_esc_two_route_identity():
             u0 = u0_uk * 1e-6 * CONST.kB
             temp = u0 / (CONST.kB * eta_value)
             composed = (
-                unitarity_cross_section(RB85, temp)
-                * thermal_velocity(RB85, temp)
+                unitarity_cross_section(temp)
+                * thermal_velocity(temp)
                 * eta_value * math.exp(-eta_value) * 1e6
             )
-            assert rel(composed, beta_esc(u0, eta_value, RB85)) < 1e-12
+            assert rel(composed, beta_esc(u0, eta_value)) < 1e-12
 
 
 def test_beta_esc_reference_values():
-    assert rel(beta_esc(U0_A, 2.85, RB85), 1.2e-11) < 0.10
+    assert rel(beta_esc(U0_A, 2.85), 1.2e-11) < 0.10
     # regression pin for the shallow-trap point (see also the acceptance
     # suite, where the quoted 2.3e-11 misses the closed form by 11%)
-    assert rel(beta_esc(U0_B, 2.60, RB85), 2.554222e-11) < 1e-6
+    assert rel(beta_esc(U0_B, 2.60), 2.554222e-11) < 1e-6
 
 
 @pytest.mark.xfail(
@@ -91,39 +91,39 @@ def test_beta_esc_reference_values():
     "outside the stated 10%",
 )
 def test_beta_esc_shallow_trap_quoted_value():
-    assert rel(beta_esc(U0_B, 2.60, RB85), 2.3e-11) < 0.10
+    assert rel(beta_esc(U0_B, 2.60), 2.3e-11) < 0.10
 
 
 def test_beta_esc_depth_scaling():
-    b = beta_esc(U0_A, 2.85, RB85)
-    assert rel(beta_esc(4 * U0_A, 2.85, RB85), b / 2) < 1e-12
+    b = beta_esc(U0_A, 2.85)
+    assert rel(beta_esc(4 * U0_A, 2.85), b / 2) < 1e-12
 
 
 def test_beta_esc_rejects_bad_inputs():
     with pytest.raises(ValueError):
-        beta_esc(0.0, 2.85, RB85)
+        beta_esc(0.0, 2.85)
     with pytest.raises(ValueError):
-        beta_esc(U0_A, 0.0, RB85)
+        beta_esc(U0_A, 0.0)
 
 
 # ---------------------------------------------------------------------------
 # evaporation rate
 
 def test_evaporation_rate_zero_density():
-    assert evaporation_rate(0.0, RB85, 123e-6, 2.85) == 0.0
+    assert evaporation_rate(0.0, 123e-6, 2.85) == 0.0
 
 
 @pytest.mark.parametrize("eta_value", [2.0, 2.85, 4.0])
 def test_evaporation_rate_identity(eta_value):
     temp = 123e-6
     u0 = eta_value * CONST.kB * temp
-    rate = evaporation_rate(1.0, RB85, temp, eta_value)
-    assert rel(rate, beta_esc(u0, eta_value, RB85)) < 1e-12
+    rate = evaporation_rate(1.0, temp, eta_value)
+    assert rel(rate, beta_esc(u0, eta_value)) < 1e-12
 
 
 def test_evaporation_rate_reference_magnitude():
     # state (a): rho_bar = rho_peak/4 = 2.25e11 cm^-3
-    rate = evaporation_rate(2.25e11, RB85, 123e-6, 2.85)
+    rate = evaporation_rate(2.25e11, 123e-6, 2.85)
     assert 2.4 < rate < 3.1
     # against the fitted initial two-body slope gamma*xi = 0.6 * 2.80
     assert 0.5 < rate / (0.6 * 2.80) < 2.0

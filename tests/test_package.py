@@ -22,8 +22,8 @@ from latticekit.ramp import RampProfile
 # Every public name, by defining module (the README's library table).
 EXPORTS = {
     "constants": (
-        "CONST", "RB85", "PhysicalConstants", "Species", "reduced_mass",
-        "thermal_de_broglie", "thermal_velocity",
+        "CONST", "RB85", "PhysicalConstants", "Species", "thermal_de_broglie",
+        "thermal_velocity",
     ),
     "cavity": (
         "CavitySpec", "MirrorSpec", "ModeGeometry", "circulating_power",
@@ -36,8 +36,7 @@ EXPORTS = {
         "classify_regimes", "collective_coupling", "dipole_depth_and_scatter",
         "intensity_for_depth", "lattice_peak_intensity", "peak_density",
         "phase_space_density", "polarizability", "recoil_frequency",
-        "secular_frequencies", "state_phase_space_density",
-        "thermal_cloud_shape", "trap_parameters",
+        "secular_frequencies", "thermal_cloud_shape", "trap_parameters",
     ),
     "losses": ("LossParams", "population", "xi_from_beta"),
     "evaporation": (

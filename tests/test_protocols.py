@@ -51,7 +51,7 @@ def _ramp(duration, rethermalization="collision-gated", u_final=U_147,
           state=None):
     state = state or state_a()
     profile = RampProfile(U_350, u_final, duration)
-    return ramp_simulate(state, profile, RB85,
+    return ramp_simulate(state, profile,
                          rethermalization=rethermalization,
                          rho_bar_per_cm3=RHO_BAR_A)
 
@@ -67,7 +67,7 @@ def test_ramp_without_evaporation_is_path_independent():
     for u_final in (U_147, 0.3 * U_350, 0.9 * U_350):
         for duration in (0.01, 0.07, 1.0):
             profile = RampProfile(U_350, u_final, duration)
-            result = ramp_simulate(state_a(), profile, RB85,
+            result = ramp_simulate(state_a(), profile,
                                    rethermalization="off",
                                    rho_bar_per_cm3=RHO_BAR_A)
             expected = adiabatic_final_temperature(123e-6, U_350, u_final)
@@ -120,11 +120,11 @@ def test_ramp_eta_final_consistent():
 # ballistic expansion
 
 def test_expansion_sigma_at_zero():
-    assert expansion_sigma(50e-6, 100e-6, 0.0, RB85) == 50e-6
+    assert expansion_sigma(50e-6, 100e-6, 0.0) == 50e-6
 
 
 def test_expansion_sigma_reference_value():
-    value = expansion_sigma(50e-6, 100e-6, 5e-3, RB85)
+    value = expansion_sigma(50e-6, 100e-6, 5e-3)
     expected = math.sqrt((50e-6) ** 2 + KB * 100e-6 / RB85.mass * (5e-3) ** 2)
     assert value == expected
     assert abs(value - 497e-6) < 0.5e-6
@@ -132,41 +132,41 @@ def test_expansion_sigma_reference_value():
 
 def test_expansion_sigma_zero_temperature():
     t = np.linspace(0, 10e-3, 5)
-    assert np.all(expansion_sigma(40e-6, 0.0, t, RB85) == 40e-6)
+    assert np.all(expansion_sigma(40e-6, 0.0, t) == 40e-6)
 
 
 def test_expansion_sigma_rejects_negative_time():
     with pytest.raises(ValueError):
-        expansion_sigma(40e-6, 100e-6, -1e-3, RB85)
+        expansion_sigma(40e-6, 100e-6, -1e-3)
 
 
 def test_synthesize_noiseless_is_exact():
     times = np.linspace(0.5e-3, 6e-3, 8)
-    series = synthesize_expansion(1e6, 123e-6, 40e-6, times, 0.0, 1, RB85)
-    expected = expansion_sigma(40e-6, 123e-6, times, RB85)
+    series = synthesize_expansion(1e6, 123e-6, 40e-6, times, 0.0, 1)
+    expected = expansion_sigma(40e-6, 123e-6, times)
     assert np.max(np.abs(series.sigma - expected)) == 0.0
 
 
 def test_synthesize_deterministic():
     times = np.linspace(0.5e-3, 6e-3, 8)
-    one = synthesize_expansion(1e6, 123e-6, 40e-6, times, 0.01, 77, RB85)
-    two = synthesize_expansion(1e6, 123e-6, 40e-6, times, 0.01, 77, RB85)
+    one = synthesize_expansion(1e6, 123e-6, 40e-6, times, 0.01, 77)
+    two = synthesize_expansion(1e6, 123e-6, 40e-6, times, 0.01, 77)
     assert np.array_equal(one.sigma, two.sigma)
     assert np.array_equal(one.amplitude, two.amplitude)
 
 
 def test_round_trip_recovers_temperature():
     times = np.linspace(0.5e-3, 6e-3, 8)
-    series = synthesize_expansion(1e6, 123e-6, 40e-6, times, 0.01, 7, RB85)
-    fit = fit_expansion(series, RB85)
+    series = synthesize_expansion(1e6, 123e-6, 40e-6, times, 0.01, 7)
+    fit = fit_expansion(series)
     assert rel(fit.temperature, 123e-6) < 0.03
     assert rel(fit.n_atoms, 1e6) < 0.05
 
 
 def test_fit_expansion_noiseless_exact():
     times = np.linspace(0.5e-3, 6e-3, 10)
-    series = synthesize_expansion(2e6, 85e-6, 55e-6, times, 0.0, 3, RB85)
-    fit = fit_expansion(series, RB85)
+    series = synthesize_expansion(2e6, 85e-6, 55e-6, times, 0.0, 3)
+    fit = fit_expansion(series)
     assert rel(fit.temperature, 85e-6) < 1e-9
     assert rel(fit.sigma0, 55e-6) < 1e-9
     assert rel(fit.n_atoms, 2e6) < 1e-9
@@ -178,8 +178,8 @@ def test_fit_expansion_monte_carlo():
     times = np.linspace(0.5e-3, 6e-3, 8)
     hits = 0
     for seed in range(100):
-        series = synthesize_expansion(1e6, 123e-6, 40e-6, times, 0.01, seed, RB85)
-        fit = fit_expansion(series, RB85)
+        series = synthesize_expansion(1e6, 123e-6, 40e-6, times, 0.01, seed)
+        fit = fit_expansion(series)
         if rel(fit.temperature, 123e-6) < 0.03:
             hits += 1
     assert hits >= 95
@@ -187,24 +187,24 @@ def test_fit_expansion_monte_carlo():
 
 def test_fit_expansion_order_invariant():
     times = np.linspace(0.5e-3, 6e-3, 8)
-    series = synthesize_expansion(1e6, 123e-6, 40e-6, times, 0.01, 11, RB85)
+    series = synthesize_expansion(1e6, 123e-6, 40e-6, times, 0.01, 11)
     perm = np.array([3, 0, 7, 1, 5, 2, 6, 4])
     shuffled = ExpansionSeries(
         times=series.times[perm],
         sigma=series.sigma[perm],
         amplitude=series.amplitude[perm],
     )
-    a = fit_expansion(series, RB85)
-    b = fit_expansion(shuffled, RB85)
+    a = fit_expansion(series)
+    b = fit_expansion(shuffled)
     assert rel(a.temperature, b.temperature) < 1e-12
     assert rel(a.sigma0, b.sigma0) < 1e-12
 
 
 def test_fit_expansion_needs_three_points():
     times = np.array([1e-3, 2e-3])
-    series = synthesize_expansion(1e6, 123e-6, 40e-6, times, 0.0, 1, RB85)
+    series = synthesize_expansion(1e6, 123e-6, 40e-6, times, 0.0, 1)
     with pytest.raises(ValueError):
-        fit_expansion(series, RB85)
+        fit_expansion(series)
 
 
 def test_fit_expansion_degenerate_intercept():
@@ -218,7 +218,7 @@ def test_fit_expansion_degenerate_intercept():
         sigma=sigma,
         amplitude=1e6 / (2 * math.pi * sigma**2),
     )
-    fit = fit_expansion(series, RB85)
+    fit = fit_expansion(series)
     assert fit.degenerate
     assert math.isnan(fit.sigma0)
     assert rel(fit.temperature, 123e-6) < 1e-9
