@@ -9,12 +9,13 @@ write a file, so their --out is a required argument.
 
 Exit codes: 0 success, 2 input or configuration error, 3 model-domain error,
 4 fit non-convergence. main is the only place that maps exceptions to codes:
-DomainError gives 3; any other ValueError (ConfigError included), an
-ArithmeticError (a derived quantity that overflows or divides by zero) or an
-OSError gives 2. An OverflowError's line names the command and says that a
-derived quantity overflows the float range. A malformed command line
-(unknown command, missing --model or --out) exits 2 with argparse's usage
-message.
+DomainError gives 3; any other ValueError (ConfigError included), an OSError
+or an ArithmeticError gives 2. An ArithmeticError (OverflowError or
+ZeroDivisionError from float arithmetic, FloatingPointError from the numpy
+array functions, which raise instead of warning) gets a line that names the
+command and says that a derived quantity overflows the float range or is
+undefined. A malformed command line (unknown command, missing --model or
+--out) exits 2 with argparse's usage message.
 
 Only numpy-free modules are imported here, and cavity, trap, simulate, bound
 (with or without --psd) and ramp never load numpy; the array commands, fit
@@ -316,10 +317,13 @@ def cmd_fit(cfg, args):
 
     kind = args.kind
     if kind == "decay":
+        rho = cfg["sample.rho_peak_per_cm3"]
+        if rho <= 0:
+            raise ConfigError("sample.rho_peak_per_cm3 must be positive for a decay fit")
         dataset = read_dataset(args.data, "population")
         result = fit_decay(
             dataset,
-            cfg["sample.rho_peak_per_cm3"],
+            rho,
             (cfg["fit.guess_gamma_per_s"], cfg["fit.guess_beta_cm3_per_s"]),
             max_iterations=cfg["fit.max_iterations"],
         )
@@ -528,12 +532,12 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"model domain error: {exc}", file=sys.stderr)
         return 3
-    except OverflowError as exc:
-        # a float power raises with (errno, text) as its arguments
+    except ArithmeticError as exc:
+        # a float power's OverflowError has (errno, text) as its arguments
         print(f"error: {ns.command}: a derived quantity overflows the float "
-              f"range ({exc.args[-1]})", file=sys.stderr)
+              f"range or is undefined ({exc.args[-1]})", file=sys.stderr)
         return 2
-    except (ValueError, ArithmeticError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,7 +9,10 @@ FitResult record with the weighted residuals (model - data)/sigma at its
 optimum, their sum of squares and the degrees of freedom (points minus free
 parameters: 3 for the decay, 1 for the cooling law), so the reduced chi^2
 and the covariance share one count. Everything is double precision with a
-fixed iteration order, so identical inputs give bit-identical fits.
+fixed iteration order, so identical inputs give bit-identical fits. Both fits
+run under numpy's raise policy for overflow, division by zero and invalid
+values: an extreme input raises FloatingPointError instead of carrying inf
+or nan into a report.
 """
 
 import math
@@ -73,16 +76,15 @@ class FitResult(namedtuple(
 def decay_jacobian(t, gamma, xi, n0):
     """Columns dN/d(gamma), dN/d(xi), dN/d(n0).
 
-    An extreme xi overflows to inf or nan without a warning, and the
-    finiteness checks of fit_decay reject the result.
+    Under fit_decay's error policy an extreme gamma or xi raises
+    FloatingPointError, and the fit rejects that trial step.
     """
     t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = np.exp(-gamma * t)
-        denom = 1.0 + xi * (1.0 - u)
-        d_gamma = -t * u * n0 * (1.0 + xi) / denom**2
-        d_xi = -n0 * u * (1.0 - u) / denom**2
-        d_n0 = u / denom
+    u = np.exp(-gamma * t)
+    denom = 1.0 + xi * (1.0 - u)
+    d_gamma = -t * u * n0 * (1.0 + xi) / denom**2
+    d_xi = -n0 * u * (1.0 - u) / denom**2
+    d_n0 = u / denom
     return np.column_stack([d_gamma, d_xi, d_n0])
 
 
@@ -101,18 +103,13 @@ def _levenberg_marquardt(eval_fn, p0, max_iterations=200):
     """Minimize |r(p)|^2 given eval_fn(p) -> (r, J).
 
     Marquardt-scaled damping: increased tenfold when a step grows the
-    residual, reduced tenfold on success. Stops when the relative RSS change
-    drops below 1e-12 or the gradient infinity-norm below 1e-10.
+    residual or raises FloatingPointError, reduced tenfold on success. Stops
+    when the relative RSS change drops below 1e-12 or the gradient
+    infinity-norm below 1e-10. An overflow at p0 or in J^T J raises.
     """
     p = np.asarray(p0, dtype=float).copy()
     r, jac = eval_fn(p)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rss = float(r @ r)
-        normal_finite = np.all(np.isfinite(jac.T @ jac))
-    if not (math.isfinite(rss) and normal_finite):
-        raise ValueError(
-            "the residual or the normal matrix overflows at the initial guess"
-        )
+    rss = float(r @ r)
     lam = _LAMBDA_INIT
     message = "maximum iterations reached"
     converged = False
@@ -127,19 +124,17 @@ def _levenberg_marquardt(eval_fn, p0, max_iterations=200):
             break
         stepped = False
         while lam <= _LAMBDA_MAX:
-            damped = jtj + lam * np.diag(np.diag(jtj))
             try:
-                delta = np.linalg.solve(damped, -grad)
-            except np.linalg.LinAlgError:
-                lam *= _LAMBDA_GROW
-                continue
-            if not np.all(np.isfinite(delta)):
-                lam *= _LAMBDA_GROW
-                continue
-            p_try = p + delta
-            r_try, jac_try = eval_fn(p_try)
-            rss_try = float(r_try @ r_try)
-            if np.isfinite(rss_try) and rss_try <= rss:
+                delta = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -grad)
+                # LAPACK returns inf or nan without setting a float flag
+                if not np.all(np.isfinite(delta)):
+                    raise np.linalg.LinAlgError
+                p_try = p + delta
+                r_try, jac_try = eval_fn(p_try)
+                rss_try = float(r_try @ r_try)
+            except (np.linalg.LinAlgError, FloatingPointError):
+                rss_try = math.inf
+            if rss_try <= rss:
                 rel_change = abs(rss - rss_try) / max(rss, 1e-300)
                 p, r, jac, rss = p_try, r_try, jac_try, rss_try
                 lam = max(lam * _LAMBDA_SHRINK, 1e-15)
@@ -171,6 +166,7 @@ def _covariance(jac, chi2_reduced):
 # ---------------------------------------------------------------------------
 # decay fit
 
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def fit_decay(dataset: Dataset, rho_peak_per_cm3, initial_guess,
               max_iterations=200) -> FitResult:
     """Fit (gamma, beta) plus the amplitude N0 to a population series.
@@ -202,8 +198,7 @@ def fit_decay(dataset: Dataset, rho_peak_per_cm3, initial_guess,
         eval_fn, p0, max_iterations
     )
     gamma, xi, n0 = p
-    with np.errstate(over="ignore"):  # an inf beta fails the var_beta check
-        beta = 4.0 * gamma * xi / rho_peak_per_cm3
+    beta = 4.0 * gamma * xi / rho_peak_per_cm3
 
     # beta is derived from xi, so three parameters are free
     dof = len(dataset) - 3
@@ -211,10 +206,10 @@ def fit_decay(dataset: Dataset, rho_peak_per_cm3, initial_guess,
     var_gamma, var_xi, var_n0 = np.diag(cov)
     cov_gx = cov[0, 1]
     # beta = 4 gamma xi / rho: first-order propagation incl. the cross term
-    with np.errstate(over="ignore", invalid="ignore"):
-        var_beta = (4.0 / rho_peak_per_cm3) ** 2 * (
-            xi**2 * var_gamma + gamma**2 * var_xi + 2.0 * gamma * xi * cov_gx
-        )
+    var_beta = (4.0 / rho_peak_per_cm3) ** 2 * (
+        xi**2 * var_gamma + gamma**2 * var_xi + 2.0 * gamma * xi * cov_gx
+    )
+    # an inverted covariance can hold inf or nan without a float flag
     if not math.isfinite(var_beta):
         raise ValueError(
             "the beta uncertainty overflows: the fitted gamma or xi is too large"
@@ -245,6 +240,7 @@ def fit_decay(dataset: Dataset, rho_peak_per_cm3, initial_guess,
 # ---------------------------------------------------------------------------
 # energy-removal coefficient fit
 
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def fit_epsilon(dataset: Dataset, xi, gamma_per_s, t0) -> FitResult:
     """One-dimensional least squares for the energy-removal coefficient.
 
@@ -263,14 +259,8 @@ def fit_epsilon(dataset: Dataset, xi, gamma_per_s, t0) -> FitResult:
     u = np.exp(-gamma_per_s * t)
     a = -t0 * xi * (1.0 - u) / s  # d(model)/d(eps), weighted
     z = (y - t0) / s
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        denom = float(a @ a)
-        numer = float(a @ z)
-    if not (math.isfinite(denom) and math.isfinite(numer)):
-        raise ValueError(
-            "the normal equation overflows: the fixed T0 or xi is too large"
-        )
+    denom = float(a @ a)
+    numer = float(a @ z)
     eps_free = numer / denom if denom > 0 else 0.0
     eps_max = 1.0 / xi
     while eps_max * xi >= 1.0:

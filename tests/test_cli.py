@@ -170,7 +170,11 @@ def _case(case_id, argv, stderr_has=None):
     _case("ramp-sample.atom_number-0", "ramp --sample.atom_number 0"),
     _case("trap-trap.laser_wavelength_nm-0", "trap --trap.laser_wavelength_nm 0"),
     _case("fit-decay-sample.rho_peak_per_cm3-0",
-          "fit --kind decay --data {fixtures}/decay_noisy.csv --sample.rho_peak_per_cm3 0"),
+          "fit --kind decay --data {fixtures}/decay_noisy.csv --sample.rho_peak_per_cm3 0",
+          stderr_has="sample.rho_peak_per_cm3"),
+    _case("fit-decay-sample.rho_peak_per_cm3--1",
+          "fit --kind decay --data {fixtures}/decay_noisy.csv --sample.rho_peak_per_cm3 -1",
+          stderr_has="sample.rho_peak_per_cm3"),
     _case("bound-bound.t_max_s--1293", "bound --bound.t_max_s -1293"),
     _case("bound-psd-nan-row", "bound --psd {tmp}/psd_nan.csv"),
     _case("fit-tof-nan-row", "fit --kind tof --data {tmp}/tof_nan.csv"),
@@ -230,13 +234,21 @@ def _case(case_id, argv, stderr_has=None):
     _case("fit-decay-sample.rho_peak_per_cm3-1e-200",
           "fit --kind decay --data {fixtures}/decay_noisy.csv --sample.rho_peak_per_cm3 1e-200",
           stderr_has="error: fit: a derived quantity overflows the float range"),
-    # numpy overflows in the decay fit's Jacobian or beta, without a warning
+    # numpy overflows in the decay fit raise FloatingPointError under the
+    # fit's error policy, and main reports them like a math overflow
     _case("fit-decay-sample.rho_peak_per_cm3-5e-324",
-          "fit --kind decay --data {fixtures}/decay_noisy.csv --sample.rho_peak_per_cm3 5e-324"),
+          "fit --kind decay --data {fixtures}/decay_noisy.csv --sample.rho_peak_per_cm3 5e-324",
+          stderr_has="error: fit:"),
     _case("fit-decay-sample.rho_peak_per_cm3-1e300",
-          "fit --kind decay --data {fixtures}/decay_noisy.csv --sample.rho_peak_per_cm3 1e300"),
+          "fit --kind decay --data {fixtures}/decay_noisy.csv --sample.rho_peak_per_cm3 1e300",
+          stderr_has="error: fit:"),
     _case("fit-decay-fit.guess_beta_cm3_per_s-1e200",
-          "fit --kind decay --data {fixtures}/decay_noisy.csv --fit.guess_beta_cm3_per_s 1e200"),
+          "fit --kind decay --data {fixtures}/decay_noisy.csv --fit.guess_beta_cm3_per_s 1e200",
+          stderr_has="error: fit:"),
+    # a zero cloud width at t = 0 divides the amplitude by zero
+    _case("tof-tof.sigma0_um-0-tof.t_min_ms-0",
+          "tof --out {out} --tof.sigma0_um 0 --tof.t_min_ms 0",
+          stderr_has="error: tof:"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, stderr_has):
     for name, text in _PROBE_FILES.items():

@@ -99,3 +99,27 @@ def test_cli_exit_codes_hold_for_random_overrides(variants, data):
     assert code in CONTRACT_CODES, (argv, stderr.getvalue())
     if code == 0:
         assert not nan_lines(stdout.getvalue()), (argv, stdout.getvalue())
+
+
+DECAY_FIT_KEYS = (
+    "fit.guess_gamma_per_s", "fit.guess_beta_cm3_per_s", "sample.rho_peak_per_cm3",
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(powers=st.tuples(*(st.floats(-6.0, 6.0) for _ in DECAY_FIT_KEYS)))
+def test_decay_fit_contract_holds_over_its_starting_point(powers):
+    # each key is its default times 10^U(-6, 6); a starting point far from
+    # the optimum overflows numpy inside the fit, which must surface as one
+    # stderr line and a contract code, never as a warning or a nan report
+    argv = ["fit", "--kind", "decay", "--data",
+            os.path.join(FIXTURES, "decay_noisy.csv")]
+    for key, power in zip(DECAY_FIT_KEYS, powers):
+        argv += ["--" + key, repr(SCHEMA[key][1] * 10.0**power)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in CONTRACT_CODES, (argv, stderr.getvalue())
+    assert stderr.getvalue().count("\n") <= 1, (argv, stderr.getvalue())
+    if code == 0:
+        assert not nan_lines(stdout.getvalue()), (argv, stdout.getvalue())

@@ -222,3 +222,18 @@ def test_fit_expansion_degenerate_intercept():
     assert fit.degenerate
     assert math.isnan(fit.sigma0)
     assert rel(fit.temperature, 123e-6) < 1e-9
+
+
+def test_expansion_functions_raise_whatever_the_callers_numpy_policy():
+    # the policy is the functions' own: a caller that ignores float errors
+    # still gets FloatingPointError, and keeps its settings afterwards
+    with np.errstate(all="ignore"):
+        before = np.geterr()
+        with pytest.raises(FloatingPointError):
+            expansion_sigma(1e300, 123e-6, 0.0)
+        with pytest.raises(FloatingPointError):  # zero width at t = 0
+            synthesize_expansion(1e6, 123e-6, 0.0, [0.0, 1e-3, 2e-3], 0.0, 1)
+        times = np.array([1e-3, 2e-3, 3e-3])
+        with pytest.raises(FloatingPointError):
+            fit_expansion(ExpansionSeries(times, np.full(3, 1e200), np.ones(3)))
+        assert np.geterr() == before
