@@ -4,7 +4,11 @@ The schema is the single source of truth: unknown keys are rejected at parse
 time, so load_config returns a plain dict holding every schema key and
 nothing else. Every physical key carries its unit in the name, and the
 defaults describe the reference apparatus (triangular ring cavity, 97 mm
-round trip, 350 uK lattice) so each command runs out of the box.
+round trip, 350 uK lattice) so each command runs out of the box. Each key
+also has a domain, and every value from a file or an override is checked
+against it whichever command runs; the defaults are never converted. Checks
+that join several keys or belong to one command stay with the models and
+the commands.
 """
 
 import math
@@ -13,67 +17,78 @@ import os
 from .cavity import CavitySpec, MirrorSpec, ModeGeometry
 from .constants import CONST
 from .errors import ConfigError
+from .ramp import RETHERMALIZATION_MODES
 from .trap import TrapParameters, TrapState, thermal_cloud_shape, trap_parameters
 
 ENV_CONFIG = "LATTICEKIT_CONFIG"
+
+# the values a key accepts, named as its error message names them
+_ONE_OF_MODES = "one of " + ", ".join(RETHERMALIZATION_MODES)
+_DOMAINS = {
+    "> 0": lambda v: v > 0,
+    ">= 0": lambda v: v >= 0,
+    ">= 1": lambda v: v >= 1,
+    ">= 2": lambda v: v >= 2,
+    ">= 3": lambda v: v >= 3,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+    _ONE_OF_MODES: RETHERMALIZATION_MODES.__contains__,
+}
 
 # cloud.envelope_sigma_{x,y} default to the thermal radial width of the
 # reference 350 uK / 123 uK state; envelope_sigma_z is calibrated so the
 # density model reproduces that state's measured peak density 9e11 cm^-3.
 _SCHEMA_ROWS = [
-    ("cavity.round_trip_length_mm", float, 97.0),
-    ("cavity.mirror_1.transmission_ppm", float, 23.0),
-    ("cavity.mirror_1.scatter_ppm", float, 3.0),
-    ("cavity.mirror_2.transmission_ppm", float, 0.8),
-    ("cavity.mirror_2.scatter_ppm", float, 3.0),
-    ("cavity.mirror_3.transmission_ppm", float, 0.8),
-    ("cavity.mirror_3.scatter_ppm", float, 3.0),
-    ("cavity.input_power_uW", float, 60.0),
-    ("cavity.mode_matching", float, 1.0),
-    ("cavity.ring_down_us", float, 9.2),
-    ("mode.diameter_sagittal_um", float, 268.0),
-    ("mode.diameter_transversal_um", float, 258.0),
-    ("trap.depth_uK", float, 350.0),
-    ("trap.laser_wavelength_nm", float, 787.6),
-    ("trap.input_power_uW", float, 60.0),
-    ("cloud.envelope_sigma_x_um", float, 38.970483335834715),
-    ("cloud.envelope_sigma_y_um", float, 38.970483335834715),
-    ("cloud.envelope_sigma_z_um", float, 555.56195528493),
-    ("sample.atom_number", float, 4.0e6),
-    ("sample.temperature_uK", float, 123.0),
-    ("sample.rho_peak_per_cm3", float, 9.0e11),
-    ("loss.gamma_per_s", float, 0.6),
-    ("loss.beta_cm3_per_s", float, 7.5e-12),
-    ("evap.epsilon", float, 0.057),
-    ("heating.gamma_tot_per_s", float, 0.041),
-    ("sim.t_max_s", float, 4.0),
-    ("sim.n_points", int, 201),
-    ("ramp.depth_final_uK", float, 147.0),
-    ("ramp.duration_ms", float, 70.0),
-    ("ramp.steps", int, 1024),
-    ("ramp.rethermalization", str, "collision-gated"),
-    ("bound.t_max_s", float, 4.0),
-    ("tof.sigma0_um", float, 40.0),
-    ("tof.noise_frac", float, 0.01),
-    ("tof.seed", int, 20240901),
-    ("tof.n_times", int, 8),
-    ("tof.t_min_ms", float, 0.5),
-    ("tof.t_max_ms", float, 6.0),
-    ("fit.max_iterations", int, 200),
-    ("fit.guess_gamma_per_s", float, 0.4),
-    ("fit.guess_beta_cm3_per_s", float, 5.0e-12),
+    ("cavity.round_trip_length_mm", float, 97.0, "> 0"),
+    ("cavity.mirror_1.transmission_ppm", float, 23.0, ">= 0"),
+    ("cavity.mirror_1.scatter_ppm", float, 3.0, ">= 0"),
+    ("cavity.mirror_2.transmission_ppm", float, 0.8, ">= 0"),
+    ("cavity.mirror_2.scatter_ppm", float, 3.0, ">= 0"),
+    ("cavity.mirror_3.transmission_ppm", float, 0.8, ">= 0"),
+    ("cavity.mirror_3.scatter_ppm", float, 3.0, ">= 0"),
+    ("cavity.input_power_uW", float, 60.0, ">= 0"),
+    ("cavity.mode_matching", float, 1.0, "in [0, 1]"),
+    ("cavity.ring_down_us", float, 9.2, "> 0"),
+    ("mode.diameter_sagittal_um", float, 268.0, "> 0"),
+    ("mode.diameter_transversal_um", float, 258.0, "> 0"),
+    ("trap.depth_uK", float, 350.0, "> 0"),
+    ("trap.laser_wavelength_nm", float, 787.6, "> 0"),
+    ("trap.input_power_uW", float, 60.0, ">= 0"),
+    ("cloud.envelope_sigma_x_um", float, 38.970483335834715, "> 0"),
+    ("cloud.envelope_sigma_y_um", float, 38.970483335834715, "> 0"),
+    ("cloud.envelope_sigma_z_um", float, 555.56195528493, "> 0"),
+    ("sample.atom_number", float, 4.0e6, ">= 0"),
+    ("sample.temperature_uK", float, 123.0, "> 0"),
+    ("sample.rho_peak_per_cm3", float, 9.0e11, ">= 0"),
+    ("loss.gamma_per_s", float, 0.6, "> 0"),
+    ("loss.beta_cm3_per_s", float, 7.5e-12, ">= 0"),
+    ("evap.epsilon", float, 0.057, None),
+    ("heating.gamma_tot_per_s", float, 0.041, ">= 0"),
+    ("sim.t_max_s", float, 4.0, "> 0"),
+    ("sim.n_points", int, 201, ">= 2"),
+    ("ramp.depth_final_uK", float, 147.0, "> 0"),
+    ("ramp.duration_ms", float, 70.0, ">= 0"),
+    ("ramp.steps", int, 1024, ">= 1"),
+    ("ramp.rethermalization", str, "collision-gated", _ONE_OF_MODES),
+    ("bound.t_max_s", float, 4.0, ">= 0"),
+    ("tof.sigma0_um", float, 40.0, ">= 0"),
+    ("tof.noise_frac", float, 0.01, ">= 0"),
+    ("tof.seed", int, 20240901, ">= 0"),
+    ("tof.n_times", int, 8, ">= 3"),
+    ("tof.t_min_ms", float, 0.5, ">= 0"),
+    ("tof.t_max_ms", float, 6.0, ">= 0"),
+    ("fit.max_iterations", int, 200, ">= 1"),
+    ("fit.guess_gamma_per_s", float, 0.4, "> 0"),
+    ("fit.guess_beta_cm3_per_s", float, 5.0e-12, "> 0"),
 ]
 
-SCHEMA = {key: (typ, default) for key, typ, default in _SCHEMA_ROWS}
+SCHEMA = {key: (typ, default, domain) for key, typ, default, domain in _SCHEMA_ROWS}
 
 def _convert(key, raw, lineno=None):
-    typ, _default = SCHEMA[key]
+    typ, _default, domain = SCHEMA[key]
     where = f" (line {lineno})" if lineno is not None else ""
     raw = raw.strip()
     if raw == "":
         raise ConfigError(f"empty value for key {key}{where}")
-    if typ is str:
-        return raw
     try:
         value = typ(raw)
     except ValueError:
@@ -83,6 +98,8 @@ def _convert(key, raw, lineno=None):
     # ints are always finite, and math.isfinite overflows on very long ones
     if typ is float and not math.isfinite(value):
         raise ConfigError(f"non-finite value {raw!r} for key {key}{where}")
+    if domain is not None and not _DOMAINS[domain](value):
+        raise ConfigError(f"{key} must be {domain}, got {raw}{where}")
     return value
 
 
@@ -119,7 +136,7 @@ def resolve_key(name):
 
 def load_config(path=None, overrides=()):
     """Defaults, then an optional file (or $LATTICEKIT_CONFIG), then overrides."""
-    values = {key: default for key, (_typ, default) in SCHEMA.items()}
+    values = {key: default for key, (_typ, default, _domain) in SCHEMA.items()}
     path = path or os.environ.get(ENV_CONFIG)
     if path:
         try:

@@ -198,6 +198,10 @@ def fit_decay(dataset: Dataset, rho_peak_per_cm3, initial_guess,
         eval_fn, p0, max_iterations
     )
     gamma, xi, n0 = p
+    # the steps are unbounded, so the optimum can leave LossParams' domain
+    if gamma <= 0 or xi < 0:
+        converged = False
+        message = "the optimum lies outside the model domain gamma > 0, xi >= 0"
     beta = 4.0 * gamma * xi / rho_peak_per_cm3
 
     # beta is derived from xi, so three parameters are free

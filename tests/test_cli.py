@@ -1,4 +1,3 @@
-import hashlib
 import importlib.util
 import math
 import os
@@ -7,10 +6,12 @@ import subprocess
 import sys
 
 import numpy as np
+import pins
 import pytest
 
 import latticekit
 from latticekit.cli import main
+from latticekit.config import SCHEMA
 from latticekit.constants import CONST, RB85
 from latticekit.losses import population
 from latticekit.tabular import read_dataset, read_expansion
@@ -152,9 +153,8 @@ def _case(case_id, argv, stderr_has=None):
     _case("cavity-ring_down_us-0", "cavity --ring_down_us 0"),
     _case("cavity-ring_down_us-inf", "cavity --ring_down_us inf"),
     _case("trap-laser_wavelength_nm-780.24", "trap --laser_wavelength_nm 780.24"),
-    # the trap report rebuilds its cavity at this power, through the checks
     _case("trap-trap.input_power_uW--1", "trap --trap.input_power_uW -1",
-          stderr_has="input power"),
+          stderr_has="trap.input_power_uW"),
     _case("cavity-out-in-missing-directory", "cavity --out {tmp}/missing/x.txt",
           stderr_has="{tmp}/missing/x.txt"),
     _case("cavity-out-is-a-directory", "cavity --out {tmp}", stderr_has="{tmp}"),
@@ -249,6 +249,17 @@ def _case(case_id, argv, stderr_has=None):
     _case("tof-tof.sigma0_um-0-tof.t_min_ms-0",
           "tof --out {out} --tof.sigma0_um 0 --tof.t_min_ms 0",
           stderr_has="error: tof:"),
+    # the schema checks a key's domain whether or not the command reads it
+    _case("tof-tof.sigma0_um--1", "tof --out {out} --tof.sigma0_um -1",
+          stderr_has="tof.sigma0_um"),
+    _case("tof-tof.seed--1", "tof --out {out} --tof.seed -1", stderr_has="tof.seed"),
+    _case("cavity-ramp.steps-0", "cavity --ramp.steps 0", stderr_has="ramp.steps"),
+    # options are never abbreviated, so a prefix is an unknown config key
+    _case("simulate-prefix-mod",
+          "simulate --model decay --out {out} --mod temperature",
+          stderr_has="error: unknown config key: mod"),
+    _case("cavity-prefix-ou", "cavity --ou {out}",
+          stderr_has="error: unknown config key: ou"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, stderr_has):
     for name, text in _PROBE_FILES.items():
@@ -269,6 +280,35 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, stderr_has):
     # a failed write names the requested path and leaves no temporary file
     assert not re.search(r"tmp\w+\.tmp", err)
     assert not list(tmp_path.rglob("*.tmp"))
+
+
+# one value just outside each domain of the schema
+_JUST_OUTSIDE = {
+    (float, "> 0"): "0",
+    (float, ">= 0"): "-5e-324",
+    (float, "in [0, 1]"): "1.0000000000000002",
+    (int, ">= 0"): "-1",
+    (int, ">= 1"): "0",
+    (int, ">= 2"): "1",
+    (int, ">= 3"): "2",
+    (str, "one of collision-gated, instant, off"): "Instant",
+}
+
+
+@pytest.mark.parametrize("key", [key for key, row in SCHEMA.items() if row[2]])
+def test_value_outside_its_domain_exits_2_naming_the_key(tmp_path, capsys, key):
+    typ, _default, domain = SCHEMA[key]
+    raw = _JUST_OUTSIDE[typ, domain]
+    # a command that does not read the key
+    command = "bound" if key.startswith(("cavity.", "mode.")) else "cavity"
+    assert main([command, "--" + key, raw]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be {domain}, got {raw}\n"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# line 1\n{key} = {raw}\n")
+    assert main([command, "--config", str(config)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {key} must be {domain}, got {raw} (line 2)\n"
+    )
 
 
 def test_bound_psd_with_sigma_column_exits_2(tmp_path, capsys):
@@ -543,91 +583,39 @@ def test_fixture_generator_reproduces_committed_bytes(tmp_path):
             assert (tmp_path / name).read_bytes() == fh.read(), name
 
 
-# sha256 of stdout and of every file `fit --out fit.txt` writes on each
-# committed fixture; a change here changes the published fixture fits and
-# must be stated with the change
-FIXTURE_FIT_DIGESTS = {
-    "decay": {
-        "stdout": "cd56912730faee412a799653c4eecfaebb3ced678ef419e286e6a0a05df00e43",
-        "fit.txt": "cd56912730faee412a799653c4eecfaebb3ced678ef419e286e6a0a05df00e43",
-        "fit.txt.csv": "b1e08c27bfaccff953e25a7dec30001b4e5cf53c925e615a28baa4a57222f43e",
-        "fit.txt.residuals.csv":
-            "b618f6980d29af01d1f75f0e8ec3244aca05891f3aab38b45d9b6cfc410f7b51",
-    },
-    "tof": {
-        "stdout": "d0b993385cbce36444829fc9ba7aaa97b13b07eed8333accb19dc37fff5f2053",
-        "fit.txt": "d0b993385cbce36444829fc9ba7aaa97b13b07eed8333accb19dc37fff5f2053",
-        "fit.txt.csv": "2199da50b8eac2273e20a358a4cda7e9d018c75bdf7b76591029542494174017",
-    },
-}
+# Every pin lives in tests/pins.json, printed by tests/pins.py; the runs of
+# the fixture fits, the trajectories and the spectrum bound keep their own
+# tests, and every other command variant, exit 3 and exit 4 share the third.
+PINS = pins.load_pins()
+FIXTURE_FIT_RUNS = ["fit-decay", "fit-tof"]
+TRAJECTORY_AND_PSD_BOUND_RUNS = [
+    name for name in sorted(pins.RUNS)
+    if name == "bound-psd" or name.startswith("simulate-")
+]
+OTHER_RUNS = [
+    name for name in sorted(pins.RUNS)
+    if name not in FIXTURE_FIT_RUNS + TRAJECTORY_AND_PSD_BOUND_RUNS
+]
 
 
-def _output_digests(argv, tmp_path, capsys):
-    """sha256 of stdout and of every file in tmp_path after main(argv)."""
-    assert main(argv) == 0
-    outputs = {"stdout": capsys.readouterr().out.encode()}
-    for path in sorted(tmp_path.iterdir()):
-        outputs[path.name] = path.read_bytes()
-    return {name: hashlib.sha256(raw).hexdigest() for name, raw in outputs.items()}
+def _assert_pinned(name, tmp_path):
+    assert sorted(PINS) == sorted(pins.RUNS)
+    assert pins.pin(name, str(tmp_path)) == PINS[name]
 
 
-@pytest.mark.parametrize("kind", sorted(FIXTURE_FIT_DIGESTS))
-def test_fixture_fits_are_pinned(tmp_path, capsys, kind):
-    data = os.path.join(FIXTURES, f"{kind}_noisy.csv")
-    argv = ["fit", "--kind", kind, "--data", data, "--out", str(tmp_path / "fit.txt")]
-    assert _output_digests(argv, tmp_path, capsys) == FIXTURE_FIT_DIGESTS[kind]
+@pytest.mark.parametrize("kind", ["decay", "tof"])
+def test_fixture_fits_are_pinned(tmp_path, kind):
+    _assert_pinned(f"fit-{kind}", tmp_path)
 
 
-# sha256 of stdout and of every file each trajectory and spectrum run writes,
-# at the default sim.n_points (201) and at 2001; a change here changes the
-# published trajectories or heating rates and must be stated with the change;
-# simulate prints nothing, so its stdout digest is that of no bytes
-_EMPTY = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
-PINNED_RUN_DIGESTS = {
-    "bound-psd": {
-        "stdout": "9160574386128e3fa1a561a259da8a30710e7aee7fea7111b2279cbc13e864f0",
-        "out.txt": "9160574386128e3fa1a561a259da8a30710e7aee7fea7111b2279cbc13e864f0",
-        "out.txt.csv": "cce1a38d5a5de918a86129c65b70bf9129cc7b6084d8fb96f8f2c239dce42160",
-    },
-    "simulate-combined": {
-        "stdout": _EMPTY,
-        "out.csv": "68e2fbf76403f4ea8654a38ed99a4792c6c168a5cbf58f06b7c9ee2f764415fa",
-    },
-    "simulate-combined-2001": {
-        "stdout": _EMPTY,
-        "out.csv": "25e213812fea5457c8f81c66612274670dd0f65e19be219ca11a63184d124039",
-    },
-    "simulate-decay": {
-        "stdout": _EMPTY,
-        "out.csv": "e2fc7f3fd195ebb32c8668d2f9541ea120351368b98f5d05c60414ceec14694a",
-    },
-    "simulate-decay-2001": {
-        "stdout": _EMPTY,
-        "out.csv": "862072d7d91d931ce5d1056d9971ea1580d30fbefa1e7a559226e592702c4b45",
-    },
-    "simulate-temperature": {
-        "stdout": _EMPTY,
-        "out.csv": "b79e7c6ae67583581a31595bc48f33e5d40f86e56e2e53932b036c8e46d74a61",
-    },
-    "simulate-temperature-2001": {
-        "stdout": _EMPTY,
-        "out.csv": "9c91fed54ac58bcb5f8923d37c7656e341d88b044b951634827ad6412c667fe1",
-    },
-}
+@pytest.mark.parametrize("run", TRAJECTORY_AND_PSD_BOUND_RUNS)
+def test_trajectories_and_psd_bound_are_pinned(tmp_path, run):
+    _assert_pinned(run, tmp_path)
 
 
-@pytest.mark.parametrize("run", sorted(PINNED_RUN_DIGESTS))
-def test_trajectories_and_psd_bound_are_pinned(tmp_path, capsys, run):
-    command, _, rest = run.partition("-")
-    if command == "bound":
-        argv = ["bound", "--psd", os.path.join(FIXTURES, "psd_noisy.csv"),
-                "--out", str(tmp_path / "out.txt")]
-    else:
-        model, _, n_points = rest.partition("-")
-        argv = ["simulate", "--model", model, "--out", str(tmp_path / "out.csv")]
-        if n_points:
-            argv += ["--sim.n_points", n_points]
-    assert _output_digests(argv, tmp_path, capsys) == PINNED_RUN_DIGESTS[run]
+@pytest.mark.parametrize("run", OTHER_RUNS)
+def test_command_variants_are_pinned(tmp_path, run):
+    _assert_pinned(run, tmp_path)
 
 
 def test_fit_nonconvergence_exits_4(capsys):
@@ -636,6 +624,20 @@ def test_fit_nonconvergence_exits_4(capsys):
                  "--fit.max_iterations", "1"])
     assert code == 4
     assert "did not converge" in capsys.readouterr().err
+
+
+def test_fit_decay_optimum_outside_the_model_domain_exits_4(capsys):
+    # from this start the unbounded steps reach gamma < 0 and xi < 0
+    data = os.path.join(FIXTURES, "decay_noisy.csv")
+    code = main(["fit", "--kind", "decay", "--data", data,
+                 "--fit.guess_gamma_per_s", "1e-5",
+                 "--fit.guess_beta_cm3_per_s", "1e-8",
+                 "--sample.rho_peak_per_cm3", "1e18"])
+    assert code == 4
+    captured = capsys.readouterr()
+    assert "converged = false" in captured.out
+    assert "\ngamma_per_s = -" in captured.out
+    assert "outside the model domain" in captured.err
 
 
 def test_simulate_combined_overflow_writes_inf_without_warning(tmp_path, capsys):

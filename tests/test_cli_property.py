@@ -2,11 +2,14 @@
 
 Every command variant, given one to three overrides drawn from the schema,
 must return 0, 2, 3 or 4 without raising (RuntimeWarnings are errors under
-the pytest settings), and a successful run must not report nan.
+the pytest settings), and a successful run must not report nan. A single
+override names its key's domain exactly when the value lies outside it, and
+then exits 2.
 """
 
 import contextlib
 import io
+import math
 import os
 import re
 
@@ -72,7 +75,7 @@ def _scaled(default):
 @st.composite
 def overrides(draw):
     key = draw(st.sampled_from(sorted(SCHEMA)))
-    _typ, default = SCHEMA[key]
+    _typ, default, _domain = SCHEMA[key]
     if key in SIZE_KEYS:
         value = str(draw(st.integers(-2, 4096)))
     elif isinstance(default, str):
@@ -80,6 +83,25 @@ def overrides(draw):
     else:
         value = draw(st.sampled_from(SPECIAL_VALUES) | _scaled(default))
     return ["--" + key, value]
+
+
+def outside_domain(key, raw):
+    """Whether raw parses as a finite value of key's type outside its domain."""
+    typ, _default, domain = SCHEMA[key]
+    if domain is None or not raw.strip():
+        return False
+    try:
+        value = typ(raw)
+    except ValueError:
+        return False
+    if typ is str:
+        return value not in RETHERMALIZATION_MODES
+    if typ is float and not math.isfinite(value):
+        return False
+    if domain == "in [0, 1]":
+        return not 0 <= value <= 1
+    op, limit = domain.split()
+    return not (value > float(limit) if op == ">" else value >= float(limit))
 
 
 def nan_lines(report):
@@ -91,7 +113,8 @@ def nan_lines(report):
 @given(data=st.data())
 def test_cli_exit_codes_hold_for_random_overrides(variants, data):
     argv = data.draw(st.sampled_from(variants))
-    for pair in data.draw(st.lists(overrides(), min_size=1, max_size=3)):
+    pairs = data.draw(st.lists(overrides(), min_size=1, max_size=3))
+    for pair in pairs:
         argv = argv + pair
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -99,6 +122,13 @@ def test_cli_exit_codes_hold_for_random_overrides(variants, data):
     assert code in CONTRACT_CODES, (argv, stderr.getvalue())
     if code == 0:
         assert not nan_lines(stdout.getvalue()), (argv, stdout.getvalue())
+    if len(pairs) == 1:
+        [(flag, raw)] = pairs
+        key = flag[2:]
+        named = f"error: {key} must be {SCHEMA[key][2]}, got " in stderr.getvalue()
+        assert named == outside_domain(key, raw), (argv, stderr.getvalue())
+        if named:
+            assert code == 2, argv
 
 
 DECAY_FIT_KEYS = (

@@ -1,3 +1,5 @@
+import os
+
 import pytest
 
 from latticekit.config import (
@@ -91,7 +93,7 @@ DIMENSIONLESS = {
 
 
 def test_unit_suffix_discipline():
-    for key, (typ, _default) in SCHEMA.items():
+    for key, (typ, _default, _domain) in SCHEMA.items():
         if typ is float and key not in DIMENSIONLESS:
             assert key.endswith(UNIT_SUFFIXES), key
 
@@ -140,7 +142,31 @@ def test_builders_reference_values():
 
 
 def test_builders_wrap_validation_errors():
-    # builders pass the model's ValueError through; cli.main maps it to exit 2
-    cfg = load_config(overrides=[("cavity.mirror_1.transmission_ppm", "-5")])
-    with pytest.raises(ValueError, match="mirror losses"):
+    # builders pass the model's ValueError through; cli.main maps it to exit 2.
+    # 999999 ppm lies in the key's domain; only its sum with the default
+    # 3 ppm scatter breaks the mirror's check.
+    cfg = load_config(overrides=[("cavity.mirror_1.transmission_ppm", "999999")])
+    with pytest.raises(ValueError, match="mirror loss fractions must sum below 1"):
         cavity_from_config(cfg)
+
+
+def test_every_default_lies_in_its_domain():
+    # load_config never converts a default, so each one goes through the
+    # override path here, domain check included
+    overrides = [(key, str(default)) for key, (_typ, default, _domain) in SCHEMA.items()]
+    assert load_config(overrides=overrides) == load_config()
+
+
+README = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "README.md")
+
+
+def test_readme_config_table_matches_the_schema():
+    expected = ["| key | type | default | domain |", "| --- | --- | --- | --- |"]
+    for key, (typ, default, domain) in SCHEMA.items():
+        shown = f"`{domain}`" if domain else "any"
+        expected.append(f"| `{key}` | {typ.__name__} | {default} | {shown} |")
+    with open(README, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    start = lines.index(expected[0])
+    assert lines[start:start + len(expected) + 1] == expected + [""]
