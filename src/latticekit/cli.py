@@ -1,12 +1,13 @@
 """Command-line interface tying the toolkit together.
 
-Subcommands: cavity, trap, simulate, fit, bound, tof, ramp; _build_parser
-declares each one once, with its handler. Every command reads the schema
-defaults, an optional config file (--config or the LATTICEKIT_CONFIG
-environment variable) and trailing `--key value` overrides whose names mirror
-the config keys (unambiguous tails are accepted); options are never
-abbreviated, so a prefix of one is read as a config key. simulate and tof
-always write a file, so their --out is a required argument.
+Subcommands: cavity, trap, simulate, fit, bound, tof, ramp; the COMMANDS
+table declares each one once, with its handler, help text and flags, and
+parse_command_line reads the command line against it in one pass. Every
+command reads the schema defaults, an optional config file (--config or the
+LATTICEKIT_CONFIG environment variable) and trailing `--key value` overrides
+whose names mirror the config keys (unambiguous tails are accepted); flags
+match by their exact name only, so a prefix of one is read as a config key.
+simulate and tof always write a file, so their --out is a required argument.
 
 Exit codes: 0 success, 2 input or configuration error, 3 model-domain error,
 4 fit non-convergence. main is the only place that maps exceptions to codes:
@@ -16,7 +17,8 @@ ZeroDivisionError from float arithmetic, FloatingPointError from the numpy
 array functions, which raise instead of warning) gets a line that names the
 command and says that a derived quantity overflows the float range or is
 undefined. A malformed command line (unknown command, missing --model or
---out) exits 2 with argparse's usage message.
+--out) exits 2 with the usage line and one error line; -h or --help prints the
+commands, or the command's flags, and exits 0.
 
 Only numpy-free modules are imported here, and cavity, trap, simulate, bound
 (with or without --psd) and ramp never load numpy; the array commands, fit
@@ -25,10 +27,10 @@ OPENBLAS_NUM_THREADS is already set: the largest product is J^T J of an
 n x 3 Jacobian, so helper threads only cost CPU.
 """
 
-import argparse
 import math
 import os
 import sys
+from types import SimpleNamespace
 
 from .cavity import (
     CavitySpec,
@@ -440,79 +442,88 @@ def cmd_ramp(cfg, args):
 # ---------------------------------------------------------------------------
 # argument plumbing
 
-def _parse_overrides(rest):
-    pairs = []
-    i = 0
-    while i < len(rest):
-        token = rest[i]
-        if not token.startswith("--"):
-            raise ConfigError(f"unexpected argument {token!r}")
-        if i + 1 >= len(rest):
-            raise ConfigError(f"override {token} is missing a value")
-        pairs.append((token[2:], rest[i + 1]))
-        i += 2
-    return pairs
+# name -> (handler, help text, {flag: False if optional, True if required,
+# or the choices of a required flag}); any other `--name value` pair after
+# the command is a config override
+COMMANDS = {
+    "cavity": (cmd_cavity, "resonator figures of merit", {}),
+    "trap": (cmd_trap, "trap, density and coupling parameters", {}),
+    "simulate": (cmd_simulate, "write a model trajectory CSV",
+                 {"--out": True, "--model": ("decay", "temperature", "combined")}),
+    "fit": (cmd_fit, "fit a measured series",
+            {"--kind": ("decay", "temperature", "tof"), "--data": True}),
+    "bound": (cmd_bound, "heating-rate upper bound", {"--psd": False}),
+    "tof": (cmd_tof, "synthesize an expansion series", {"--out": True}),
+    "ramp": (cmd_ramp, "simulate the configured depth ramp", {}),
+}
 
 
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="latticekit",
-        description="Ring-cavity optical lattice modeling and fitting toolkit",
-        allow_abbrev=False,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _exit(name, flags, code, text):
+    """Print the usage of command name (the program's for None) and text, as
+    help on stdout (code 0) or as an error on stderr; exit with code."""
+    prog = f"latticekit {name}" if name else "latticekit"
+    words = [prog, "[-h]"] if name else [prog, "[-h]", "{" + ",".join(COMMANDS) + "}", "..."]
+    for flag, spec in flags.items():
+        arg = flag + " " + ("{" + ",".join(spec) + "}" if type(spec) is tuple else flag[2:].upper())
+        words.append(arg if spec else f"[{arg}]")
+    print("usage: " + " ".join(words), f"{prog}: error: {text}" if code else text,
+          sep="\n", file=sys.stderr if code else sys.stdout)
+    raise SystemExit(code)
 
-    def add(name, run, help_text, out_required=False, **extra):
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        p.set_defaults(run=run)
-        p.add_argument("--config", default=None, help="config file path")
-        p.add_argument("--out", required=out_required, help="output path")
-        for flag, kwargs in extra.items():
-            p.add_argument(flag, **kwargs)
 
-    add("cavity", cmd_cavity, "resonator figures of merit")
-    add("trap", cmd_trap, "trap, density and coupling parameters")
-    add(
-        "simulate",
-        cmd_simulate,
-        "write a model trajectory CSV",
-        out_required=True,
-        **{"--model": {"required": True,
-                       "choices": ["decay", "temperature", "combined"]}},
-    )
-    add(
-        "fit",
-        cmd_fit,
-        "fit a measured series",
-        **{
-            "--kind": {"required": True,
-                       "choices": ["decay", "temperature", "tof"]},
-            "--data": {"required": True, "help": "input CSV path"},
-        },
-    )
-    add("bound", cmd_bound, "heating-rate upper bound", **{"--psd": {"default": None}})
-    add("tof", cmd_tof, "synthesize an expansion series", out_required=True)
-    add("ramp", cmd_ramp, "simulate the configured depth ramp")
-    return parser
+def parse_command_line(argv=None):
+    """(command, flag namespace, [(config key, raw value)]) of argv; help or
+    a malformed line is printed and raises SystemExit(0) or SystemExit(2)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    name = argv[0] if argv else None
+    if name in ("-h", "--help"):
+        _exit(None, {}, 0, "\nRing-cavity optical lattice modeling and fitting toolkit\n\n"
+              + "".join(f"  {command:<10}{spec[1]}\n" for command, spec in COMMANDS.items())
+              + "\n`latticekit COMMAND -h` lists the flags of a command; any other\n"
+              "`--key value` pair after the command overrides a config key.")
+    if name not in COMMANDS:
+        _exit(None, {}, 2, "the following arguments are required: command" if name is None
+              else f"argument command: invalid choice: {name!r} "
+                   f"(choose from {', '.join(map(repr, COMMANDS))})")
+    flags = {"--config": False, "--out": False, **COMMANDS[name][2]}
+    values, overrides, rest = dict.fromkeys(flags), [], argv[1:]
+    # each --name takes the next token as its value, whatever it looks like
+    for flag, value in zip(rest[::2], rest[1::2] + [None]):
+        spec = flags.get(flag)
+        if flag in ("-h", "--help"):
+            _exit(name, flags, 0, "\n" + COMMANDS[name][1])
+        elif not flag.startswith("--"):
+            _exit(name, flags, 2, f"unexpected argument {flag!r}")
+        elif value is None:
+            _exit(name, flags, 2, f"argument {flag}: expected one argument")
+        elif spec is None:
+            overrides.append((flag[2:], value))
+        elif type(spec) is tuple and value not in spec:
+            _exit(name, flags, 2, f"argument {flag}: invalid choice: {value!r} "
+                                  f"(choose from {', '.join(map(repr, spec))})")
+        else:
+            values[flag] = value
+    missing = [flag for flag, spec in flags.items() if spec and values[flag] is None]
+    if missing:
+        _exit(name, flags, 2, "the following arguments are required: " + ", ".join(missing))
+    return name, SimpleNamespace(**{f[2:]: v for f, v in values.items()}), overrides
 
 
 def main(argv=None) -> int:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    parser = _build_parser()
     try:
-        ns, rest = parser.parse_known_args(argv)
+        name, args, overrides = parse_command_line(argv)
     except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
+        return exc.code
     try:
-        overrides = _parse_overrides(rest)
-        cfg = load_config(ns.config, overrides)
-        return ns.run(cfg, ns)
+        cfg = load_config(args.config, overrides)
+        return COMMANDS[name][0](cfg, args)
     except DomainError as exc:
         print(f"model domain error: {exc}", file=sys.stderr)
         return 3
     except ArithmeticError as exc:
         # a float power's OverflowError has (errno, text) as its arguments
-        print(f"error: {ns.command}: a derived quantity overflows the float "
+        print(f"error: {name}: a derived quantity overflows the float "
               f"range or is undefined ({exc.args[-1]})", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:

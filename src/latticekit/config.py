@@ -83,23 +83,24 @@ _SCHEMA_ROWS = [
 
 SCHEMA = {key: (typ, default, domain) for key, typ, default, domain in _SCHEMA_ROWS}
 
-def _convert(key, raw, lineno=None):
+def _convert(key, raw, where=""):
+    """raw as key's type, inside key's domain; where prefixes each error
+    with the value's source, `<path>: line N: ` for a config file."""
     typ, _default, domain = SCHEMA[key]
-    where = f" (line {lineno})" if lineno is not None else ""
     raw = raw.strip()
     if raw == "":
-        raise ConfigError(f"empty value for key {key}{where}")
+        raise ConfigError(f"{where}empty value for key {key}")
     try:
         value = typ(raw)
     except ValueError:
         raise ConfigError(
-            f"cannot parse value {raw!r} for key {key} as {typ.__name__}{where}"
+            f"{where}cannot parse value {raw!r} for key {key} as {typ.__name__}"
         ) from None
     # ints are always finite, and math.isfinite overflows on very long ones
     if typ is float and not math.isfinite(value):
-        raise ConfigError(f"non-finite value {raw!r} for key {key}{where}")
+        raise ConfigError(f"{where}non-finite value {raw!r} for key {key}")
     if domain is not None and not _DOMAINS[domain](value):
-        raise ConfigError(f"{key} must be {domain}, got {raw}{where}")
+        raise ConfigError(f"{where}{key} must be {domain}, got {raw}")
     return value
 
 
@@ -116,7 +117,7 @@ def parse_config_text(text, source="<config>"):
         key = key.strip()
         if key not in SCHEMA:
             raise ConfigError(f"{source}: line {lineno}: unknown config key: {key}")
-        values[key] = _convert(key, raw, lineno)
+        values[key] = _convert(key, raw, f"{source}: line {lineno}: ")
     return values
 
 

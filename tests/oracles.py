@@ -5,15 +5,18 @@ for N(t) and T(t), adaptive quadrature of the truncated r^4 integral, the
 escape rate composed from the cross section and the thermal velocity, and
 the mean energy an escaping atom removes. None of this is on the product
 path. The RK4 step size is tied to the total span (span / 4096 by default),
-so repeated runs give bit-identical arrays.
+so repeated runs give bit-identical arrays. Last, the argparse command line
+that latticekit.cli parsed before its command table, which
+tests/test_command_line.py compares the hand-written parser against.
 """
 
+import argparse
 import math
 
 import numpy as np
 
 from latticekit.constants import CONST, M3_TO_CM3, thermal_velocity
-from latticekit.errors import DomainError
+from latticekit.errors import ConfigError, DomainError
 from latticekit.evaporation import epsilon, unitarity_cross_section
 
 DEFAULT_SUBSTEPS = 4096
@@ -127,3 +130,73 @@ def evaporation_rate(rho_bar_per_cm3, temperature, eta_value):
         * sigma_v * M3_TO_CM3
         * eta_value * math.exp(-eta_value)
     )
+
+
+# ---------------------------------------------------------------------------
+# the argparse command line latticekit.cli parsed before its command table
+
+
+def _parse_overrides(rest):
+    pairs = []
+    i = 0
+    while i < len(rest):
+        token = rest[i]
+        if not token.startswith("--"):
+            raise ConfigError(f"unexpected argument {token!r}")
+        if i + 1 >= len(rest):
+            raise ConfigError(f"override {token} is missing a value")
+        pairs.append((token[2:], rest[i + 1]))
+        i += 2
+    return pairs
+
+
+def _build_parser():
+    parser = argparse.ArgumentParser(
+        prog="latticekit",
+        description="Ring-cavity optical lattice modeling and fitting toolkit",
+        allow_abbrev=False,
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def add(name, help_text, out_required=False, **extra):
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
+        p.add_argument("--config", default=None, help="config file path")
+        p.add_argument("--out", required=out_required, help="output path")
+        for flag, kwargs in extra.items():
+            p.add_argument(flag, **kwargs)
+
+    add("cavity", "resonator figures of merit")
+    add("trap", "trap, density and coupling parameters")
+    add(
+        "simulate",
+        "write a model trajectory CSV",
+        out_required=True,
+        **{"--model": {"required": True,
+                       "choices": ["decay", "temperature", "combined"]}},
+    )
+    add(
+        "fit",
+        "fit a measured series",
+        **{
+            "--kind": {"required": True,
+                       "choices": ["decay", "temperature", "tof"]},
+            "--data": {"required": True, "help": "input CSV path"},
+        },
+    )
+    add("bound", "heating-rate upper bound", **{"--psd": {"default": None}})
+    add("tof", "synthesize an expansion series", out_required=True)
+    add("ramp", "simulate the configured depth ramp")
+    return parser
+
+
+def argparse_command_line(argv):
+    """(command, {flag: value}, [(override name, raw value)]) as argparse and
+    the override pairing read argv. Help raises SystemExit(0); a line either
+    refuses raises SystemExit(2), as cli.main then exited 2."""
+    ns, rest = _build_parser().parse_known_args(argv)
+    try:
+        overrides = _parse_overrides(rest)
+    except ConfigError:
+        raise SystemExit(2) from None
+    flags = vars(ns)
+    return flags.pop("command"), flags, overrides

@@ -39,12 +39,19 @@ RUNS = {
     "exit-4-fit-decay": [
         "fit --kind decay --data {fixtures}/decay_noisy.csv --fit.max_iterations 1"
     ],
+    # a malformed command line prints its usage line and one error line
+    "exit-2-fit-decay-without-data": ["fit --kind decay"],
+    "exit-2-simulate-bogus-model": ["simulate --model bogus"],
+    "exit-2-tof-without-out": ["tof"],
+    "exit-2-unknown-command": ["bogus"],
     "fit-decay": ["fit --kind decay --data {fixtures}/decay_noisy.csv --out {tmp}/fit.txt"],
     "fit-temperature": [
         "simulate --model temperature --out {tmp}/data.csv",
         "fit --kind temperature --data {tmp}/data.csv --out {tmp}/fit.txt",
     ],
     "fit-tof": ["fit --kind tof --data {fixtures}/tof_noisy.csv --out {tmp}/fit.txt"],
+    "help": ["--help"],
+    "help-simulate": ["simulate --help"],
     "ramp-collision-gated": [
         "ramp --ramp.rethermalization collision-gated --out {tmp}/out.txt"
     ],

@@ -10,7 +10,7 @@ import pins
 import pytest
 
 import latticekit
-from latticekit.cli import main
+from latticekit.cli import COMMANDS, main
 from latticekit.config import SCHEMA
 from latticekit.constants import CONST, RB85
 from latticekit.losses import population
@@ -307,8 +307,24 @@ def test_value_outside_its_domain_exits_2_naming_the_key(tmp_path, capsys, key):
     config.write_text(f"# line 1\n{key} = {raw}\n")
     assert main([command, "--config", str(config)]) == 2
     assert capsys.readouterr().err == (
-        f"error: {key} must be {domain}, got {raw} (line 2)\n"
+        f"error: {config}: line 2: {key} must be {domain}, got {raw}\n"
     )
+
+
+@pytest.mark.parametrize(("line", "message"), [
+    ("trap.depth_uK = 0", "trap.depth_uK must be > 0, got 0"),
+    ("trap.depth_uK =", "empty value for key trap.depth_uK"),
+    ("sim.n_points = 2.5", "cannot parse value '2.5' for key sim.n_points as int"),
+    ("sim.t_max_s = inf", "non-finite value 'inf' for key sim.t_max_s"),
+])
+def test_config_file_value_error_names_the_file(tmp_path, capsys, monkeypatch, line, message):
+    config = tmp_path / "run.cfg"
+    config.write_text(f"# line 1\n{line}\n")
+    assert main(["cavity", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {config}: line 2: {message}\n"
+    monkeypatch.setenv("LATTICEKIT_CONFIG", str(config))
+    assert main(["cavity"]) == 2
+    assert capsys.readouterr().err == f"error: {config}: line 2: {message}\n"
 
 
 def test_bound_psd_with_sigma_column_exits_2(tmp_path, capsys):
@@ -333,7 +349,7 @@ def test_simulate_never_calls_the_integrator():
 
 
 def test_unknown_model_or_kind_exits_2(capsys):
-    # argparse rejects both before any command runs
+    # the command line is refused before any command runs
     for argv in (["simulate", "--model", "bogus"],
                  ["fit", "--kind", "bogus", "--data", "x"]):
         assert main(argv) == 2
@@ -345,6 +361,43 @@ def test_unknown_model_or_kind_exits_2(capsys):
 def test_simulate_requires_out(capsys):
     assert main(["simulate", "--model", "decay"]) == 2
     assert "the following arguments are required: --out" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--help", "bogus"]])
+def test_help_lists_the_commands_and_exits_0(capsys, argv):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(
+        "usage: latticekit [-h] {cavity,trap,simulate,fit,bound,tof,ramp} ...\n"
+    )
+    for name, (_run, help_text, _flags) in COMMANDS.items():
+        assert f"\n  {name:<10}{help_text}\n" in out
+
+
+@pytest.mark.parametrize(("command", "usage"), [
+    ("cavity", "[--config CONFIG] [--out OUT]"),
+    ("trap", "[--config CONFIG] [--out OUT]"),
+    ("simulate", "[--config CONFIG] --out OUT --model {decay,temperature,combined}"),
+    ("fit", "[--config CONFIG] [--out OUT] --kind {decay,temperature,tof} --data DATA"),
+    ("bound", "[--config CONFIG] [--out OUT] [--psd PSD]"),
+    ("tof", "[--config CONFIG] --out OUT"),
+    ("ramp", "[--config CONFIG] [--out OUT]"),
+])
+def test_command_help_lists_its_flags_and_exits_0(capsys, command, usage):
+    # help is answered before the required flags are checked
+    for flag in ("-h", "--help"):
+        assert main([command, "--out", "o.txt", flag, "x"]) == 0
+        out = capsys.readouterr().out
+        assert out == f"usage: latticekit {command} [-h] {usage}\n\n{COMMANDS[command][1]}\n"
+
+
+def test_bare_command_line_exits_2_with_the_usage(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["latticekit"])
+    assert main() == 2
+    assert capsys.readouterr().err == (
+        "usage: latticekit [-h] {cavity,trap,simulate,fit,bound,tof,ramp} ...\n"
+        "latticekit: error: the following arguments are required: command\n"
+    )
 
 
 def test_simulate_outputs_reparse(tmp_path):
@@ -778,6 +831,10 @@ def test_cli_import_leaves_tempfile_unloaded():
 
 def test_cli_import_leaves_dataclasses_and_inspect_unloaded():
     _assert_cli_import_leaves_unloaded("dataclasses", "inspect")
+
+
+def test_cli_import_leaves_argparse_and_gettext_unloaded():
+    _assert_cli_import_leaves_unloaded("argparse", "gettext")
 
 
 def test_scalar_commands_run_without_numpy(tmp_path):

@@ -55,7 +55,7 @@ def test_parse_empty_value_names_key():
 
 
 def test_parse_bad_number_names_key_and_line():
-    with pytest.raises(ConfigError, match="trap.depth_uK.*line 1"):
+    with pytest.raises(ConfigError, match=r"<config>: line 1: cannot parse .*trap\.depth_uK"):
         parse_config_text("trap.depth_uK = cold\n")
 
 
@@ -63,7 +63,7 @@ def test_parse_bad_number_names_key_and_line():
 def test_config_file_rejects_non_finite_value(tmp_path, raw):
     path = tmp_path / "run.cfg"
     path.write_text(f"sim.n_points = 11\ntrap.depth_uK = {raw}\n")
-    with pytest.raises(ConfigError, match="non-finite.*trap.depth_uK.*line 2"):
+    with pytest.raises(ConfigError, match=r"run\.cfg: line 2: non-finite .*trap\.depth_uK"):
         load_config(str(path))
 
 
