@@ -62,6 +62,7 @@ from .tabular import (
     read_dataset,
     read_expansion,
     read_noise_spectrum,
+    residuals_csv,
     write_columns,
     write_expansion,
 )
@@ -282,16 +283,9 @@ def _emit_fit(result, out):
     if out:
         atomic_write_text(out, text)
         atomic_write_text(out + ".csv", "\n".join(csv_lines) + "\n")
-        atomic_write_text(out + ".residuals.csv", _residuals_csv(result.residuals))
+        atomic_write_text(out + ".residuals.csv", residuals_csv(result.residuals))
     else:
         sys.stdout.write("\n" + "\n".join(csv_lines) + "\n")
-
-
-def _residuals_csv(residuals):
-    lines = ["index,residual"]
-    for i, r in enumerate(residuals):
-        lines.append(f"{i},{format_value(float(r))}")
-    return "\n".join(lines) + "\n"
 
 
 def cmd_fit(cfg, args):

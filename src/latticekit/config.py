@@ -125,6 +125,9 @@ def resolve_key(name):
     """Map a CLI flag name to a schema key: exact, or unique tail match."""
     if name in SCHEMA:
         return name
+    if not name:
+        # the bare token `--` reads as an override with an empty name
+        raise ConfigError("`--` names no config key; an override is --<key> <value>")
     matches = [k for k in SCHEMA if k.endswith("." + name)]
     if len(matches) == 1:
         return matches[0]

@@ -49,11 +49,16 @@ RB85 = Species(
 )
 
 
+# 3 kB and m of thermal_velocity, read once: the ramp calls it every step
+_THREE_KB = 3.0 * CONST.kB
+_MASS = RB85.mass
+
+
 def thermal_velocity(temperature: float) -> float:
     """Root mean square speed sqrt(3 kB T / m), m/s."""
     if temperature < 0:
         raise ValueError("temperature must be >= 0")
-    return math.sqrt(3.0 * CONST.kB * temperature / RB85.mass)
+    return math.sqrt(_THREE_KB * temperature / _MASS)
 
 
 def thermal_de_broglie(temperature: float) -> float:

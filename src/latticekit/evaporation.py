@@ -24,12 +24,22 @@ from .constants import CONST, M3_TO_CM3, RB85, thermal_velocity
 from .errors import DomainError
 from .trap import TrapState
 
+# The constant left-most factors of the formulas below, multiplied out once:
+# the ramp calls them every step, and a record field read costs more than a
+# module global. Each is the product the formula would form first, so every
+# result is bit for bit the inline one.
+_KB = CONST.kB
+_MU2 = (RB85.mass / 2.0) ** 2
+_FOUR_PI_HBAR2 = 4.0 * math.pi * CONST.hbar**2
+_EIGHT_PI_HBAR2 = 8.0 * math.pi * CONST.hbar**2
+_MASS3 = RB85.mass**3
+
 
 def eta(u0: float, temperature: float) -> float:
     """Truncation parameter U0 / (kB T)."""
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
-    return u0 / (CONST.kB * temperature)
+    return u0 / (_KB * temperature)
 
 
 def unitarity_cross_section(temperature: float) -> float:
@@ -40,9 +50,8 @@ def unitarity_cross_section(temperature: float) -> float:
     """
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
-    mu = RB85.mass / 2.0
     dv2 = 2.0 * thermal_velocity(temperature) ** 2
-    return 4.0 * math.pi * CONST.hbar**2 / (mu**2 * dv2)
+    return _FOUR_PI_HBAR2 / (_MU2 * dv2)
 
 
 def beta_esc(u0: float, eta_value: float) -> float:
@@ -50,8 +59,8 @@ def beta_esc(u0: float, eta_value: float) -> float:
     if u0 <= 0 or eta_value <= 0:
         raise ValueError("U0 and eta must be positive")
     si = (
-        8.0 * math.pi * CONST.hbar**2 * eta_value**1.5 * math.exp(-eta_value)
-        / math.sqrt(3.0 * u0 * RB85.mass**3)
+        _EIGHT_PI_HBAR2 * eta_value**1.5 * math.exp(-eta_value)
+        / math.sqrt(3.0 * u0 * _MASS3)
     )
     return si * M3_TO_CM3
 

@@ -2,14 +2,21 @@
 
 Files carry mandatory single-line headers whose column names state the
 units. Writes go through a temporary file plus rename, so a crashed run
-never leaves a half-written table behind. Reading rows, writing columns and
-reading the noise spectrum are plain Python; numpy loads only when a fit
+never leaves a half-written table behind.
+
+This module is the one CSV codec, and it handles a table in one pass, not
+one Python call per cell: a write formats each row with one % template and
+joins the rows once; a read checks every line's field count, then parses
+the whole body with one map(float, ...) and checks it is finite. A cell is
+whatever float() accepts. Only a read that fails walks the lines again, to
+name the first bad one. The codec is plain Python, so writing columns and
+reading the noise spectrum never load numpy; numpy loads only when a fit
 dataset or an expansion series is built.
 """
 
 import math
 import os
-from itertools import chain
+from itertools import repeat
 
 from .errors import ConfigError
 
@@ -56,6 +63,21 @@ def format_value(value, sig_digits=None):
     return str(value)
 
 
+def columns_csv(header, columns):
+    """CSV text of equal-length float columns under header, each cell to
+    TRAJECTORY_DIGITS significant digits. One % template formats a whole
+    row, with the bytes of format(v, ".9g") per cell."""
+    row = ",".join([f"%.{TRAJECTORY_DIGITS}g"] * len(header))
+    return "\n".join([",".join(header), *map(row.__mod__, zip(*columns))]) + "\n"
+
+
+def residuals_csv(residuals):
+    """index,residual CSV text of a fit's residuals, each as its round-trip
+    repr."""
+    rows = map("%d,%r\n".__mod__, enumerate(map(float, residuals)))
+    return "index,residual\n" + "".join(rows)
+
+
 def write_columns(path, header, columns):
     """Write equal-length nan-free sequences of floats as CSV under the given
     header names, each to TRAJECTORY_DIGITS significant digits."""
@@ -65,15 +87,17 @@ def write_columns(path, header, columns):
     for name, c in zip(header, columns):
         if any(map(math.isnan, c)):
             raise ValueError(f"column {name} holds nan; refusing to write it")
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(format_value(v, TRAJECTORY_DIGITS) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    atomic_write_text(path, columns_csv(header, columns))
 
 
-def _read_rows(path, headers, source_kind):
-    """Header and rows (lists of finite floats) of a CSV whose header is one
-    of headers."""
+def _read_columns(path, headers, source_kind):
+    """Columns (lists of finite floats) of a CSV whose header is one of
+    headers, one column per header name.
+
+    Blank lines are skipped. The field counts are checked, and every cell
+    goes through float(), in one pass over the whole body; only when that
+    pass fails are the lines walked again, to name the first bad one.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -87,47 +111,49 @@ def _read_rows(path, headers, source_kind):
         raise ConfigError(
             f"{path}: line 1: expected header {expected}, got {lines[0]!r}"
         )
-    rows = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ConfigError(
-                f"{path}: line {lineno}: expected {len(header)} fields, got {len(cells)}"
-            )
-        try:
-            rows.append([float(cell) for cell in cells])
-        except ValueError:
-            raise ConfigError(
-                f"{path}: line {lineno}: cannot parse row {line!r}"
-            ) from None
-    if not rows:
+    body = list(filter(str.strip, lines[1:]))
+    if not body:
         raise ConfigError(f"{path}: no data rows")
-    if not all(map(math.isfinite, chain.from_iterable(rows))):
-        # one pass over all cells; the failing line is located only on error
-        linenos = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
-        lineno = next(
-            n for n, row in zip(linenos, rows) if not all(map(math.isfinite, row))
-        )
-        raise ConfigError(
-            f"{path}: line {lineno}: non-finite value in {lines[lineno - 1]!r}"
-        )
-    return header, rows
+    width = len(header)
+    cells = None
+    if set(map(str.count, body, repeat(","))) == {width - 1}:
+        try:
+            cells = list(map(float, ",".join(body).split(",")))
+        except ValueError:
+            pass
+    if cells is None or not all(map(math.isfinite, cells)):
+        raise ConfigError(_first_bad_line(path, lines, width))
+    return [cells[i::width] for i in range(width)]
+
+
+def _first_bad_line(path, lines, width):
+    """The error text of a body that failed the one-pass read. A field count
+    or a cell float() refuses, on any line, wins over a non-finite value on
+    an earlier one, because every row is parsed before any value is checked."""
+    numbered = [(n, line) for n, line in enumerate(lines[1:], start=2) if line.strip()]
+    for lineno, line in numbered:
+        cells = line.split(",")
+        if len(cells) != width:
+            return f"{path}: line {lineno}: expected {width} fields, got {len(cells)}"
+        try:
+            list(map(float, cells))
+        except ValueError:
+            return f"{path}: line {lineno}: cannot parse row {line!r}"
+    lineno, line = next(
+        (n, line) for n, line in numbered
+        if not all(map(math.isfinite, map(float, line.split(","))))
+    )
+    return f"{path}: line {lineno}: non-finite value in {line!r}"
 
 
 def read_dataset(path, kind):
     """Read a `t_s,N` or `t_s,T_uK` series (optional third sigma column)
     into a fitting.Dataset."""
-    import numpy as np
-
     from .fitting import Dataset
 
-    columns = DATASET_HEADERS[kind]
-    header, rows = _read_rows(path, (columns, columns + ("sigma",)), kind)
-    data = np.asarray(rows, dtype=float)
-    sigma = data[:, 2] if len(header) == 3 else None
-    return Dataset(t=data[:, 0], value=data[:, 1], sigma=sigma)
+    names = DATASET_HEADERS[kind]
+    columns = _read_columns(path, (names, names + ("sigma",)), kind)
+    return Dataset(*columns)  # t, value and the optional sigma
 
 
 def read_noise_spectrum(path):
@@ -135,9 +161,8 @@ def read_noise_spectrum(path):
     into a heating.NoiseSpectrum."""
     from .heating import NoiseSpectrum
 
-    _header, rows = _read_rows(path, (("freq_hz", "S_rel_per_hz"),), "spectrum")
-    freq_hz, s_rel_per_hz = zip(*rows)
-    return NoiseSpectrum(freq_hz=freq_hz, s_rel_per_hz=s_rel_per_hz)
+    columns = _read_columns(path, (("freq_hz", "S_rel_per_hz"),), "spectrum")
+    return NoiseSpectrum(*columns)
 
 
 def read_expansion(path):
@@ -147,14 +172,12 @@ def read_expansion(path):
 
     from .protocols import ExpansionSeries
 
-    _header, rows = _read_rows(
-        path, (("t_ms", "sigma_um", "amplitude"),), "expansion"
-    )
-    data = np.asarray(rows, dtype=float)
+    columns = _read_columns(path, (("t_ms", "sigma_um", "amplitude"),), "expansion")
+    t_ms, sigma_um, amplitude = map(np.array, columns)
     return ExpansionSeries(
-        times=data[:, 0] * 1e-3,
-        sigma=data[:, 1] * 1e-6,
-        amplitude=data[:, 2],
+        times=t_ms * 1e-3,
+        sigma=sigma_um * 1e-6,
+        amplitude=amplitude,
     )
 
 
@@ -162,5 +185,7 @@ def write_expansion(path, series):
     write_columns(
         path,
         ("t_ms", "sigma_um", "amplitude"),
-        (series.times * 1e3, series.sigma * 1e6, series.amplitude),
+        # Python floats format faster than numpy scalars
+        ((series.times * 1e3).tolist(), (series.sigma * 1e6).tolist(),
+         series.amplitude.tolist()),
     )

@@ -5,19 +5,23 @@ for N(t) and T(t), adaptive quadrature of the truncated r^4 integral, the
 escape rate composed from the cross section and the thermal velocity, and
 the mean energy an escaping atom removes. None of this is on the product
 path. The RK4 step size is tied to the total span (span / 4096 by default),
-so repeated runs give bit-identical arrays. Last, the argparse command line
+so repeated runs give bit-identical arrays. Then the argparse command line
 that latticekit.cli parsed before its command table, which
-tests/test_command_line.py compares the hand-written parser against.
+tests/test_command_line.py compares the hand-written parser against. Last,
+the per-cell CSV writer and per-line CSV reader that tests/test_tabular.py
+holds the one-pass codec of latticekit.tabular to.
 """
 
 import argparse
 import math
+from itertools import chain
 
 import numpy as np
 
 from latticekit.constants import CONST, M3_TO_CM3, thermal_velocity
 from latticekit.errors import ConfigError, DomainError
 from latticekit.evaporation import epsilon, unitarity_cross_section
+from latticekit.tabular import TRAJECTORY_DIGITS, format_value
 
 DEFAULT_SUBSTEPS = 4096
 
@@ -200,3 +204,68 @@ def argparse_command_line(argv):
         raise SystemExit(2) from None
     flags = vars(ns)
     return flags.pop("command"), flags, overrides
+
+
+# ---------------------------------------------------------------------------
+# the CSV writer and reader latticekit.tabular used before its one-pass codec
+
+
+def columns_csv(header, columns):
+    """CSV text of equal-length columns under header, each cell through
+    format_value to TRAJECTORY_DIGITS significant digits."""
+    lines = [",".join(header)]
+    for row in zip(*columns):
+        lines.append(",".join(format_value(v, TRAJECTORY_DIGITS) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def residuals_csv(residuals):
+    """index,residual CSV text, each residual as its round-trip repr."""
+    lines = ["index,residual"]
+    for i, r in enumerate(residuals):
+        lines.append(f"{i},{format_value(float(r))}")
+    return "\n".join(lines) + "\n"
+
+
+def read_rows(path, headers, source_kind):
+    """Header and rows (lists of finite floats) of a CSV whose header is one
+    of headers, parsed line by line and cell by cell."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read {source_kind} file {path}: {exc}") from None
+    if not lines:
+        raise ConfigError(f"{path}: empty file")
+    header = tuple(cell.strip() for cell in lines[0].split(","))
+    if header not in headers:
+        expected = " or ".join(",".join(h) for h in headers)
+        raise ConfigError(
+            f"{path}: line 1: expected header {expected}, got {lines[0]!r}"
+        )
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ConfigError(
+                f"{path}: line {lineno}: expected {len(header)} fields, got {len(cells)}"
+            )
+        try:
+            rows.append([float(cell) for cell in cells])
+        except ValueError:
+            raise ConfigError(
+                f"{path}: line {lineno}: cannot parse row {line!r}"
+            ) from None
+    if not rows:
+        raise ConfigError(f"{path}: no data rows")
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
+        linenos = [n for n, line in enumerate(lines[1:], start=2) if line.strip()]
+        lineno = next(
+            n for n, row in zip(linenos, rows) if not all(map(math.isfinite, row))
+        )
+        raise ConfigError(
+            f"{path}: line {lineno}: non-finite value in {lines[lineno - 1]!r}"
+        )
+    return header, rows

@@ -49,6 +49,10 @@ RUNS = {
         "simulate --model temperature --out {tmp}/data.csv",
         "fit --kind temperature --data {tmp}/data.csv --out {tmp}/fit.txt",
     ],
+    # CRLF line endings, padded cells and blank lines in the input
+    "fit-temperature-crlf": [
+        "fit --kind temperature --data {fixtures}/temperature_noisy.csv --out {tmp}/fit.txt"
+    ],
     "fit-tof": ["fit --kind tof --data {fixtures}/tof_noisy.csv --out {tmp}/fit.txt"],
     "help": ["--help"],
     "help-simulate": ["simulate --help"],

@@ -260,6 +260,9 @@ def _case(case_id, argv, stderr_has=None):
           stderr_has="error: unknown config key: mod"),
     _case("cavity-prefix-ou", "cavity --ou {out}",
           stderr_has="error: unknown config key: ou"),
+    # a bare `--` is an override with an empty name
+    _case("cavity-bare-double-dash", "cavity -- 5",
+          stderr_has="error: `--` names no config key; an override is --<key> <value>"),
 ])
 def test_invalid_input_exits_2(tmp_path, capsys, argv, stderr_has):
     for name, text in _PROBE_FILES.items():
@@ -629,7 +632,7 @@ def test_fixture_generator_reproduces_committed_bytes(tmp_path):
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    for kind in ("decay", "tof", "psd"):
+    for kind in ("decay", "tof", "psd", "temperature"):
         name = f"{kind}_noisy.csv"
         getattr(module, f"make_{kind}")(str(tmp_path / name))
         with open(os.path.join(FIXTURES, name), "rb") as fh:
