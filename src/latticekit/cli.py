@@ -21,10 +21,12 @@ undefined. A malformed command line (unknown command, missing --model or
 commands, or the command's flags, and exits 0.
 
 Only numpy-free modules are imported here, and cavity, trap, simulate, bound
-(with or without --psd) and ramp never load numpy; the array commands, fit
-and tof, import their modules when they run. main keeps numpy's OpenBLAS pool to one thread unless
-OPENBLAS_NUM_THREADS is already set: the largest product is J^T J of an
-n x 3 Jacobian, so helper threads only cost CPU.
+(with or without --psd) and ramp never load numpy: simulate builds its time
+grid as a list and evaluates its closed form once on the whole grid. The
+array commands, fit and tof, import their modules when they run. main keeps
+numpy's OpenBLAS pool to one thread unless OPENBLAS_NUM_THREADS is already
+set: the largest product is J^T J of an n x 3 Jacobian, so helper threads
+only cost CPU.
 """
 
 import math
@@ -236,7 +238,7 @@ def cmd_simulate(cfg, args):
     if model == "decay":
         header = ("t_s", "N")
         n0 = cfg["sample.atom_number"]
-        values = [population(t, n0, params.gamma_per_s, params.xi) for t in grid]
+        values = population(grid, n0, params.gamma_per_s, params.xi)
     else:
         # the pure cooling law is the combined solution with zero heating,
         # so both models share one code path
@@ -249,7 +251,7 @@ def cmd_simulate(cfg, args):
             params.gamma_per_s,
             gamma_tot,
         )
-        values = [combined_temperature(t, *law) for t in grid]
+        values = combined_temperature(grid, *law)
     write_columns(args.out, header, (grid, values))
     return 0
 

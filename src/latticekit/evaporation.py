@@ -97,34 +97,47 @@ def epsilon(eta_value: float) -> float:
     )
 
 
-def time_argument(t):
-    """(times, exp, is_scalar) for a closed form evaluated at t >= 0.
+def over_times(t, curve):
+    """curve(t, exp), a closed form's formula, evaluated at the times t >= 0.
 
-    A Python int or float stays a float and is paired with math.exp, so
-    scalar callers never load numpy; anything else becomes a float array
-    paired with np.exp.
+    A Python int or float gives a float and a list or tuple a list, both
+    from math.exp, one curve call per time, so these callers never load
+    numpy; anything else becomes a float array, evaluated in one curve call
+    with np.exp.
     """
     if isinstance(t, (int, float)):
         if t < 0:
             raise ValueError("time must be >= 0")
-        return float(t), math.exp, True
+        return float(curve(float(t), math.exp))
+    if isinstance(t, (list, tuple)):
+        # min(t) >= 0 rules out a negative time unless t starts with a nan,
+        # where min returns nan; any() settles that case
+        if t and not min(t) >= 0 and any(time < 0 for time in t):
+            raise ValueError("time must be >= 0")
+        return [curve(time, math.exp) for time in t]
     import numpy as np
 
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise ValueError("time must be >= 0")
-    return t_arr, np.exp, bool(np.isscalar(t))
+    result = curve(t_arr, np.exp)
+    return float(result) if np.isscalar(t) else result
 
 
 def temperature(t, t0, epsilon_value, xi, gamma_per_s):
-    """Closed-form T(t) = T0 (1 - eps xi (1 - exp(-gamma t))); scalar or array t."""
-    if epsilon_value * xi >= 1.0:
+    """Closed-form T(t) = T0 (1 - eps xi (1 - exp(-gamma t))) at the times t
+    (a float, a list or tuple of floats, or an array; see over_times)."""
+    eps_xi = epsilon_value * xi
+    if eps_xi >= 1.0:
         raise DomainError(
             "eps*xi >= 1: model predicts non-positive temperature"
         )
-    t, exp, scalar = time_argument(t)
-    result = t0 * (1.0 - epsilon_value * xi * (1.0 - exp(-gamma_per_s * t)))
-    return float(result) if scalar else result
+    minus_gamma = -gamma_per_s
+
+    def curve(t, exp):
+        return t0 * (1.0 - eps_xi * (1.0 - exp(minus_gamma * t)))
+
+    return over_times(t, curve)
 
 
 # ---------------------------------------------------------------------------

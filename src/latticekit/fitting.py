@@ -26,7 +26,7 @@ from .losses import population, xi_from_beta
 
 class Dataset(namedtuple("Dataset", "t value sigma", defaults=(None,))):
     """Timestamped measurement series of float arrays; sigma defaults to 1
-    (unweighted). len() is the row count."""
+    (unweighted). t.size is the row count."""
 
     __slots__ = ()
 
@@ -50,8 +50,10 @@ class Dataset(namedtuple("Dataset", "t value sigma", defaults=(None,))):
             raise ValueError("sigmas must be positive")
         return super().__new__(cls, t, v, s)
 
-    def __len__(self):
-        return self.t.size
+    @classmethod
+    def _make(cls, iterable):
+        # through __new__, so _make and _replace convert and check as well
+        return cls(*iterable)
 
 
 class FitResult(namedtuple(
@@ -176,7 +178,7 @@ def fit_decay(dataset: Dataset, rho_peak_per_cm3, initial_guess,
     seeded from the first sample. beta and its uncertainty are recovered
     through the fixed rho_peak convention.
     """
-    if len(dataset) < 4:
+    if dataset.t.size < 4:
         raise ValueError("need at least 4 points to fit the decay model")
     if rho_peak_per_cm3 <= 0:
         raise ValueError("peak density must be positive")
@@ -205,7 +207,7 @@ def fit_decay(dataset: Dataset, rho_peak_per_cm3, initial_guess,
     beta = 4.0 * gamma * xi / rho_peak_per_cm3
 
     # beta is derived from xi, so three parameters are free
-    dof = len(dataset) - 3
+    dof = dataset.t.size - 3
     cov = _covariance(jac, rss / dof)
     var_gamma, var_xi, var_n0 = np.diag(cov)
     cov_gx = cov[0, 1]
@@ -255,7 +257,7 @@ def fit_epsilon(dataset: Dataset, xi, gamma_per_s, t0) -> FitResult:
     positive, and a clipped solution is reported as not converged. The
     residuals come from the cooling law itself.
     """
-    if len(dataset) < 3:
+    if dataset.t.size < 3:
         raise ValueError("need at least 3 points to fit")
     if xi <= 0:
         raise ValueError("xi must be positive")
@@ -274,7 +276,7 @@ def fit_epsilon(dataset: Dataset, xi, gamma_per_s, t0) -> FitResult:
     rss = float(r @ r)
 
     converged = 0.0 < eps_free < eps_max
-    dof = len(dataset) - 1
+    dof = dataset.t.size - 1
     var_eps = (rss / dof) / denom if denom > 0 else math.inf
     return FitResult(
         params={"epsilon": eps},

@@ -13,7 +13,7 @@ import math
 from collections import namedtuple
 
 from .errors import DomainError
-from .evaporation import temperature, time_argument
+from .evaporation import over_times, temperature
 
 
 class NoiseSpectrum(namedtuple("NoiseSpectrum", "freq_hz s_rel_per_hz")):
@@ -102,24 +102,28 @@ def combined_temperature(t, t0, epsilon_value, xi, gamma_per_s, gamma_tot):
 
     T(t) = T0 exp(k t) (1 - eps xi g/(k+g) (1 - exp(-(k+g) t))) with
     k = gamma_tot and g = gamma; at k = 0 it reduces bit for bit to the
-    cooling law evaporation.temperature. Accepts scalar or array t >= 0.
+    cooling law evaporation.temperature. The times t >= 0 are a float, a
+    list or tuple of floats, or an array (see evaporation.over_times).
     """
-    if epsilon_value * xi >= 1.0:
+    eps_xi = epsilon_value * xi
+    if eps_xi >= 1.0:
         raise DomainError("eps*xi >= 1: model predicts non-positive temperature")
     if t0 <= 0:
         raise ValueError("temperature must be > 0")
     if gamma_tot < 0:
         raise ValueError("gamma_tot must be >= 0")
-    t, exp, scalar = time_argument(t)
-    try:
-        growth = exp(gamma_tot * t)
-    except OverflowError:  # math.exp raises where np.exp overflows to inf
-        growth = math.inf
     rate = gamma_tot + gamma_per_s
-    result = t0 * growth * (
-        1.0 - epsilon_value * xi * (gamma_per_s / rate) * (1.0 - exp(-rate * t))
-    )
-    return float(result) if scalar else result
+    minus_rate = -rate
+    cooled_share = eps_xi * (gamma_per_s / rate)
+
+    def curve(t, exp):
+        try:
+            growth = exp(gamma_tot * t)
+        except OverflowError:  # math.exp raises where np.exp overflows to inf
+            growth = math.inf
+        return t0 * growth * (1.0 - cooled_share * (1.0 - exp(minus_rate * t)))
+
+    return over_times(t, curve)
 
 
 def bound_gamma_tot(epsilon_value, xi, gamma_per_s, t_max) -> float:
@@ -134,7 +138,7 @@ def bound_gamma_tot(epsilon_value, xi, gamma_per_s, t_max) -> float:
     ends = (0.0, t_max)
     # the cooling law at unit T0 raises for t_max < 0 and for eps xi >= 1,
     # so it runs before the numerator can overflow
-    cooled = [temperature(t, 1.0, epsilon_value, xi, gamma_per_s) for t in ends]
+    cooled = temperature(ends, 1.0, epsilon_value, xi, gamma_per_s)
     ratios = [
         epsilon_value * xi * gamma_per_s * math.exp(-gamma_per_s * t) / c
         for t, c in zip(ends, cooled)

@@ -14,7 +14,7 @@ matching how such coefficients are conventionally quoted.
 import math
 from collections import namedtuple
 
-from .evaporation import time_argument
+from .evaporation import over_times
 
 
 class LossParams(namedtuple("LossParams", "gamma_per_s beta_cm3_per_s xi")):
@@ -51,9 +51,12 @@ def xi_from_beta(beta_cm3_per_s, rho_peak_per_cm3, gamma_per_s):
 
 
 def population(t, n0, gamma_per_s, xi):
-    """Closed-form N(t); accepts scalar or array t >= 0."""
-    t, exp, scalar = time_argument(t)
-    decay = exp(-gamma_per_s * t)
-    result = n0 * decay / (1.0 + xi * (1.0 - decay))
-    return float(result) if scalar else result
+    """Closed-form N(t) at the times t >= 0 (a float, a list or tuple of
+    floats, or an array; see evaporation.over_times)."""
+    minus_gamma = -gamma_per_s
 
+    def curve(t, exp):
+        decay = exp(minus_gamma * t)
+        return n0 * decay / (1.0 + xi * (1.0 - decay))
+
+    return over_times(t, curve)

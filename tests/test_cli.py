@@ -444,7 +444,7 @@ def test_fit_decay_fixture(tmp_path, capsys):
 def test_fit_decay_chi2_counts_three_free_parameters(capsys):
     # beta is derived from xi, so the 20-row fixture leaves 20 - 3 = 17 dof
     data = os.path.join(FIXTURES, "decay_noisy.csv")
-    assert len(read_dataset(data, "population")) == 20
+    assert read_dataset(data, "population").t.size == 20
     assert main(["fit", "--kind", "decay", "--data", data]) == 0
     text = capsys.readouterr().out
     rss = report_value(text, "rss")
@@ -706,6 +706,31 @@ def test_simulate_combined_overflow_writes_inf_without_warning(tmp_path, capsys)
     rows = out.read_text().splitlines()
     assert rows[1] == "0,123"
     assert rows[-1] == "4,inf"
+
+
+@pytest.mark.parametrize(("model", "closed_form"), [
+    ("decay", "population"),
+    ("temperature", "combined_temperature"),
+    ("combined", "combined_temperature"),
+])
+def test_simulate_evaluates_its_closed_form_once_over_the_grid(
+        tmp_path, monkeypatch, model, closed_form):
+    # one call per op takes the whole grid; a per-point loop would show here
+    import latticekit.cli as cli
+
+    grids = []
+    evaluate = getattr(cli, closed_form)
+
+    def counted(grid, *args):
+        grids.append(grid)
+        return evaluate(grid, *args)
+
+    monkeypatch.setattr(cli, closed_form, counted)
+    out = tmp_path / f"{model}.csv"
+    assert main(["simulate", "--model", model, "--out", str(out),
+                 "--sim.n_points", "301"]) == 0
+    assert [len(grid) for grid in grids] == [301]
+    assert len(out.read_text().splitlines()) == 302
 
 
 @pytest.mark.parametrize(("start", "stop", "n"), [

@@ -53,6 +53,23 @@ def test_dataset_validation():
     assert np.all(ds.sigma == 1.0)
 
 
+def test_dataset_make_and_replace_convert_and_check():
+    # the namedtuple API builds through __new__: float arrays, checked
+    made = Dataset._make([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0]])
+    assert len(made) == 3  # the three fields; t.size is the row count
+    assert all(type(column) is np.ndarray and column.dtype == float
+               for column in made)
+    replaced = made._replace(value=[3.0, 2.0, 1.0])
+    assert type(replaced.value) is np.ndarray
+    assert np.array_equal(replaced.value, [3.0, 2.0, 1.0])
+    assert replaced.t is made.t and replaced.sigma is made.sigma
+    for value in ([3.0, 0.0, 1.0], [3.0, -2.0, 1.0]):
+        with pytest.raises(ValueError, match="values must be positive"):
+            made._replace(value=value)
+    with pytest.raises(ValueError, match="equal length"):
+        made._replace(sigma=[1.0, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # decay fit
 
@@ -199,7 +216,7 @@ def test_residuals_zero_for_noiseless_self_fit():
 
 def test_halving_sigma_quadruples_chi2():
     ds = decay_dataset(noise=0.03, seed=2)
-    halved = Dataset(t=ds.t, value=ds.value, sigma=np.full(len(ds), 0.5))
+    halved = Dataset(t=ds.t, value=ds.value, sigma=np.full(ds.t.size, 0.5))
     r1 = fit_decay(ds, RHO_T, GUESS)
     r2 = fit_decay(halved, RHO_T, GUESS)
     assert rel(r2.rss, 4 * r1.rss) < 1e-12
@@ -229,5 +246,5 @@ def test_fit_carries_its_residuals_and_dof(kind, n_free):
         model = temperature(ds.t, 123.0, result.params["epsilon"], 2.80, 0.6)
     assert np.array_equal(result.residuals, (model - ds.value) / ds.sigma)
     assert result.rss == float(result.residuals @ result.residuals)
-    assert result.dof == len(ds) - n_free
+    assert result.dof == ds.t.size - n_free
     assert result.chi2_reduced == result.rss / result.dof

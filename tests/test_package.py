@@ -41,7 +41,7 @@ EXPORTS = {
     "losses": ("LossParams", "population", "xi_from_beta"),
     "evaporation": (
         "PacComparison", "beta_esc", "epsilon", "eta", "pac_scaling_comparator",
-        "temperature", "time_argument", "truncated_r4_integral",
+        "over_times", "temperature", "truncated_r4_integral",
         "unitarity_cross_section",
     ),
     "heating": (
