@@ -4,24 +4,23 @@ Free spectral range, linewidth from the ring-down time, finesse by two
 independent routes (spectral and mirror loss budget), fundamental-mode
 volume, resonant power build-up and the mode matching implied by an observed
 circulating power, for a triangular ring cavity. The mirrors, the cavity and
-the mode are namedtuple records (MirrorSpec, CavitySpec, ModeGeometry) whose
-constructors check the values.
+the mode are constants.CheckedRecord records (MirrorSpec, CavitySpec,
+ModeGeometry), checked however they are built.
 """
 
 import math
 from collections import namedtuple
 
-from .constants import CONST
+from .constants import CONST, CheckedRecord
 from .errors import DomainError
 
 
-class MirrorSpec(namedtuple("MirrorSpec", "transmission scatter_loss")):
+class MirrorSpec(CheckedRecord, namedtuple("MirrorSpec", "transmission scatter_loss")):
     """One mirror: power transmission and scatter loss as fractions."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         if self.transmission < 0 or self.scatter_loss < 0:
             raise ValueError("mirror losses must be non-negative")
         if self.transmission + self.scatter_loss >= 1:
@@ -33,7 +32,7 @@ class MirrorSpec(namedtuple("MirrorSpec", "transmission scatter_loss")):
         return self.transmission + self.scatter_loss
 
 
-class CavitySpec(namedtuple(
+class CavitySpec(CheckedRecord, namedtuple(
     "CavitySpec",
     "mirrors round_trip_length input_power_per_mode mode_matching_efficiency",
     defaults=(0.0, 1.0),
@@ -46,8 +45,7 @@ class CavitySpec(namedtuple(
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         if len(self.mirrors) != 3:
             raise ValueError("a triangular ring needs exactly 3 mirrors")
         if self.round_trip_length <= 0:
@@ -71,13 +69,12 @@ class CavitySpec(namedtuple(
         return max(self.mirrors, key=lambda m: m.transmission)
 
 
-class ModeGeometry(namedtuple("ModeGeometry", "waist_sagittal waist_transversal")):
+class ModeGeometry(CheckedRecord, namedtuple("ModeGeometry", "waist_sagittal waist_transversal")):
     """Fundamental Gaussian mode, 1/e^2 intensity radii (m)."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         if self.waist_sagittal <= 0 or self.waist_transversal <= 0:
             raise ValueError("waists must be positive")
         return self
@@ -157,13 +154,7 @@ def implied_mode_matching(cavity: CavitySpec, observed_circulating_power: float)
     """
     if observed_circulating_power < 0:
         raise ValueError("circulating power must be >= 0")
-    ideal = CavitySpec(
-        mirrors=cavity.mirrors,
-        round_trip_length=cavity.round_trip_length,
-        input_power_per_mode=cavity.input_power_per_mode,
-        mode_matching_efficiency=1.0,
-    )
-    reference = circulating_power(ideal)
+    reference = circulating_power(cavity._replace(mode_matching_efficiency=1.0))
     if reference == 0:
         raise DomainError("no input power: implied efficiency undefined")
     return observed_circulating_power / reference

@@ -35,7 +35,6 @@ import sys
 from types import SimpleNamespace
 
 from .cavity import (
-    CavitySpec,
     circulating_power,
     finesse_from_linewidth,
     finesse_from_losses,
@@ -148,12 +147,8 @@ def cmd_trap(cfg, args):
     state = state_from_config(cfg)
     trap = state.trap
     # the trap chain is driven at its own input power setting
-    base = cavity_from_config(cfg)
-    cavity = CavitySpec(
-        base.mirrors,
-        base.round_trip_length,
-        cfg["trap.input_power_uW"] * 1e-6,
-        base.mode_matching_efficiency,
+    cavity = cavity_from_config(cfg)._replace(
+        input_power_per_mode=cfg["trap.input_power_uW"] * 1e-6
     )
     mode = mode_from_config(cfg)
     regimes = classify_regimes(trap)
@@ -309,6 +304,8 @@ def cmd_fit(cfg, args):
     elif kind == "temperature":
         dataset = read_dataset(args.data, "temperature")
         params = _loss_params(cfg)
+        if params.xi <= 0:  # a flat cooling law leaves epsilon unidentified
+            raise ConfigError("loss.beta_cm3_per_s and sample.rho_peak_per_cm3 must give xi > 0")
         result = fit_epsilon(
             dataset, params.xi, params.gamma_per_s, cfg["sample.temperature_uK"]
         )

@@ -1,4 +1,4 @@
-"""Physical constants and rubidium-85 atomic data.
+"""Physical constants, rubidium-85 atomic data and the checked-record base.
 
 Values are compile-time literals (CODATA 2018 and standard alkali tables) so
 that every run reproduces the same numbers bit for bit; tests/test_constants.py
@@ -13,6 +13,9 @@ standard gravitational acceleration g (m/s^2).
 RB85 is a Species namedtuple holding the data of the two-line (D2 + D1) trap
 model: the mass (kg), the D2 and D1 transition wavelengths (m), the D2
 natural linewidth (rad/s) and the (D2, D1) relative dipole weights.
+
+CheckedRecord is the model records' one construction path: the constructor,
+_make, _replace, pickle and copy all check and convert through it.
 """
 
 import math
@@ -23,6 +26,23 @@ PhysicalConstants = namedtuple("PhysicalConstants", "c h hbar kB eps0 g")
 Species = namedtuple(
     "Species", "name mass lambda_d2 lambda_d1 gamma_natural line_strengths"
 )
+
+
+class CheckedRecord:
+    """Base listed before a record's namedtuple. The record's _checked raises
+    ValueError for a value outside the domain and returns the fields to store."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        # the namedtuple binds the arguments by name and fills its defaults
+        self = super().__new__(cls, *args, **kwargs)
+        return tuple.__new__(cls, self._checked())
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
 
 _H = 6.62607015e-34
 

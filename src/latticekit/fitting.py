@@ -4,7 +4,7 @@ A damped Gauss-Newton engine with Marquardt scaling binds the closed-form
 models to measured series: (gamma, beta) from N(t) data and the
 energy-removal coefficient from T(t) data. The models themselves are
 losses.population and evaporation.temperature. A Dataset record holds the
-series as float arrays, checked when it is built. Each fit returns a
+series as float arrays, checked however it is built. Each fit returns a
 FitResult record with the weighted residuals (model - data)/sigma at its
 optimum, their sum of squares and the degrees of freedom (points minus free
 parameters: 3 for the decay, 1 for the cooling law), so the reduced chi^2
@@ -20,22 +20,21 @@ from collections import namedtuple
 
 import numpy as np
 
+from .constants import CheckedRecord
 from .evaporation import temperature
 from .losses import population, xi_from_beta
 
 
-class Dataset(namedtuple("Dataset", "t value sigma", defaults=(None,))):
-    """Timestamped measurement series of float arrays; sigma defaults to 1
-    (unweighted). t.size is the row count."""
+class Dataset(CheckedRecord, namedtuple("Dataset", "t value sigma", defaults=(None,))):
+    """Timestamped measurement series, any sequences converted to float
+    arrays; sigma defaults to 1 (unweighted). t.size is the row count."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        # binds the arguments by name; the record is built from the arrays
-        t, value, sigma = super().__new__(cls, *args, **kwargs)
-        t = np.asarray(t, dtype=float)
-        v = np.asarray(value, dtype=float)
-        s = np.ones_like(v) if sigma is None else np.asarray(sigma, dtype=float)
+    def _checked(self):
+        t = np.asarray(self.t, dtype=float)
+        v = np.asarray(self.value, dtype=float)
+        s = np.ones_like(v) if self.sigma is None else np.asarray(self.sigma, dtype=float)
         if t.ndim != 1 or t.size != v.size or s.size != v.size:
             raise ValueError("t, value and sigma must be 1-d of equal length")
         if not all(np.all(np.isfinite(x)) for x in (t, v, s)):
@@ -48,12 +47,7 @@ class Dataset(namedtuple("Dataset", "t value sigma", defaults=(None,))):
             raise ValueError("values must be positive")
         if np.any(s <= 0):
             raise ValueError("sigmas must be positive")
-        return super().__new__(cls, t, v, s)
-
-    @classmethod
-    def _make(cls, iterable):
-        # through __new__, so _make and _replace convert and check as well
-        return cls(*iterable)
+        return t, v, s
 
 
 class FitResult(namedtuple(

@@ -12,28 +12,27 @@ import bisect
 import math
 from collections import namedtuple
 
+from .constants import CheckedRecord
 from .errors import DomainError
 from .evaporation import over_times, temperature
 
 
-class NoiseSpectrum(namedtuple("NoiseSpectrum", "freq_hz s_rel_per_hz")):
-    """One-sided PSD of relative well-depth fluctuations (1/Hz); both
-    columns are stored as tuples of floats."""
+class NoiseSpectrum(CheckedRecord, namedtuple("NoiseSpectrum", "freq_hz s_rel_per_hz")):
+    """One-sided PSD of relative well-depth fluctuations (1/Hz); any
+    sequences are converted to tuples of floats."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        # binds the arguments by name; the record is built from the floats
-        freq_hz, s_rel_per_hz = super().__new__(cls, *args, **kwargs)
-        f = tuple(map(float, freq_hz))
-        s = tuple(map(float, s_rel_per_hz))
+    def _checked(self):
+        f = tuple(map(float, self.freq_hz))
+        s = tuple(map(float, self.s_rel_per_hz))
         if len(f) < 2 or len(f) != len(s):
             raise ValueError("spectrum needs matching 1-d arrays, >= 2 points")
         if f[0] <= 0 or any(b <= a for a, b in zip(f, f[1:])):
             raise ValueError("frequencies must be positive and increasing")
         if any(v < 0 for v in s):
             raise ValueError("spectral density must be >= 0")
-        return super().__new__(cls, f, s)
+        return f, s
 
     def value_at(self, freq: float) -> float:
         """Interpolate linearly in log-frequency; no extrapolation.
@@ -56,7 +55,7 @@ class NoiseSpectrum(namedtuple("NoiseSpectrum", "freq_hz s_rel_per_hz")):
         return slope * (math.log(freq) - x0) + s[j]
 
 
-class HeatingRates(namedtuple(
+class HeatingRates(CheckedRecord, namedtuple(
     "HeatingRates", "gamma_axial gamma_radial gamma_total e_folding_time"
 )):
     """Axial/radial parametric heating rates and their thermal combination
@@ -64,8 +63,7 @@ class HeatingRates(namedtuple(
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         if self.gamma_axial < 0 or self.gamma_radial < 0:
             raise ValueError("rates must be >= 0")
         return self

@@ -14,17 +14,17 @@ matching how such coefficients are conventionally quoted.
 import math
 from collections import namedtuple
 
+from .constants import CheckedRecord
 from .evaporation import over_times
 
 
-class LossParams(namedtuple("LossParams", "gamma_per_s beta_cm3_per_s xi")):
+class LossParams(CheckedRecord, namedtuple("LossParams", "gamma_per_s beta_cm3_per_s xi")):
     """Decay parameters: background rate, two-body coefficient and their
     dimensionless combination xi."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         if self.gamma_per_s <= 0:
             raise ValueError("gamma must be positive")
         if self.beta_cm3_per_s < 0 or self.xi < 0:

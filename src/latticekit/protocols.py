@@ -13,7 +13,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .constants import CONST, RB85
+from .constants import CONST, RB85, CheckedRecord
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")
@@ -32,24 +32,24 @@ def expansion_sigma(sigma0, temperature, t):
     return float(result) if np.isscalar(t) else result
 
 
-class ExpansionSeries(namedtuple("ExpansionSeries", "times sigma amplitude")):
-    """Measured or synthetic expansion widths sigma (m) versus flight time
-    (s), with amplitudes in counts (peak areal density scale). Times must be
+class ExpansionSeries(CheckedRecord, namedtuple("ExpansionSeries", "times sigma amplitude")):
+    """Expansion widths sigma (m) versus flight time (s) with amplitudes in
+    counts (peak areal density scale), stored as float arrays. Times must be
     >= 0, widths positive and amplitudes >= 0."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if not (len(self.times) == len(self.sigma) == len(self.amplitude)):
+    def _checked(self):
+        times, sigma, amplitude = (np.asarray(c, dtype=float) for c in self)
+        if not (len(times) == len(sigma) == len(amplitude)):
             raise ValueError("series columns must have equal length")
-        if np.any(self.times < 0):
+        if np.any(times < 0):
             raise ValueError("expansion times must be >= 0")
-        if np.any(self.sigma <= 0):
+        if np.any(sigma <= 0):
             raise ValueError("expansion widths must be positive")
-        if np.any(self.amplitude < 0):
+        if np.any(amplitude < 0):
             raise ValueError("expansion amplitudes must be >= 0")
-        return self
+        return times, sigma, amplitude
 
 
 @np.errstate(over="raise", divide="raise", invalid="raise")

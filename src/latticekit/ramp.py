@@ -14,21 +14,20 @@ Everything here is scalar arithmetic on math, so the ramp never loads numpy.
 import math
 from collections import namedtuple
 
-from .constants import M3_TO_CM3, thermal_velocity
+from .constants import M3_TO_CM3, CheckedRecord, thermal_velocity
 from .evaporation import beta_esc, epsilon, eta, unitarity_cross_section
 from .trap import TrapState
 
 RETHERMALIZATION_MODES = ("collision-gated", "instant", "off")
 
 
-class RampProfile(namedtuple("RampProfile", "u_initial u_final duration")):
+class RampProfile(CheckedRecord, namedtuple("RampProfile", "u_initial u_final duration")):
     """Linear well-depth ramp from u_initial to u_final (J) over a duration
     (s); duration 0 means a sudden jump."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         if self.u_initial <= 0 or self.u_final <= 0:
             raise ValueError("depths must be positive")
         if self.duration < 0:

@@ -168,15 +168,13 @@ def read_noise_spectrum(path):
 def read_expansion(path):
     """Read an expansion series, header t_ms,sigma_um,amplitude, into a
     protocols.ExpansionSeries."""
-    import numpy as np
-
     from .protocols import ExpansionSeries
 
     columns = _read_columns(path, (("t_ms", "sigma_um", "amplitude"),), "expansion")
-    t_ms, sigma_um, amplitude = map(np.array, columns)
+    t_ms, sigma_um, amplitude = columns
     return ExpansionSeries(
-        times=t_ms * 1e-3,
-        sigma=sigma_um * 1e-6,
+        times=[t * 1e-3 for t in t_ms],
+        sigma=[s * 1e-6 for s in sigma_um],
         amplitude=amplitude,
     )
 

@@ -19,14 +19,14 @@ is vertical.
 
 Every function models 85Rb and reads its data from constants.RB85. The
 well (TrapParameters), the cloud shape (CloudShape) and the sample
-(TrapState) are namedtuple records whose constructors check the values;
-RegimeFlags is a plain namedtuple of four flags.
+(TrapState) are constants.CheckedRecord records, checked however they are
+built; RegimeFlags is a plain namedtuple of four flags.
 """
 
 import math
 from collections import namedtuple
 
-from .constants import CONST, RB85, thermal_de_broglie
+from .constants import CONST, RB85, CheckedRecord, thermal_de_broglie
 from .cavity import ModeGeometry
 
 
@@ -118,15 +118,16 @@ def recoil_frequency(wavelength: float) -> float:
     return CONST.hbar * k**2 / (4.0 * math.pi * RB85.mass)
 
 
-class TrapParameters(namedtuple("TrapParameters", "u0 wavelength nu_axial nu_radial")):
+class TrapParameters(CheckedRecord, namedtuple(
+    "TrapParameters", "u0 wavelength nu_axial nu_radial"
+)):
     """Harmonic well parameters of the lattice: the well depth u0 (J), the
     lattice laser wavelength (m) and the axial and radial secular
     frequencies (Hz)."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         if self.u0 <= 0:
             raise ValueError("well depth must be positive")
         if self.nu_axial <= self.nu_radial:
@@ -160,14 +161,15 @@ def classify_regimes(trap: TrapParameters) -> RegimeFlags:
 # ---------------------------------------------------------------------------
 # cloud shape and densities
 
-class CloudShape(namedtuple("CloudShape", "envelope_sigma per_well_sigma well_spacing")):
+class CloudShape(CheckedRecord, namedtuple(
+    "CloudShape", "envelope_sigma per_well_sigma well_spacing"
+)):
     """Gaussian envelope of well populations plus per-well thermal widths,
     each an (x, y, z) triple, and the well spacing (m)."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         if any(s <= 0 for s in self.envelope_sigma + self.per_well_sigma):
             raise ValueError("all widths must be positive")
         if self.well_spacing <= 0:
@@ -195,13 +197,12 @@ def thermal_cloud_shape(trap: TrapParameters, temperature,
     )
 
 
-class TrapState(namedtuple("TrapState", "n_atoms temperature trap shape")):
+class TrapState(CheckedRecord, namedtuple("TrapState", "n_atoms temperature trap shape")):
     """Sample of N atoms at temperature T (K) in a given trap and cloud shape."""
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def _checked(self):
         if self.n_atoms < 0:
             raise ValueError("atom number must be >= 0")
         if self.temperature <= 0:

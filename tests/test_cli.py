@@ -175,6 +175,15 @@ def _case(case_id, argv, stderr_has=None):
     _case("fit-decay-sample.rho_peak_per_cm3--1",
           "fit --kind decay --data {fixtures}/decay_noisy.csv --sample.rho_peak_per_cm3 -1",
           stderr_has="sample.rho_peak_per_cm3"),
+    # xi = 0 leaves the cooling law flat, so epsilon cannot be fitted
+    _case("fit-temperature-sample.rho_peak_per_cm3-0",
+          "fit --kind temperature --data {fixtures}/temperature_noisy.csv"
+          " --sample.rho_peak_per_cm3 0",
+          stderr_has="sample.rho_peak_per_cm3"),
+    _case("fit-temperature-loss.beta_cm3_per_s-0",
+          "fit --kind temperature --data {fixtures}/temperature_noisy.csv"
+          " --loss.beta_cm3_per_s 0",
+          stderr_has="loss.beta_cm3_per_s"),
     _case("bound-bound.t_max_s--1293", "bound --bound.t_max_s -1293"),
     _case("bound-psd-nan-row", "bound --psd {tmp}/psd_nan.csv"),
     _case("fit-tof-nan-row", "fit --kind tof --data {tmp}/tof_nan.csv"),

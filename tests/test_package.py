@@ -1,29 +1,35 @@
 """The package namespace: `import latticekit` binds only `__version__`,
 every public name has one import path, the module that defines it, and the
-records are read-only."""
+records are read-only and checked on every construction path."""
 
+import copy
 import importlib
 import inspect
 import os
+import pickle
+import pkgutil
+import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from conftest import state_a
 
 import latticekit
-from latticekit.cavity import CavitySpec, MirrorSpec
-from latticekit.constants import CONST, RB85
+from latticekit.cavity import CavitySpec, MirrorSpec, ModeGeometry
+from latticekit.constants import CONST, RB85, CheckedRecord
 from latticekit.fitting import Dataset
-from latticekit.heating import NoiseSpectrum
+from latticekit.heating import HeatingRates, NoiseSpectrum
 from latticekit.losses import LossParams
+from latticekit.protocols import ExpansionSeries
 from latticekit.ramp import RampProfile
 
 # Every public name, by defining module (the README's library table).
 EXPORTS = {
     "constants": (
-        "CONST", "RB85", "PhysicalConstants", "Species", "thermal_de_broglie",
-        "thermal_velocity",
+        "CONST", "RB85", "CheckedRecord", "PhysicalConstants", "Species",
+        "thermal_de_broglie", "thermal_velocity",
     ),
     "cavity": (
         "CavitySpec", "MirrorSpec", "ModeGeometry", "circulating_power",
@@ -151,3 +157,67 @@ def test_record_fields_cannot_be_assigned(record, field):
     with pytest.raises(AttributeError):
         record.extra_field = 1.0
     assert getattr(record, field) is before
+
+
+# Every checked record, a field and a value its constructor refuses, with
+# the constructor's error text.
+CHECKED = [
+    (MirrorSpec(23e-6, 3e-6), "transmission", -1e-6,
+     "mirror losses must be non-negative"),
+    (CavitySpec((MirrorSpec(23e-6, 3e-6),) * 3, 0.097), "round_trip_length", 0.0,
+     "round trip length must be positive"),
+    (ModeGeometry(1.1e-4, 0.9e-4), "waist_sagittal", 0.0, "waists must be positive"),
+    (state_a().trap, "u0", 0.0, "well depth must be positive"),
+    (state_a().shape, "well_spacing", 0.0, "well spacing must be positive"),
+    (state_a(), "temperature", 0.0, "temperature must be > 0"),
+    (LossParams(0.6, 7.5e-12, 0.1), "gamma_per_s", -1.0, "gamma must be positive"),
+    (NoiseSpectrum((100.0, 1e6), (1e-13, 1e-13)), "freq_hz", [2.0, 1.0],
+     "frequencies must be positive and increasing"),
+    (HeatingRates(0.1, 0.2, 0.5 / 3, 6.0), "gamma_axial", -1.0, "rates must be >= 0"),
+    (RampProfile(4.8e-27, 2.0e-27, 0.07), "duration", -1.0, "duration must be >= 0"),
+    (ExpansionSeries(np.array([0.0, 1e-3]), np.array([1e-4, 2e-4]), np.ones(2)),
+     "sigma", [1e-4, -2e-4], "expansion widths must be positive"),
+    (Dataset([0.0, 1.0], [2.0, 1.0]), "value", [2.0, -1.0], "values must be positive"),
+]
+
+
+def _same(a, b):
+    """Same record type and equal fields, arrays compared by value."""
+    return type(a) is type(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(a, b, strict=True)
+    )
+
+
+@pytest.mark.parametrize(("record", "field", "bad", "text"), CHECKED,
+                         ids=[type(c[0]).__name__ for c in CHECKED])
+def test_every_construction_path_checks(record, field, bad, text):
+    assert _same(type(record)._make(tuple(record)), record)
+    assert _same(record._replace(), record)
+    assert _same(pickle.loads(pickle.dumps(record)), record)
+    assert _same(copy.deepcopy(record), record)
+    fields = record._asdict()
+    fields[field] = bad
+    with pytest.raises(ValueError, match=re.escape(text)):
+        type(record)(**fields)
+    with pytest.raises(ValueError, match=re.escape(text)):
+        record._replace(**{field: bad})
+    with pytest.raises(ValueError, match=re.escape(text)):
+        type(record)._make(fields.values())
+
+
+def test_every_checked_record_builds_through_the_base():
+    # a record subclassing a namedtuple defines neither __new__ nor _make, so
+    # its _replace and _make cannot bypass CheckedRecord's _checked
+    records = {}
+    for info in pkgutil.iter_modules(latticekit.__path__):
+        module = importlib.import_module(f"latticekit.{info.name}")
+        for name, value in vars(module).items():
+            if (inspect.isclass(value) and issubclass(value, tuple)
+                    and hasattr(value, "_fields") and value.__bases__ != (tuple,)):
+                records[name] = value
+    for name, record in records.items():
+        assert "__new__" not in vars(record) and "_make" not in vars(record), name
+        assert hasattr(record, "_checked") == issubclass(record, CheckedRecord), name
+    checked = {name for name, record in records.items() if hasattr(record, "_checked")}
+    assert checked == {type(c[0]).__name__ for c in CHECKED}

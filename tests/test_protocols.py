@@ -200,6 +200,16 @@ def test_fit_expansion_order_invariant():
     assert rel(a.sigma0, b.sigma0) < 1e-12
 
 
+def test_expansion_series_converts_its_columns():
+    columns = ([0.001, 0.002, 0.003], [1e-4] * 3, [1.0] * 3)
+    from_lists = ExpansionSeries(*columns)
+    from_arrays = ExpansionSeries(*(np.array(c) for c in columns))
+    for a, b in zip(from_lists, from_arrays, strict=True):
+        assert type(a) is np.ndarray and a.dtype == float
+        assert np.array_equal(a, b)
+    assert fit_expansion(from_lists) == fit_expansion(from_arrays)
+
+
 def test_fit_expansion_needs_three_points():
     times = np.array([1e-3, 2e-3])
     series = synthesize_expansion(1e6, 123e-6, 40e-6, times, 0.0, 1)
