@@ -39,14 +39,16 @@ class CavitySpec(CheckedRecord, namedtuple(
 )):
     """Triangular ring cavity: three mirrors plus geometry and drive.
 
-    The round-trip length is in m and the input power in W per traveling
-    mode (default 0); the mode-matching efficiency defaults to 1.
+    The mirrors are stored as a tuple, whatever sequence holds them. The
+    round-trip length is in m and the input power in W per traveling mode
+    (default 0); the mode-matching efficiency defaults to 1.
     """
 
     __slots__ = ()
 
     def _checked(self):
-        if len(self.mirrors) != 3:
+        mirrors = tuple(self.mirrors)
+        if len(mirrors) != 3:
             raise ValueError("a triangular ring needs exactly 3 mirrors")
         if self.round_trip_length <= 0:
             raise ValueError("round trip length must be positive")
@@ -54,9 +56,10 @@ class CavitySpec(CheckedRecord, namedtuple(
             raise ValueError("input power must be >= 0")
         if not 0 <= self.mode_matching_efficiency <= 1:
             raise ValueError("mode matching efficiency must be in [0, 1]")
-        if self.round_trip_loss >= 1:
+        # summed over the stored tuple: self.mirrors may be a spent iterator
+        if sum(m.total_loss for m in mirrors) >= 1:
             raise ValueError("total round-trip loss must stay below 1")
-        return self
+        return (mirrors, *self[1:])
 
     @property
     def round_trip_loss(self) -> float:

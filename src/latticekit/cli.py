@@ -53,9 +53,9 @@ from .config import (
 )
 from .constants import CONST
 from .errors import ConfigError, DomainError
-from .evaporation import eta
-from .heating import bound_gamma_tot, combined_temperature, rates_from_spectrum
-from .losses import LossParams, population
+from .evaporation import eta, temperature
+from .heating import bound_gamma_tot, rates_from_spectrum
+from .losses import population, xi_from_beta
 from .ramp import RampProfile, ramp_simulate
 from .tabular import (
     atomic_write_text,
@@ -216,37 +216,36 @@ def _linspace(start, stop, n):
     return grid
 
 
-def _loss_params(cfg):
-    """The configured decay parameters, with xi from the configured peak
-    density."""
-    return LossParams.from_beta(
-        cfg["loss.gamma_per_s"],
+def _configured_xi(cfg):
+    """The two-body loss strength xi of the configured decay parameters and
+    peak density."""
+    return xi_from_beta(
         cfg["loss.beta_cm3_per_s"],
         cfg["sample.rho_peak_per_cm3"],
+        cfg["loss.gamma_per_s"],
     )
 
 
 def cmd_simulate(cfg, args):
     model = args.model
     grid = _linspace(0.0, cfg["sim.t_max_s"], cfg["sim.n_points"])
-    params = _loss_params(cfg)
+    xi = _configured_xi(cfg)
+    gamma = cfg["loss.gamma_per_s"]
     if model == "decay":
         header = ("t_s", "N")
         n0 = cfg["sample.atom_number"]
-        values = population(grid, n0, params.gamma_per_s, params.xi)
+        values = population(grid, n0, gamma, xi)
     else:
-        # the pure cooling law is the combined solution with zero heating,
-        # so both models share one code path
         header = ("t_s", "T_uK")
         gamma_tot = cfg["heating.gamma_tot_per_s"] if model == "combined" else 0.0
         law = (
             cfg["sample.temperature_uK"],
             cfg["evap.epsilon"],
-            params.xi,
-            params.gamma_per_s,
+            xi,
+            gamma,
             gamma_tot,
         )
-        values = combined_temperature(grid, *law)
+        values = temperature(grid, *law)
     write_columns(args.out, header, (grid, values))
     return 0
 
@@ -303,11 +302,11 @@ def cmd_fit(cfg, args):
         )
     elif kind == "temperature":
         dataset = read_dataset(args.data, "temperature")
-        params = _loss_params(cfg)
-        if params.xi <= 0:  # a flat cooling law leaves epsilon unidentified
+        xi = _configured_xi(cfg)
+        if xi <= 0:  # a flat cooling law leaves epsilon unidentified
             raise ConfigError("loss.beta_cm3_per_s and sample.rho_peak_per_cm3 must give xi > 0")
         result = fit_epsilon(
-            dataset, params.xi, params.gamma_per_s, cfg["sample.temperature_uK"]
+            dataset, xi, cfg["loss.gamma_per_s"], cfg["sample.temperature_uK"]
         )
     else:  # tof
         series = read_expansion(args.data)
@@ -344,13 +343,13 @@ def cmd_fit(cfg, args):
 
 
 def cmd_bound(cfg, args):
-    params = _loss_params(cfg)
+    xi = _configured_xi(cfg)
     bound = bound_gamma_tot(
-        cfg["evap.epsilon"], params.xi, params.gamma_per_s, cfg["bound.t_max_s"]
+        cfg["evap.epsilon"], xi, cfg["loss.gamma_per_s"], cfg["bound.t_max_s"]
     )
     entries = [
         ("epsilon", cfg["evap.epsilon"], CONFIGURED),
-        ("xi", params.xi, COMPUTED),
+        ("xi", xi, COMPUTED),
         ("gamma_per_s", cfg["loss.gamma_per_s"], CONFIGURED),
         ("t_max_s", cfg["bound.t_max_s"], CONFIGURED),
         ("gamma_tot_bound_per_s", bound, COMPUTED),

@@ -1,4 +1,4 @@
-"""Plain evaporative cooling model for a deep optical lattice.
+"""Evaporative cooling model for a deep optical lattice.
 
 Escape of atoms above the well depth at a detailed-balance rate
 Gamma_ev = rho_bar sigma_esc v_rms eta exp(-eta), the unitarity-limited
@@ -10,6 +10,9 @@ and the temperature evolution T(t) = T(0) (1 - eps xi (1 - exp(-gamma t)))
 driven by the kinetic-energy bookkeeping of the loss channels, with
 
     eps = (2/3) eta - 1 - 8/(3 sqrt(pi)) * int_0^sqrt(eta) r^4 exp(-r^2) dr.
+
+temperature is that cooling law, with an optional parametric heating rate
+gamma_tot (see heating) on top.
 
 beta_esc is the closed form. The composition route through the cross
 section and the thermal velocity is the independent oracle
@@ -124,18 +127,32 @@ def over_times(t, curve):
     return float(result) if np.isscalar(t) else result
 
 
-def temperature(t, t0, epsilon_value, xi, gamma_per_s):
-    """Closed-form T(t) = T0 (1 - eps xi (1 - exp(-gamma t))) at the times t
-    (a float, a list or tuple of floats, or an array; see over_times)."""
+def temperature(t, t0, epsilon_value, xi, gamma_per_s, gamma_tot=0.0):
+    """Closed-form T(t) of dT/dt = -eps xi gamma exp(-gamma t) T0 + gamma_tot T.
+
+    T(t) = T0 exp(k t) (1 - eps xi g/(k+g) (1 - exp(-(k+g) t))) with
+    k = gamma_tot and g = gamma; at the default k = 0 it is the cooling law
+    T0 (1 - eps xi (1 - exp(-g t))) bit for bit at every finite t. The
+    times t >= 0 are a float, a list or tuple of floats, or an array (see
+    over_times).
+    """
     eps_xi = epsilon_value * xi
     if eps_xi >= 1.0:
-        raise DomainError(
-            "eps*xi >= 1: model predicts non-positive temperature"
-        )
-    minus_gamma = -gamma_per_s
+        raise DomainError("eps*xi >= 1: model predicts non-positive temperature")
+    if t0 <= 0:
+        raise ValueError("temperature must be > 0")
+    if gamma_tot < 0:
+        raise ValueError("gamma_tot must be >= 0")
+    rate = gamma_tot + gamma_per_s
+    minus_rate = -rate
+    cooled_share = eps_xi * (gamma_per_s / rate)
 
     def curve(t, exp):
-        return t0 * (1.0 - eps_xi * (1.0 - exp(minus_gamma * t)))
+        try:
+            growth = exp(gamma_tot * t)
+        except OverflowError:  # math.exp raises where np.exp overflows to inf
+            growth = math.inf
+        return t0 * growth * (1.0 - cooled_share * (1.0 - exp(minus_rate * t)))
 
     return over_times(t, curve)
 

@@ -194,7 +194,7 @@ def fit_decay(dataset: Dataset, rho_peak_per_cm3, initial_guess,
         eval_fn, p0, max_iterations
     )
     gamma, xi, n0 = p
-    # the steps are unbounded, so the optimum can leave LossParams' domain
+    # the steps are unbounded, so the optimum can leave the domain gamma > 0, xi >= 0
     if gamma <= 0 or xi < 0:
         converged = False
         message = "the optimum lies outside the model domain gamma > 0, xi >= 0"

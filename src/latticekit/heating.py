@@ -1,11 +1,11 @@
-"""Parametric heating from intensity noise and cooling plus heating.
+"""Parametric heating from intensity noise and its bound from cooling.
 
 A relative well-depth fluctuation spectrum S_rel drives parametric heating at
 twice each secular frequency with rate gamma = pi^2 nu^2 S_rel(2 nu); the
 thermal-equilibrium weighting gamma_tot = (gamma_a + 2 gamma_r) / 3 combines
 the axial and radial rates. The one-sided PSD convention with units 1/Hz for
 relative fluctuations is used throughout, including the CSV file format.
-Cooling plus heating has the closed form combined_temperature.
+Cooling plus heating is evaporation.temperature with gamma_tot > 0.
 """
 
 import bisect
@@ -14,7 +14,7 @@ from collections import namedtuple
 
 from .constants import CheckedRecord
 from .errors import DomainError
-from .evaporation import over_times, temperature
+from .evaporation import temperature
 
 
 class NoiseSpectrum(CheckedRecord, namedtuple("NoiseSpectrum", "freq_hz s_rel_per_hz")):
@@ -93,35 +93,6 @@ def rates_from_spectrum(spectrum, nu_axial, nu_radial) -> HeatingRates:
         parametric_rate(spectrum, nu_axial),
         parametric_rate(spectrum, nu_radial),
     )
-
-
-def combined_temperature(t, t0, epsilon_value, xi, gamma_per_s, gamma_tot):
-    """Closed-form T(t) of dT/dt = -eps xi gamma exp(-gamma t) T0 + gamma_tot T.
-
-    T(t) = T0 exp(k t) (1 - eps xi g/(k+g) (1 - exp(-(k+g) t))) with
-    k = gamma_tot and g = gamma; at k = 0 it reduces bit for bit to the
-    cooling law evaporation.temperature. The times t >= 0 are a float, a
-    list or tuple of floats, or an array (see evaporation.over_times).
-    """
-    eps_xi = epsilon_value * xi
-    if eps_xi >= 1.0:
-        raise DomainError("eps*xi >= 1: model predicts non-positive temperature")
-    if t0 <= 0:
-        raise ValueError("temperature must be > 0")
-    if gamma_tot < 0:
-        raise ValueError("gamma_tot must be >= 0")
-    rate = gamma_tot + gamma_per_s
-    minus_rate = -rate
-    cooled_share = eps_xi * (gamma_per_s / rate)
-
-    def curve(t, exp):
-        try:
-            growth = exp(gamma_tot * t)
-        except OverflowError:  # math.exp raises where np.exp overflows to inf
-            growth = math.inf
-        return t0 * growth * (1.0 - cooled_share * (1.0 - exp(minus_rate * t)))
-
-    return over_times(t, curve)
 
 
 def bound_gamma_tot(epsilon_value, xi, gamma_per_s, t_max) -> float:

@@ -7,37 +7,14 @@ xi = beta rho_peak / (4 gamma). The 4 is the lattice convention
 integral(rho^2) = N rho_peak / 4; a bare Gaussian cloud would give
 N rho_peak / 2^(3/2).
 
+The decay parameters are plain floats, in the domain gamma > 0 and xi >= 0.
 Volume-carrying quantities (beta, densities) use cm^3 at this interface,
 matching how such coefficients are conventionally quoted.
 """
 
 import math
-from collections import namedtuple
 
-from .constants import CheckedRecord
 from .evaporation import over_times
-
-
-class LossParams(CheckedRecord, namedtuple("LossParams", "gamma_per_s beta_cm3_per_s xi")):
-    """Decay parameters: background rate, two-body coefficient and their
-    dimensionless combination xi."""
-
-    __slots__ = ()
-
-    def _checked(self):
-        if self.gamma_per_s <= 0:
-            raise ValueError("gamma must be positive")
-        if self.beta_cm3_per_s < 0 or self.xi < 0:
-            raise ValueError("beta and xi must be >= 0")
-        return self
-
-    @classmethod
-    def from_beta(cls, gamma_per_s, beta_cm3_per_s, rho_peak_per_cm3):
-        return cls(
-            gamma_per_s,
-            beta_cm3_per_s,
-            xi_from_beta(beta_cm3_per_s, rho_peak_per_cm3, gamma_per_s),
-        )
 
 
 def xi_from_beta(beta_cm3_per_s, rho_peak_per_cm3, gamma_per_s):

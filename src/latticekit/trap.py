@@ -165,16 +165,19 @@ class CloudShape(CheckedRecord, namedtuple(
     "CloudShape", "envelope_sigma per_well_sigma well_spacing"
 )):
     """Gaussian envelope of well populations plus per-well thermal widths,
-    each an (x, y, z) triple, and the well spacing (m)."""
+    each an (x, y, z) triple stored as a tuple of floats, and the well
+    spacing (m)."""
 
     __slots__ = ()
 
     def _checked(self):
-        if any(s <= 0 for s in self.envelope_sigma + self.per_well_sigma):
+        envelope = tuple(map(float, self.envelope_sigma))
+        per_well = tuple(map(float, self.per_well_sigma))
+        if any(s <= 0 for s in envelope + per_well):
             raise ValueError("all widths must be positive")
         if self.well_spacing <= 0:
             raise ValueError("well spacing must be positive")
-        return self
+        return envelope, per_well, self.well_spacing
 
     @property
     def wells_resolved(self) -> bool:
@@ -191,7 +194,7 @@ def thermal_cloud_shape(trap: TrapParameters, temperature,
     sigma_radial = v / (2.0 * math.pi * trap.nu_radial)
     sigma_axial = v / (2.0 * math.pi * trap.nu_axial)
     return CloudShape(
-        envelope_sigma=tuple(envelope_sigma),
+        envelope_sigma=envelope_sigma,
         per_well_sigma=(sigma_radial, sigma_radial, sigma_axial),
         well_spacing=trap.wavelength / 2.0,
     )

@@ -67,16 +67,14 @@ def rk4_path(f, y0, t_grid, n_substeps=DEFAULT_SUBSTEPS):
     return out
 
 
-def population_rk4(n0, params, rho_peak_per_cm3, t_grid):
+def population_rk4(n0, gamma_per_s, beta_cm3_per_s, rho_peak_per_cm3, t_grid):
     """N on a grid from 0: dN/dt = -gamma N - beta integral(rho^2), with the
     constant-temperature closure integral(rho^2) = (N/N0)^2 N0 rho_peak / 4
     (cm^-3 units) that losses.population solves in closed form."""
     q0 = n0 * rho_peak_per_cm3 / 4.0
-    gamma = params.gamma_per_s
-    beta = params.beta_cm3_per_s
 
     def rhs(_t, n):
-        return -gamma * n - beta * (q0 * (n / n0) ** 2)
+        return -gamma_per_s * n - beta_cm3_per_s * (q0 * (n / n0) ** 2)
 
     return rk4_path(rhs, n0, t_grid)
 
@@ -84,7 +82,7 @@ def population_rk4(n0, params, rho_peak_per_cm3, t_grid):
 def combined_temperature_rk4(t0, epsilon_value, xi, gamma_per_s, gamma_tot,
                              t_grid):
     """T on a grid from 0: dT/dt = -eps xi gamma exp(-gamma t) T0 + gamma_tot T,
-    the equation heating.combined_temperature solves in closed form."""
+    the equation evaporation.temperature solves in closed form."""
 
     def rhs(time, temp):
         return (

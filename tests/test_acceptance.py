@@ -38,7 +38,7 @@ from latticekit.evaporation import (
 )
 from latticekit.fitting import Dataset, decay_jacobian, fit_decay, fit_epsilon
 from latticekit.heating import bound_gamma_tot
-from latticekit.losses import LossParams, population, xi_from_beta
+from latticekit.losses import population, xi_from_beta
 from latticekit.protocols import fit_expansion, synthesize_expansion
 from latticekit.ramp import RampProfile, adiabatic_final_temperature, ramp_simulate
 from latticekit.trap import phase_space_density, secular_frequencies
@@ -192,10 +192,10 @@ def test_criterion_6_ramp():
 
 
 def test_criterion_7_model_reductions():
-    params = LossParams.from_beta(0.6, 7.5e-12, 9e11)
+    xi = xi_from_beta(7.5e-12, 9e11, 0.6)
     t = np.linspace(0, 5, 51)
-    rk4 = population_rk4(4e6, params, 9e11, t)
-    closed = population(t, 4e6, 0.6, params.xi)
+    rk4 = population_rk4(4e6, 0.6, 7.5e-12, 9e11, t)
+    closed = population(t, 4e6, 0.6, xi)
     dev_pop = float(np.max(np.abs(rk4 - closed) / closed))
     check("criterion 7a (closed form vs RK4)", dev_pop < 1e-6,
           f"max rel dev {dev_pop:.2e} (bound 1e-6)")

@@ -57,6 +57,15 @@ def test_cavity_needs_three_mirrors():
                    round_trip_length=0.1)
 
 
+def test_cavity_stores_its_mirrors_as_a_tuple():
+    mirrors = [MirrorSpec(23e-6, 3e-6)] * 3
+    cavity = CavitySpec(mirrors, 0.097)
+    assert cavity == CavitySpec(tuple(mirrors), 0.097)
+    assert type(cavity.mirrors) is tuple
+    with pytest.raises(ValueError, match="total round-trip loss must stay below 1"):
+        CavitySpec(iter([MirrorSpec(0.9, 0.09)] * 3), 0.097)
+
+
 def test_cavity_incoupler_is_max_transmission():
     assert make_cavity().incoupler.transmission == 23e-6
 

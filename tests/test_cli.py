@@ -719,8 +719,8 @@ def test_simulate_combined_overflow_writes_inf_without_warning(tmp_path, capsys)
 
 @pytest.mark.parametrize(("model", "closed_form"), [
     ("decay", "population"),
-    ("temperature", "combined_temperature"),
-    ("combined", "combined_temperature"),
+    ("temperature", "temperature"),
+    ("combined", "temperature"),
 ])
 def test_simulate_evaluates_its_closed_form_once_over_the_grid(
         tmp_path, monkeypatch, model, closed_form):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from oracles import combined_temperature_rk4
+from test_closed_form_grids import bits, temperature_inline
 
 from latticekit.errors import DomainError
 from latticekit.evaporation import temperature
@@ -10,7 +11,6 @@ from latticekit.heating import (
     HeatingRates,
     NoiseSpectrum,
     bound_gamma_tot,
-    combined_temperature,
     parametric_rate,
     rates_from_spectrum,
     total_rate,
@@ -151,15 +151,18 @@ def test_combined_closed_form_matches_ode_with_heating():
     args = (TRACE_A["t0"], TRACE_A["eps"], TRACE_A["xi"], TRACE_A["gamma"])
     for gamma_tot in (0.041, 0.5):
         ode = combined_temperature_rk4(*args, gamma_tot, t)
-        closed = combined_temperature(t, *args, gamma_tot)
+        closed = temperature(t, *args, gamma_tot)
         assert np.max(np.abs(ode - closed) / closed) <= 1e-12
 
 
 def test_combined_closed_form_without_heating_is_the_cooling_law():
-    t = np.linspace(0, 4, 81)
+    # the written-out pure law, bit for bit at finite times; at t = inf
+    # exp(0 * inf) is nan
+    t = [*np.linspace(0, 4, 81).tolist(), 5e-324, 1e3, 1e300, 1.7976931348623157e308]
     args = (TRACE_A["t0"], TRACE_A["eps"], TRACE_A["xi"], TRACE_A["gamma"])
-    assert np.array_equal(combined_temperature(t, *args, 0.0), temperature(t, *args))
-    assert combined_temperature(2.0, *args, 0.0) == temperature(2.0, *args)
+    assert bits(temperature(t, *args)) == bits([temperature_inline(time, *args) for time in t])
+    assert temperature(t, *args, 0.0) == temperature(t, *args)
+    assert bits([temperature(2.0, *args)]) == bits([temperature_inline(2.0, *args)])
 
 
 def test_combined_pure_heating():
@@ -191,9 +194,9 @@ def test_combined_slope_sign_change_with_psd_rate():
 
 def test_combined_domain_guard():
     with pytest.raises(DomainError):
-        combined_temperature(np.linspace(0, 1, 3), 123e-6, 0.5, 2.80, 0.6, 0.0)
+        temperature(np.linspace(0, 1, 3), 123e-6, 0.5, 2.80, 0.6, 0.0)
     with pytest.raises(ValueError):
-        combined_temperature(np.linspace(0, 1, 3), 123e-6, 0.057, 2.80, 0.6, -0.1)
+        temperature(np.linspace(0, 1, 3), 123e-6, 0.057, 2.80, 0.6, -0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from oracles import population_rk4
 
-from latticekit.losses import LossParams, population, xi_from_beta
+from latticekit.losses import population, xi_from_beta
 
 GAMMA_A, BETA_A, RHO_A, N0_A = 0.6, 7.5e-12, 9e11, 4e6
 
@@ -26,13 +26,6 @@ def test_xi_zero_beta():
 def test_xi_rejects_zero_gamma():
     with pytest.raises(ValueError):
         xi_from_beta(1e-12, 9e11, 0.0)
-
-
-def test_loss_params_from_beta_consistent():
-    params = LossParams.from_beta(GAMMA_A, BETA_A, RHO_A)
-    assert params.xi == xi_from_beta(BETA_A, RHO_A, GAMMA_A)
-    with pytest.raises(ValueError):
-        LossParams(0.0, BETA_A, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -73,10 +66,10 @@ def test_scalar_population_matches_array_path():
 # RK4 oracle
 
 def test_closed_form_matches_rk4_reference_params():
-    params = LossParams.from_beta(GAMMA_A, BETA_A, RHO_A)
+    xi = xi_from_beta(BETA_A, RHO_A, GAMMA_A)
     t = np.linspace(0, 5, 41)
-    n = population_rk4(N0_A, params, RHO_A, t)
-    closed = population(t, N0_A, GAMMA_A, params.xi)
+    n = population_rk4(N0_A, GAMMA_A, BETA_A, RHO_A, t)
+    closed = population(t, N0_A, GAMMA_A, xi)
     assert np.max(np.abs(n - closed) / closed) < 1e-6
 
 
@@ -84,25 +77,23 @@ def test_closed_form_matches_rk4_reference_params():
 def test_closed_form_matches_rk4_parameter_range(gamma, xi):
     rho = 9e11
     beta = 4 * gamma * xi / rho
-    params = LossParams(gamma, beta, xi)
     t = np.linspace(0, 5, 21)
-    n = population_rk4(N0_A, params, rho, t)
+    n = population_rk4(N0_A, gamma, beta, rho, t)
     closed = population(t, N0_A, gamma, xi)
     assert np.max(np.abs(n - closed) / closed) < 1e-6
 
 
 def test_rk4_at_one_gamma_time():
-    params = LossParams.from_beta(GAMMA_A, BETA_A, RHO_A)
+    xi = xi_from_beta(BETA_A, RHO_A, GAMMA_A)
     t = np.array([0.0, 1.0 / GAMMA_A])
-    n = population_rk4(N0_A, params, RHO_A, t)
-    closed = population(1.0 / GAMMA_A, N0_A, GAMMA_A, params.xi)
+    n = population_rk4(N0_A, GAMMA_A, BETA_A, RHO_A, t)
+    closed = population(1.0 / GAMMA_A, N0_A, GAMMA_A, xi)
     assert rel(n[-1], closed) < 1e-6
 
 
 def test_beta_zero_is_exact_exponential():
-    params = LossParams(GAMMA_A, 0.0, 0.0)
     t = np.linspace(0, 4, 9)
-    n = population_rk4(N0_A, params, RHO_A, t)
+    n = population_rk4(N0_A, GAMMA_A, 0.0, RHO_A, t)
     expected = N0_A * np.exp(-GAMMA_A * t)
     assert np.max(np.abs(n - expected) / expected) < 1e-12
 
@@ -129,6 +120,5 @@ def test_population_monotone_in_parameters():
 def test_rk4_step_underflow_reported():
     from latticekit.errors import DomainError
 
-    params = LossParams(GAMMA_A, 0.0, 0.0)
     with pytest.raises(DomainError):
-        population_rk4(N0_A, params, RHO_A, np.array([0.0, 5e-324]))
+        population_rk4(N0_A, GAMMA_A, 0.0, RHO_A, np.array([0.0, 5e-324]))

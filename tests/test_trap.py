@@ -233,6 +233,12 @@ def test_wells_resolved_flag():
     assert not hot.wells_resolved
 
 
+def test_cloud_shape_built_from_lists_is_the_tuple_built_one():
+    shape = CloudShape([1e-4] * 3, [1e-6, 1e-6, 3e-7], 4e-7)
+    assert shape == CloudShape((1e-4,) * 3, (1e-6, 1e-6, 3e-7), 4e-7)
+    assert type(shape.envelope_sigma) is tuple and type(shape.per_well_sigma) is tuple
+
+
 def test_peak_density_eta_scaling():
     # at fixed depth and N, cooling T -> T/4 quadruples eta and halves the
     # thermal widths on all three axes: the density grows by 8 = 4^(3/2), the
