@@ -150,7 +150,7 @@ def cmd_trap(cfg, args):
     cavity = cavity_from_config(cfg)._replace(
         input_power_per_mode=cfg["trap.input_power_uW"] * 1e-6
     )
-    mode = mode_from_config(cfg)
+    mode = trap.mode
     regimes = classify_regimes(trap)
 
     rho_model = peak_density(state)                      # m^-3
@@ -405,7 +405,7 @@ def cmd_tof(cfg, args):
 def cmd_ramp(cfg, args):
     state = state_from_config(cfg)
     profile = RampProfile(
-        u_initial=cfg["trap.depth_uK"] * 1e-6 * CONST.kB,
+        u_initial=state.trap.u0,
         u_final=cfg["ramp.depth_final_uK"] * 1e-6 * CONST.kB,
         duration=cfg["ramp.duration_ms"] * 1e-3,
     )

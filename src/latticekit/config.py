@@ -9,6 +9,10 @@ also has a domain, and every value from a file or an override is checked
 against it whichever command runs; the defaults are never converted. Checks
 that join several keys or belong to one command stay with the models and
 the commands.
+
+trap_from_config and state_from_config convert each configured input to SI
+once and hand it to the record; the records derive the secular frequencies
+and the per-well widths themselves.
 """
 
 import math
@@ -18,7 +22,7 @@ from .cavity import CavitySpec, MirrorSpec, ModeGeometry
 from .constants import CONST
 from .errors import ConfigError
 from .ramp import RETHERMALIZATION_MODES
-from .trap import TrapParameters, TrapState, thermal_cloud_shape, trap_parameters
+from .trap import TrapParameters, TrapState
 
 ENV_CONFIG = "LATTICEKIT_CONFIG"
 
@@ -183,7 +187,7 @@ def mode_from_config(cfg: dict) -> ModeGeometry:
 
 
 def trap_from_config(cfg: dict) -> TrapParameters:
-    return trap_parameters(
+    return TrapParameters(
         u0=cfg["trap.depth_uK"] * 1e-6 * CONST.kB,
         wavelength=cfg["trap.laser_wavelength_nm"] * 1e-9,
         mode=mode_from_config(cfg),
@@ -191,19 +195,13 @@ def trap_from_config(cfg: dict) -> TrapParameters:
 
 
 def state_from_config(cfg: dict) -> TrapState:
-    trap = trap_from_config(cfg)
-    shape = thermal_cloud_shape(
-        trap,
-        cfg["sample.temperature_uK"] * 1e-6,
-        (
+    return TrapState(
+        n_atoms=cfg["sample.atom_number"],
+        temperature=cfg["sample.temperature_uK"] * 1e-6,
+        trap=trap_from_config(cfg),
+        envelope_sigma=(
             cfg["cloud.envelope_sigma_x_um"] * 1e-6,
             cfg["cloud.envelope_sigma_y_um"] * 1e-6,
             cfg["cloud.envelope_sigma_z_um"] * 1e-6,
         ),
-    )
-    return TrapState(
-        n_atoms=cfg["sample.atom_number"],
-        temperature=cfg["sample.temperature_uK"] * 1e-6,
-        trap=trap,
-        shape=shape,
     )

@@ -143,6 +143,8 @@ def temperature(t, t0, epsilon_value, xi, gamma_per_s, gamma_tot=0.0):
         raise ValueError("temperature must be > 0")
     if gamma_tot < 0:
         raise ValueError("gamma_tot must be >= 0")
+    if gamma_per_s <= 0:
+        raise ValueError("gamma must be positive")
     rate = gamma_tot + gamma_per_s
     minus_rate = -rate
     cooled_share = eps_xi * (gamma_per_s / rate)

@@ -1,10 +1,12 @@
 """Parametric heating from intensity noise and its bound from cooling.
 
 A relative well-depth fluctuation spectrum S_rel drives parametric heating at
-twice each secular frequency with rate gamma = pi^2 nu^2 S_rel(2 nu); the
-thermal-equilibrium weighting gamma_tot = (gamma_a + 2 gamma_r) / 3 combines
-the axial and radial rates. The one-sided PSD convention with units 1/Hz for
-relative fluctuations is used throughout, including the CSV file format.
+twice each secular frequency with rate gamma = pi^2 nu^2 S_rel(2 nu). The
+HeatingRates record stores the axial and radial rates; its gamma_total
+property is their thermal-equilibrium weighting
+gamma_tot = (gamma_a + 2 gamma_r) / 3. The one-sided PSD convention with
+units 1/Hz for relative fluctuations is used throughout, including the CSV
+file format.
 Cooling plus heating is evaporation.temperature with gamma_tot > 0.
 """
 
@@ -55,11 +57,9 @@ class NoiseSpectrum(CheckedRecord, namedtuple("NoiseSpectrum", "freq_hz s_rel_pe
         return slope * (math.log(freq) - x0) + s[j]
 
 
-class HeatingRates(CheckedRecord, namedtuple(
-    "HeatingRates", "gamma_axial gamma_radial gamma_total e_folding_time"
-)):
-    """Axial/radial parametric heating rates and their thermal combination
-    (1/s), with the e-folding time (s, inf when there is no heating)."""
+class HeatingRates(CheckedRecord, namedtuple("HeatingRates", "gamma_axial gamma_radial")):
+    """Axial and radial parametric heating rates (1/s); their thermal
+    combination and e-folding time are properties."""
 
     __slots__ = ()
 
@@ -67,6 +67,17 @@ class HeatingRates(CheckedRecord, namedtuple(
         if self.gamma_axial < 0 or self.gamma_radial < 0:
             raise ValueError("rates must be >= 0")
         return self
+
+    @property
+    def gamma_total(self) -> float:
+        """Thermal-equilibrium combination (gamma_a + 2 gamma_r) / 3, 1/s."""
+        return (self.gamma_axial + 2.0 * self.gamma_radial) / 3.0
+
+    @property
+    def e_folding_time(self) -> float:
+        """1 / gamma_total, s; inf when there is no heating."""
+        gamma_tot = self.gamma_total
+        return 1.0 / gamma_tot if gamma_tot > 0 else math.inf
 
 
 def parametric_rate(spectrum: NoiseSpectrum, trap_frequency: float) -> float:
@@ -80,16 +91,9 @@ def parametric_rate(spectrum: NoiseSpectrum, trap_frequency: float) -> float:
     return math.pi**2 * trap_frequency**2 * spectrum.value_at(2.0 * trap_frequency)
 
 
-def total_rate(gamma_axial: float, gamma_radial: float) -> HeatingRates:
-    """Thermal-equilibrium combination (gamma_a + 2 gamma_r) / 3."""
-    gamma_tot = (gamma_axial + 2.0 * gamma_radial) / 3.0
-    e_fold = 1.0 / gamma_tot if gamma_tot > 0 else math.inf
-    return HeatingRates(gamma_axial, gamma_radial, gamma_tot, e_fold)
-
-
 def rates_from_spectrum(spectrum, nu_axial, nu_radial) -> HeatingRates:
     """Heating rates for both degrees of freedom from one spectrum."""
-    return total_rate(
+    return HeatingRates(
         parametric_rate(spectrum, nu_axial),
         parametric_rate(spectrum, nu_radial),
     )

@@ -18,9 +18,11 @@ magnitude stiffer than the gravitational sag scale even though the lattice
 is vertical.
 
 Every function models 85Rb and reads its data from constants.RB85. The
-well (TrapParameters), the cloud shape (CloudShape) and the sample
-(TrapState) are constants.CheckedRecord records, checked however they are
-built; RegimeFlags is a plain namedtuple of four flags.
+well (TrapParameters) and the sample (TrapState) are constants.CheckedRecord
+records, checked however they are built. Each stores only its inputs: the
+secular frequencies, the per-well thermal widths and the well spacing are
+properties derived from them, so a record built by _replace never holds a
+stale derived value. RegimeFlags is a plain namedtuple of four flags.
 """
 
 import math
@@ -118,12 +120,10 @@ def recoil_frequency(wavelength: float) -> float:
     return CONST.hbar * k**2 / (4.0 * math.pi * RB85.mass)
 
 
-class TrapParameters(CheckedRecord, namedtuple(
-    "TrapParameters", "u0 wavelength nu_axial nu_radial"
-)):
-    """Harmonic well parameters of the lattice: the well depth u0 (J), the
-    lattice laser wavelength (m) and the axial and radial secular
-    frequencies (Hz)."""
+class TrapParameters(CheckedRecord, namedtuple("TrapParameters", "u0 wavelength mode")):
+    """Harmonic well of the lattice: the well depth u0 (J), the lattice laser
+    wavelength (m) and the mode (ModeGeometry) whose effective waist sets
+    the radial curvature. The secular frequencies (Hz) follow from them."""
 
     __slots__ = ()
 
@@ -134,11 +134,15 @@ class TrapParameters(CheckedRecord, namedtuple(
             raise ValueError("axial frequency must exceed radial for this geometry")
         return self
 
+    @property
+    def nu_axial(self) -> float:
+        """Axial secular frequency, Hz."""
+        return secular_frequencies(self.u0, self.wavelength, self.mode.effective_waist)[0]
 
-def trap_parameters(u0, wavelength, mode: ModeGeometry) -> TrapParameters:
-    """Build TrapParameters with frequencies derived from (U0, lambda, w0)."""
-    nu_a, nu_r = secular_frequencies(u0, wavelength, mode.effective_waist)
-    return TrapParameters(u0, wavelength, nu_a, nu_r)
+    @property
+    def nu_radial(self) -> float:
+        """Radial secular frequency, Hz."""
+        return secular_frequencies(self.u0, self.wavelength, self.mode.effective_waist)[1]
 
 
 RegimeFlags = namedtuple("RegimeFlags", "lamb_dicke_axial lamb_dicke_radial "
@@ -161,47 +165,12 @@ def classify_regimes(trap: TrapParameters) -> RegimeFlags:
 # ---------------------------------------------------------------------------
 # cloud shape and densities
 
-class CloudShape(CheckedRecord, namedtuple(
-    "CloudShape", "envelope_sigma per_well_sigma well_spacing"
+class TrapState(CheckedRecord, namedtuple(
+    "TrapState", "n_atoms temperature trap envelope_sigma"
 )):
-    """Gaussian envelope of well populations plus per-well thermal widths,
-    each an (x, y, z) triple stored as a tuple of floats, and the well
-    spacing (m)."""
-
-    __slots__ = ()
-
-    def _checked(self):
-        envelope = tuple(map(float, self.envelope_sigma))
-        per_well = tuple(map(float, self.per_well_sigma))
-        if any(s <= 0 for s in envelope + per_well):
-            raise ValueError("all widths must be positive")
-        if self.well_spacing <= 0:
-            raise ValueError("well spacing must be positive")
-        return envelope, per_well, self.well_spacing
-
-    @property
-    def wells_resolved(self) -> bool:
-        """Validity flag: per-well axial width well below the spacing."""
-        return self.per_well_sigma[2] < 0.25 * self.well_spacing
-
-
-def thermal_cloud_shape(trap: TrapParameters, temperature,
-                        envelope_sigma) -> CloudShape:
-    """CloudShape with per-well widths set thermally at the given temperature."""
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
-    v = math.sqrt(CONST.kB * temperature / RB85.mass)
-    sigma_radial = v / (2.0 * math.pi * trap.nu_radial)
-    sigma_axial = v / (2.0 * math.pi * trap.nu_axial)
-    return CloudShape(
-        envelope_sigma=envelope_sigma,
-        per_well_sigma=(sigma_radial, sigma_radial, sigma_axial),
-        well_spacing=trap.wavelength / 2.0,
-    )
-
-
-class TrapState(CheckedRecord, namedtuple("TrapState", "n_atoms temperature trap shape")):
-    """Sample of N atoms at temperature T (K) in a given trap and cloud shape."""
+    """Sample of N atoms at temperature T (K) in a given trap, with the
+    (x, y, z) widths (m) of the Gaussian envelope of well populations stored
+    as a tuple of floats. The per-well widths are thermal at T."""
 
     __slots__ = ()
 
@@ -210,15 +179,38 @@ class TrapState(CheckedRecord, namedtuple("TrapState", "n_atoms temperature trap
             raise ValueError("atom number must be >= 0")
         if self.temperature <= 0:
             raise ValueError("temperature must be > 0")
-        return self
+        envelope = tuple(map(float, self.envelope_sigma))
+        if len(envelope) != 3:
+            raise ValueError("the envelope needs 3 widths (x, y, z)")
+        if any(s <= 0 for s in envelope + self.per_well_sigma):
+            raise ValueError("all widths must be positive")
+        return self.n_atoms, self.temperature, self.trap, envelope
+
+    @property
+    def per_well_sigma(self) -> tuple:
+        """Thermal (x, y, z) widths of the atoms in one harmonic well, m."""
+        v = math.sqrt(CONST.kB * self.temperature / RB85.mass)
+        sigma_radial = v / (2.0 * math.pi * self.trap.nu_radial)
+        sigma_axial = v / (2.0 * math.pi * self.trap.nu_axial)
+        return (sigma_radial, sigma_radial, sigma_axial)
+
+    @property
+    def well_spacing(self) -> float:
+        """Lattice period lambda / 2, m."""
+        return self.trap.wavelength / 2.0
+
+    @property
+    def wells_resolved(self) -> bool:
+        """Validity flag: per-well axial width well below the spacing."""
+        return self.per_well_sigma[2] < 0.25 * self.well_spacing
 
 
 def peak_density(state: TrapState) -> float:
     """Central-well peak density (m^-3); formula in the module docstring."""
-    sx, sy, sz = state.shape.envelope_sigma
-    sw_z = state.shape.per_well_sigma[2]
+    sx, sy, sz = state.envelope_sigma
+    sw_z = state.per_well_sigma[2]
     envelope_peak = state.n_atoms / ((2.0 * math.pi) ** 1.5 * sx * sy * sz)
-    bunching = state.shape.well_spacing / (math.sqrt(2.0 * math.pi) * sw_z)
+    bunching = state.well_spacing / (math.sqrt(2.0 * math.pi) * sw_z)
     return envelope_peak * bunching
 
 

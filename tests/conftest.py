@@ -27,7 +27,7 @@ import math
 
 from latticekit.cavity import ModeGeometry
 from latticekit.constants import CONST, RB85
-from latticekit.trap import TrapState, peak_density, thermal_cloud_shape, trap_parameters
+from latticekit.trap import TrapParameters, TrapState, peak_density
 
 LATTICE_WAVELENGTH = 787.6e-9
 REFERENCE_MODE = ModeGeometry(268e-6 / 2, 258e-6 / 2)
@@ -42,15 +42,14 @@ def make_lattice_state(n_atoms, temperature, depth_uk, rho_peak_per_cm3=None):
     is rescaled to reproduce it: peak_density is inversely proportional to
     that width.
     """
-    trap = trap_parameters(
+    trap = TrapParameters(
         depth_uk * 1e-6 * CONST.kB, LATTICE_WAVELENGTH, REFERENCE_MODE
     )
     v = math.sqrt(CONST.kB * temperature / RB85.mass)
     sigma_r = v / (2 * math.pi * trap.nu_radial)
 
     def state(sigma_z):
-        shape = thermal_cloud_shape(trap, temperature, (sigma_r, sigma_r, sigma_z))
-        return TrapState(n_atoms, temperature, trap, shape)
+        return TrapState(n_atoms, temperature, trap, (sigma_r, sigma_r, sigma_z))
 
     reference = state(REFERENCE_SIGMA_Z)
     if rho_peak_per_cm3 is None:

@@ -21,7 +21,6 @@ from latticekit.evaporation import (
     truncated_r4_integral,
     unitarity_cross_section,
 )
-from latticekit.trap import TrapState
 
 U0_A = 350e-6 * CONST.kB
 U0_B = 100e-6 * CONST.kB
@@ -204,6 +203,16 @@ def test_temperature_domain_guard():
         temperature(1.0, 123e-6, 0.5, 2.80, 0.6)  # eps*xi = 1.4
 
 
+@pytest.mark.parametrize("gamma", [0.0, np.float64(0.0), -0.6],
+                         ids=["float", "float64", "negative"])
+def test_temperature_rejects_a_nonpositive_gamma(gamma):
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        temperature(1.0, 123.0, 0.057, 2.8, gamma)
+    # the model-domain check still comes first
+    with pytest.raises(DomainError):
+        temperature(1.0, 123.0, 0.5, 2.8, gamma)
+
+
 def test_temperature_initial_slope_analytic():
     t0, eps, xi, gamma = 123e-6, 0.057, 2.80, 0.6
     h = 1e-3
@@ -286,7 +295,7 @@ def test_pac_identical_states():
 
 def test_pac_zero_t_regime():
     a = state_a()
-    colder = TrapState(a.n_atoms, a.temperature / 2, a.trap, a.shape)
+    colder = a._replace(temperature=a.temperature / 2)
     result = pac_scaling_comparator(a, colder, "zero_T")
     assert result.ratio < 1.0
     assert result.direction == "decrease"

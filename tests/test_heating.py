@@ -13,7 +13,6 @@ from latticekit.heating import (
     bound_gamma_tot,
     parametric_rate,
     rates_from_spectrum,
-    total_rate,
 )
 
 NU_A, NU_R = 340e3, 460.0
@@ -112,23 +111,23 @@ def test_rates_scale_with_spectrum_level():
 # total rate
 
 def test_total_rate_e_folding():
-    rates = total_rate(0.041 * 3 - 2 * 0.0, 0.0)
+    rates = HeatingRates(0.041 * 3 - 2 * 0.0, 0.0)
     assert rel(rates.gamma_total, 0.041) < 1e-15
     assert rel(rates.e_folding_time, 1 / 0.041) < 1e-15
     assert abs(rates.e_folding_time - 24.4) < 0.05
 
 
 def test_total_rate_equal_inputs():
-    rates = total_rate(0.07, 0.07)
+    rates = HeatingRates(0.07, 0.07)
     assert rel(rates.gamma_total, 0.07) < 1e-15
 
 
 def test_total_rate_axial_only_weighting():
-    assert rel(total_rate(0.1, 0.0).gamma_total, 0.1 / 3) < 1e-15
+    assert rel(HeatingRates(0.1, 0.0).gamma_total, 0.1 / 3) < 1e-15
 
 
 def test_total_rate_zero_is_not_an_error():
-    rates = total_rate(0.0, 0.0)
+    rates = HeatingRates(0.0, 0.0)
     assert rates.gamma_total == 0.0
     assert rates.e_folding_time == math.inf
 
@@ -258,6 +257,11 @@ def test_bound_domain_guard():
         bound_gamma_tot(0.4, 2.80, 0.6, 4.0)
 
 
+def test_bound_rejects_a_zero_gamma():
+    with pytest.raises(ValueError, match="gamma must be positive"):
+        bound_gamma_tot(TRACE_A["eps"], TRACE_A["xi"], 0.0, 4.0)
+
+
 def test_heating_rates_validation():
     with pytest.raises(ValueError):
-        HeatingRates(-0.1, 0.0, 0.0, math.inf)
+        HeatingRates(-0.1, 0.0)

@@ -37,11 +37,11 @@ EXPORTS = {
         "power_buildup",
     ),
     "trap": (
-        "CloudShape", "RegimeFlags", "TrapParameters", "TrapState",
+        "RegimeFlags", "TrapParameters", "TrapState",
         "classify_regimes", "collective_coupling", "dipole_depth_and_scatter",
         "intensity_for_depth", "lattice_peak_intensity", "peak_density",
         "phase_space_density", "polarizability", "recoil_frequency",
-        "secular_frequencies", "thermal_cloud_shape", "trap_parameters",
+        "secular_frequencies",
     ),
     "losses": ("population", "xi_from_beta"),
     "evaporation": (
@@ -51,7 +51,7 @@ EXPORTS = {
     ),
     "heating": (
         "HeatingRates", "NoiseSpectrum", "bound_gamma_tot", "parametric_rate",
-        "rates_from_spectrum", "total_rate",
+        "rates_from_spectrum",
     ),
     "ramp": (
         "RampProfile", "RampResult", "adiabatic_final_temperature", "ramp_simulate",
@@ -166,11 +166,10 @@ CHECKED = [
      "round trip length must be positive"),
     (ModeGeometry(1.1e-4, 0.9e-4), "waist_sagittal", 0.0, "waists must be positive"),
     (state_a().trap, "u0", 0.0, "well depth must be positive"),
-    (state_a().shape, "well_spacing", 0.0, "well spacing must be positive"),
     (state_a(), "temperature", 0.0, "temperature must be > 0"),
     (NoiseSpectrum((100.0, 1e6), (1e-13, 1e-13)), "freq_hz", [2.0, 1.0],
      "frequencies must be positive and increasing"),
-    (HeatingRates(0.1, 0.2, 0.5 / 3, 6.0), "gamma_axial", -1.0, "rates must be >= 0"),
+    (HeatingRates(0.1, 0.2), "gamma_axial", -1.0, "rates must be >= 0"),
     (RampProfile(4.8e-27, 2.0e-27, 0.07), "duration", -1.0, "duration must be >= 0"),
     (ExpansionSeries(np.array([0.0, 1e-3]), np.array([1e-4, 2e-4]), np.ones(2)),
      "sigma", [1e-4, -2e-4], "expansion widths must be positive"),
@@ -207,6 +206,36 @@ def test_every_construction_path_checks(record, field, bad, text):
         record._replace(**{field: bad})
     with pytest.raises(ValueError, match=re.escape(text)):
         type(record)._make(fields.values())
+
+
+# A record stores only its inputs, so replacing one re-derives every property
+# that follows from it: each row names an input, its new value and the
+# derived values a fresh construction gives.
+STATE = state_a()
+REPLACED = [
+    pytest.param(STATE, "temperature", 4 * STATE.temperature, {
+        # the per-well widths scale as sqrt(T), the lattice period not at all
+        "per_well_sigma": tuple(2 * w for w in STATE.per_well_sigma),
+        "well_spacing": STATE.well_spacing,
+        "wells_resolved": False,
+    }, id="TrapState"),
+    pytest.param(STATE.trap, "u0", 4 * STATE.trap.u0, {
+        "nu_axial": 2 * STATE.trap.nu_axial,
+        "nu_radial": 2 * STATE.trap.nu_radial,
+    }, id="TrapParameters"),
+    pytest.param(HeatingRates(0.1, 0.2), "gamma_axial", 1.0, {
+        "gamma_total": (1.0 + 2.0 * 0.2) / 3.0,
+        "e_folding_time": 1.0 / ((1.0 + 2.0 * 0.2) / 3.0),
+    }, id="HeatingRates"),
+]
+
+
+@pytest.mark.parametrize(("record", "field", "value", "derived"), REPLACED)
+def test_replace_rederives_the_derived_properties(record, field, value, derived):
+    replaced = record._replace(**{field: value})
+    assert replaced == type(record)(**{**record._asdict(), field: value})
+    for name, expected in derived.items():
+        assert getattr(replaced, name) == expected, name
 
 
 def test_every_checked_record_builds_through_the_base():

@@ -1,14 +1,15 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 from conftest import LATTICE_WAVELENGTH, REFERENCE_MODE, make_lattice_state, state_a, state_b
 from scipy import constants as scipy_constants
 
-from latticekit.cavity import CavitySpec, MirrorSpec
+from latticekit.cavity import CavitySpec, MirrorSpec, ModeGeometry
 from latticekit.constants import CONST, RB85
 from latticekit.trap import (
-    CloudShape,
     TrapParameters,
+    TrapState,
     _line_terms,
     classify_regimes,
     collective_coupling,
@@ -20,8 +21,6 @@ from latticekit.trap import (
     polarizability,
     recoil_frequency,
     secular_frequencies,
-    thermal_cloud_shape,
-    trap_parameters,
 )
 
 U0_REF = 350e-6 * CONST.kB
@@ -143,10 +142,17 @@ def test_depth_round_trip_from_axial_frequency():
 
 
 def test_trap_parameters_validation():
-    with pytest.raises(ValueError):
-        TrapParameters(u0=-1.0, wavelength=787.6e-9, nu_axial=1e5, nu_radial=1e2)
-    with pytest.raises(ValueError):
-        TrapParameters(u0=1e-27, wavelength=787.6e-9, nu_axial=1e2, nu_radial=1e5)
+    with pytest.raises(ValueError, match="well depth must be positive"):
+        TrapParameters(u0=-1.0, wavelength=787.6e-9, mode=REFERENCE_MODE)
+    # nu_a > nu_r needs a waist above lambda / (sqrt(2) pi), 177 nm here
+    with pytest.raises(ValueError, match="axial frequency must exceed radial"):
+        TrapParameters(u0=1e-27, wavelength=787.6e-9, mode=ModeGeometry(1e-7, 1e-7))
+
+
+def test_trap_frequencies_are_the_secular_frequencies():
+    trap = TrapParameters(U0_REF, LATTICE_WAVELENGTH, REFERENCE_MODE)
+    expected = secular_frequencies(U0_REF, LATTICE_WAVELENGTH, W0_REF)
+    assert (trap.nu_axial, trap.nu_radial) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +168,7 @@ def test_recoil_frequency_value():
 
 
 def test_classify_reference_power():
-    trap = trap_parameters(U0_REF, LATTICE_WAVELENGTH, REFERENCE_MODE)
+    trap = TrapParameters(U0_REF, LATTICE_WAVELENGTH, REFERENCE_MODE)
     flags = classify_regimes(trap)
     assert flags.lamb_dicke_axial            # 340 kHz above 3.8 kHz recoil
     assert not flags.lamb_dicke_radial       # 460 Hz below recoil
@@ -172,7 +178,7 @@ def test_classify_reference_power():
 def test_classify_high_power():
     # 25 mW drive instead of 60 uW scales the depth by the power ratio
     u0 = U0_REF * (25e-3 / 60e-6)
-    trap = trap_parameters(u0, LATTICE_WAVELENGTH, REFERENCE_MODE)
+    trap = TrapParameters(u0, LATTICE_WAVELENGTH, REFERENCE_MODE)
     flags = classify_regimes(trap)
     assert flags.lamb_dicke_radial
     assert flags.strong_confinement_axial
@@ -180,16 +186,16 @@ def test_classify_high_power():
 
 def test_strong_confinement_boundary_is_strict():
     nu_gamma = RB85.gamma_natural / (2 * math.pi)
-    trap = TrapParameters(
-        u0=1e-25, wavelength=787.6e-9, nu_axial=nu_gamma, nu_radial=1.0
-    )
+    # a record derives its frequencies, so a stand-in holds the exact
+    # boundary value in the three attributes that classify_regimes reads
+    trap = SimpleNamespace(wavelength=787.6e-9, nu_axial=nu_gamma, nu_radial=1.0)
     assert not classify_regimes(trap).strong_confinement_axial
 
 
 def test_classify_monotone_in_depth():
     previous = None
     for scale in (0.5, 1, 4, 20, 100, 500):
-        trap = trap_parameters(scale * U0_REF, LATTICE_WAVELENGTH, REFERENCE_MODE)
+        trap = TrapParameters(scale * U0_REF, LATTICE_WAVELENGTH, REFERENCE_MODE)
         flags = classify_regimes(trap)
         current = (
             flags.lamb_dicke_axial, flags.lamb_dicke_radial,
@@ -224,35 +230,61 @@ def test_peak_density_reference_state_b():
 
 
 def test_wells_resolved_flag():
-    assert state_a().shape.wells_resolved
-    hot = CloudShape(
-        envelope_sigma=(1e-4, 1e-4, 1e-3),
-        per_well_sigma=(1e-5, 1e-5, 3e-7),
-        well_spacing=787.6e-9 / 2,
-    )
-    assert not hot.wells_resolved
+    # sw_z / spacing = sqrt(kB T / (2 U0)) / pi: 0.191 at 123 uK in the
+    # 350 uK well, 0.267 at four times the temperature
+    assert state_a().wells_resolved
+    assert not make_lattice_state(4e6, 4 * 123e-6, 350.0).wells_resolved
 
 
-def test_cloud_shape_built_from_lists_is_the_tuple_built_one():
-    shape = CloudShape([1e-4] * 3, [1e-6, 1e-6, 3e-7], 4e-7)
-    assert shape == CloudShape((1e-4,) * 3, (1e-6, 1e-6, 3e-7), 4e-7)
-    assert type(shape.envelope_sigma) is tuple and type(shape.per_well_sigma) is tuple
+def test_per_well_widths_are_thermal():
+    state = state_a()
+    v = math.sqrt(CONST.kB * state.temperature / RB85.mass)
+    sigma_r = v / (2.0 * math.pi * state.trap.nu_radial)
+    sigma_z = v / (2.0 * math.pi * state.trap.nu_axial)
+    assert state.per_well_sigma == (sigma_r, sigma_r, sigma_z)
+    assert state.well_spacing == LATTICE_WAVELENGTH / 2.0
+
+
+def test_trap_state_built_from_a_list_envelope_is_the_tuple_built_one():
+    trap = TrapParameters(U0_REF, LATTICE_WAVELENGTH, REFERENCE_MODE)
+    state = TrapState(4e6, 123e-6, trap, [1e-4] * 3)
+    assert state == TrapState(4e6, 123e-6, trap, (1e-4,) * 3)
+    assert type(state.envelope_sigma) is tuple
+
+
+@pytest.mark.parametrize("envelope", [(), (1e-4,), (1e-4,) * 2, (1e-4,) * 4],
+                         ids=["0", "1", "2", "4"])
+def test_trap_state_refuses_an_envelope_without_3_widths(envelope):
+    state = state_a()
+    fields = state._asdict()
+    fields["envelope_sigma"] = envelope
+    text = "the envelope needs 3 widths"
+    with pytest.raises(ValueError, match=text):
+        TrapState(**fields)
+    with pytest.raises(ValueError, match=text):
+        state._replace(envelope_sigma=envelope)
+    with pytest.raises(ValueError, match=text):
+        TrapState._make(fields.values())
+
+
+def test_peak_density_follows_a_replaced_temperature():
+    # four times hotter: the per-well axial width doubles, the bunching halves
+    state = state_a()
+    hot = state._replace(temperature=4 * state.temperature)
+    assert peak_density(hot) == peak_density(state) / 2
 
 
 def test_peak_density_eta_scaling():
     # at fixed depth and N, cooling T -> T/4 quadruples eta and halves the
     # thermal widths on all three axes: the density grows by 8 = 4^(3/2), the
     # harmonic scaling rho ~ N eta^(3/2) the ramp applies to rho_peak / 4
-    trap = trap_parameters(U0_REF, LATTICE_WAVELENGTH, REFERENCE_MODE)
+    trap = TrapParameters(U0_REF, LATTICE_WAVELENGTH, REFERENCE_MODE)
     sigma_env_z = 5.6e-4
-
-    from latticekit.trap import TrapState
 
     def rho_peak(temp):
         v = math.sqrt(CONST.kB * temp / RB85.mass)
         sigma_r = v / (2 * math.pi * trap.nu_radial)
-        shape = thermal_cloud_shape(trap, temp, (sigma_r, sigma_r, sigma_env_z))
-        return peak_density(TrapState(4e6, temp, trap, shape))
+        return peak_density(TrapState(4e6, temp, trap, (sigma_r, sigma_r, sigma_env_z)))
 
     assert rel(rho_peak(123e-6 / 4), 8 * rho_peak(123e-6)) < 1e-12
 
@@ -277,15 +309,8 @@ def test_phase_space_density_n_t_scaling():
 
 def test_peak_density_transverse_axis_relabel():
     state = state_a()
-    sx, sy, sz = state.shape.envelope_sigma
-    swapped_shape = CloudShape(
-        envelope_sigma=(sy, sx, sz),
-        per_well_sigma=state.shape.per_well_sigma,
-        well_spacing=state.shape.well_spacing,
-    )
-    from latticekit.trap import TrapState
-
-    swapped = TrapState(state.n_atoms, state.temperature, state.trap, swapped_shape)
+    sx, sy, sz = state.envelope_sigma
+    swapped = state._replace(envelope_sigma=(sy, sx, sz))
     assert peak_density(swapped) == peak_density(state)
 
 
