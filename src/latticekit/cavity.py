@@ -19,10 +19,10 @@ class MirrorSpec(CheckedRecord, namedtuple("MirrorSpec", "transmission scatter_l
     """One mirror: power transmission and scatter loss as fractions."""
 
     __slots__ = ()
+    _domains = (("transmission", ">= 0", "mirror losses must be non-negative"),
+                ("scatter_loss", ">= 0", "mirror losses must be non-negative"))
 
     def _checked(self):
-        if self.transmission < 0 or self.scatter_loss < 0:
-            raise ValueError("mirror losses must be non-negative")
         if self.transmission + self.scatter_loss >= 1:
             raise ValueError("mirror loss fractions must sum below 1")
         return self
@@ -45,21 +45,19 @@ class CavitySpec(CheckedRecord, namedtuple(
     """
 
     __slots__ = ()
+    _domains = (("round_trip_length", "> 0", "round trip length must be positive"),
+                ("input_power_per_mode", ">= 0", "input power must be >= 0"),
+                ("mode_matching_efficiency", "in [0, 1]",
+                 "mode matching efficiency must be in [0, 1]"))
 
     def _checked(self):
-        mirrors = tuple(self.mirrors)
-        if len(mirrors) != 3:
+        # the record as stored: self.mirrors may be a list or a spent iterator
+        stored = tuple.__new__(type(self), (tuple(self.mirrors), *self[1:]))
+        if len(stored.mirrors) != 3:
             raise ValueError("a triangular ring needs exactly 3 mirrors")
-        if self.round_trip_length <= 0:
-            raise ValueError("round trip length must be positive")
-        if self.input_power_per_mode < 0:
-            raise ValueError("input power must be >= 0")
-        if not 0 <= self.mode_matching_efficiency <= 1:
-            raise ValueError("mode matching efficiency must be in [0, 1]")
-        # summed over the stored tuple: self.mirrors may be a spent iterator
-        if sum(m.total_loss for m in mirrors) >= 1:
+        if stored.round_trip_loss >= 1:
             raise ValueError("total round-trip loss must stay below 1")
-        return (mirrors, *self[1:])
+        return stored
 
     @property
     def round_trip_loss(self) -> float:
@@ -76,11 +74,8 @@ class ModeGeometry(CheckedRecord, namedtuple("ModeGeometry", "waist_sagittal wai
     """Fundamental Gaussian mode, 1/e^2 intensity radii (m)."""
 
     __slots__ = ()
-
-    def _checked(self):
-        if self.waist_sagittal <= 0 or self.waist_transversal <= 0:
-            raise ValueError("waists must be positive")
-        return self
+    _domains = (("waist_sagittal", "> 0", "waists must be positive"),
+                ("waist_transversal", "> 0", "waists must be positive"))
 
     @property
     def effective_waist(self) -> float:

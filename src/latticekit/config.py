@@ -5,10 +5,10 @@ time, so load_config returns a plain dict holding every schema key and
 nothing else. Every physical key carries its unit in the name, and the
 defaults describe the reference apparatus (triangular ring cavity, 97 mm
 round trip, 350 uK lattice) so each command runs out of the box. Each key
-also has a domain, and every value from a file or an override is checked
-against it whichever command runs; the defaults are never converted. Checks
-that join several keys or belong to one command stay with the models and
-the commands.
+also has a domain, named in constants.DOMAINS like the record fields' ones,
+and every value from a file or an override is checked against it whichever
+command runs; the defaults are never converted. Checks that join several
+keys or belong to one command stay with the models and the commands.
 
 trap_from_config and state_from_config convert each configured input to SI
 once and hand it to the record; the records derive the secular frequencies
@@ -19,7 +19,7 @@ import math
 import os
 
 from .cavity import CavitySpec, MirrorSpec, ModeGeometry
-from .constants import CONST
+from .constants import CONST, DOMAINS
 from .errors import ConfigError
 from .ramp import RETHERMALIZATION_MODES
 from .trap import TrapParameters, TrapState
@@ -28,15 +28,7 @@ ENV_CONFIG = "LATTICEKIT_CONFIG"
 
 # the values a key accepts, named as its error message names them
 _ONE_OF_MODES = "one of " + ", ".join(RETHERMALIZATION_MODES)
-_DOMAINS = {
-    "> 0": lambda v: v > 0,
-    ">= 0": lambda v: v >= 0,
-    ">= 1": lambda v: v >= 1,
-    ">= 2": lambda v: v >= 2,
-    ">= 3": lambda v: v >= 3,
-    "in [0, 1]": lambda v: 0 <= v <= 1,
-    _ONE_OF_MODES: RETHERMALIZATION_MODES.__contains__,
-}
+_DOMAINS = {**DOMAINS, _ONE_OF_MODES: RETHERMALIZATION_MODES.__contains__}
 
 # cloud.envelope_sigma_{x,y} default to the thermal radial width of the
 # reference 350 uK / 123 uK state; envelope_sigma_z is calibrated so the

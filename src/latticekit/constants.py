@@ -14,8 +14,9 @@ RB85 is a Species namedtuple holding the data of the two-line (D2 + D1) trap
 model: the mass (kg), the D2 and D1 transition wavelengths (m), the D2
 natural linewidth (rad/s) and the (D2, D1) relative dipole weights.
 
-CheckedRecord is the model records' one construction path: the constructor,
-_make, _replace, pickle and copy all check and convert through it.
+DOMAINS defines each value domain of the config schema and the records once.
+CheckedRecord is the records' one construction path: the constructor, _make,
+_replace, pickle and copy all check and convert through it.
 """
 
 import math
@@ -28,16 +29,33 @@ Species = namedtuple(
 )
 
 
+# each domain by the name its error messages give it
+DOMAINS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, "in [0, 1]": lambda v: 0 <= v <= 1,
+           ">= 1": lambda v: v >= 1, ">= 2": lambda v: v >= 2, ">= 3": lambda v: v >= 3}
+
+
 class CheckedRecord:
-    """Base listed before a record's namedtuple. The record's _checked raises
-    ValueError for a value outside the domain and returns the fields to store."""
+    """Base listed before a record's namedtuple. Each (field, domain, message)
+    row of _domains refuses a non-finite field and one outside DOMAINS[domain]
+    with ValueError; _checked then converts, checks the rules that join fields
+    and returns the fields to store."""
 
     __slots__ = ()
+    _domains = ()
 
     def __new__(cls, *args, **kwargs):
         # the namedtuple binds the arguments by name and fills its defaults
         self = super().__new__(cls, *args, **kwargs)
+        for field, domain, message in self._domains:
+            value = getattr(self, field)
+            if not math.isfinite(value):
+                raise ValueError(f"{field} must be finite")
+            if not DOMAINS[domain](value):
+                raise ValueError(message)
         return tuple.__new__(cls, self._checked())
+
+    def _checked(self):
+        return self
 
     @classmethod
     def _make(cls, iterable):

@@ -26,10 +26,11 @@ class NoiseSpectrum(CheckedRecord, namedtuple("NoiseSpectrum", "freq_hz s_rel_pe
     __slots__ = ()
 
     def _checked(self):
-        f = tuple(map(float, self.freq_hz))
-        s = tuple(map(float, self.s_rel_per_hz))
+        f, s = (tuple(map(float, c)) for c in self)
         if len(f) < 2 or len(f) != len(s):
             raise ValueError("spectrum needs matching 1-d arrays, >= 2 points")
+        if not all(map(math.isfinite, f + s)):
+            raise ValueError("freq_hz and s_rel_per_hz must be finite")
         if f[0] <= 0 or any(b <= a for a, b in zip(f, f[1:])):
             raise ValueError("frequencies must be positive and increasing")
         if any(v < 0 for v in s):
@@ -62,11 +63,8 @@ class HeatingRates(CheckedRecord, namedtuple("HeatingRates", "gamma_axial gamma_
     combination and e-folding time are properties."""
 
     __slots__ = ()
-
-    def _checked(self):
-        if self.gamma_axial < 0 or self.gamma_radial < 0:
-            raise ValueError("rates must be >= 0")
-        return self
+    _domains = (("gamma_axial", ">= 0", "rates must be >= 0"),
+                ("gamma_radial", ">= 0", "rates must be >= 0"))
 
     @property
     def gamma_total(self) -> float:

@@ -43,6 +43,8 @@ class ExpansionSeries(CheckedRecord, namedtuple("ExpansionSeries", "times sigma 
         times, sigma, amplitude = (np.asarray(c, dtype=float) for c in self)
         if not (len(times) == len(sigma) == len(amplitude)):
             raise ValueError("series columns must have equal length")
+        if not all(np.all(np.isfinite(c)) for c in (times, sigma, amplitude)):
+            raise ValueError("times, sigma and amplitude must be finite")
         if np.any(times < 0):
             raise ValueError("expansion times must be >= 0")
         if np.any(sigma <= 0):

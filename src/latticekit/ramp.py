@@ -26,13 +26,9 @@ class RampProfile(CheckedRecord, namedtuple("RampProfile", "u_initial u_final du
     (s); duration 0 means a sudden jump."""
 
     __slots__ = ()
-
-    def _checked(self):
-        if self.u_initial <= 0 or self.u_final <= 0:
-            raise ValueError("depths must be positive")
-        if self.duration < 0:
-            raise ValueError("duration must be >= 0")
-        return self
+    _domains = (("u_initial", "> 0", "depths must be positive"),
+                ("u_final", "> 0", "depths must be positive"),
+                ("duration", ">= 0", "duration must be >= 0"))
 
     def depth_at(self, fraction: float) -> float:
         return self.u_initial + (self.u_final - self.u_initial) * fraction

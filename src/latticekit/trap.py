@@ -126,10 +126,10 @@ class TrapParameters(CheckedRecord, namedtuple("TrapParameters", "u0 wavelength 
     the radial curvature. The secular frequencies (Hz) follow from them."""
 
     __slots__ = ()
+    _domains = (("u0", "> 0", "well depth must be positive"),
+                ("wavelength", "> 0", "depth, wavelength and waist must be positive"))
 
     def _checked(self):
-        if self.u0 <= 0:
-            raise ValueError("well depth must be positive")
         if self.nu_axial <= self.nu_radial:
             raise ValueError("axial frequency must exceed radial for this geometry")
         return self
@@ -173,15 +173,15 @@ class TrapState(CheckedRecord, namedtuple(
     as a tuple of floats. The per-well widths are thermal at T."""
 
     __slots__ = ()
+    _domains = (("n_atoms", ">= 0", "atom number must be >= 0"),
+                ("temperature", "> 0", "temperature must be > 0"))
 
     def _checked(self):
-        if self.n_atoms < 0:
-            raise ValueError("atom number must be >= 0")
-        if self.temperature <= 0:
-            raise ValueError("temperature must be > 0")
         envelope = tuple(map(float, self.envelope_sigma))
         if len(envelope) != 3:
             raise ValueError("the envelope needs 3 widths (x, y, z)")
+        if not all(map(math.isfinite, envelope)):
+            raise ValueError("envelope_sigma must be finite")
         if any(s <= 0 for s in envelope + self.per_well_sigma):
             raise ValueError("all widths must be positive")
         return self.n_atoms, self.temperature, self.trap, envelope
@@ -216,8 +216,6 @@ def peak_density(state: TrapState) -> float:
 
 def phase_space_density(rho_peak, temperature):
     """Peak density (m^-3) times the cubed thermal de Broglie wavelength."""
-    if temperature <= 0:
-        raise ValueError("temperature must be > 0")
     if rho_peak < 0:
         raise ValueError("density must be >= 0")
     return rho_peak * thermal_de_broglie(temperature) ** 3

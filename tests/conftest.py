@@ -1,4 +1,12 @@
-"""Shared test plumbing: acceptance-criterion reporting."""
+"""Shared test plumbing: the Hypothesis profile and acceptance-criterion
+reporting."""
+
+from hypothesis import settings
+
+# Every property test draws the same examples on every run, has no time limit
+# per example and writes no example database; each test sets max_examples.
+settings.register_profile("tier1", derandomize=True, deadline=None, database=None)
+settings.load_profile("tier1")
 
 ACCEPTANCE_LINES = []
 

@@ -109,7 +109,7 @@ def nan_lines(report):
     return [line for line in report.splitlines() if re.search(r"\bnan\b", line)]
 
 
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@settings(max_examples=300)
 @given(data=st.data())
 def test_cli_exit_codes_hold_for_random_overrides(variants, data):
     argv = data.draw(st.sampled_from(variants))
@@ -136,7 +136,7 @@ DECAY_FIT_KEYS = (
 )
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@settings(max_examples=200)
 @given(powers=st.tuples(*(st.floats(-6.0, 6.0) for _ in DECAY_FIT_KEYS)))
 def test_decay_fit_contract_holds_over_its_starting_point(powers):
     # each key is its default times 10^U(-6, 6); a starting point far from

@@ -70,7 +70,7 @@ def cases(draw):
     return temperature, combined_inline, (*law_params(draw), gamma_tot)
 
 
-@settings(max_examples=400, derandomize=True, deadline=None, database=None)
+@settings(max_examples=400)
 @given(cases(), grids)
 def test_grid_call_is_the_scalar_calls_bit_for_bit(case, grid):
     closed_form, inline, args = case

@@ -155,7 +155,7 @@ def command_lines(draw):
     return [head] + [token for item in draw(st.permutations(items)) for token in item]
 
 
-@settings(max_examples=1000, derandomize=True, deadline=None, database=None)
+@settings(max_examples=1000)
 @given(argv=st.just([]) | command_lines())
 def test_parser_agrees_with_argparse(argv):
     new = outcome(parse_command_line, argv)

@@ -300,6 +300,11 @@ def test_pac_zero_t_regime():
     assert result.ratio < 1.0
     assert result.direction == "decrease"
     assert not result.eta_consistent  # halving T doubles eta
+    # the bound N_b T_b / (N_a T_a) itself, bit for bit
+    a, b = state_a(), state_b()
+    ratio = pac_scaling_comparator(a, b, "zero_T").ratio
+    assert ratio == (b.n_atoms * b.temperature) / (a.n_atoms * a.temperature)
+    assert ratio == 0.11585365853658536
 
 
 def test_pac_eta_flag_threshold():

@@ -5,6 +5,7 @@ records are read-only and checked on every construction path."""
 import copy
 import importlib
 import inspect
+import math
 import os
 import pickle
 import pkgutil
@@ -15,6 +16,8 @@ import sys
 import numpy as np
 import pytest
 from conftest import state_a
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import latticekit
 from latticekit.cavity import CavitySpec, MirrorSpec, ModeGeometry
@@ -206,6 +209,93 @@ def test_every_construction_path_checks(record, field, bad, text):
         record._replace(**{field: bad})
     with pytest.raises(ValueError, match=re.escape(text)):
         type(record)._make(fields.values())
+
+
+# Every checked record at in-domain values. Each float field, and each float
+# cell of a sequence field, is a slot "Record.field" or "Record.field[i]":
+# the sequences are short and their cells far apart, so scaling one cell by
+# 1/2 to 2 keeps it in the domain, the times increasing and the mirror losses
+# below 1.
+FINITE = [
+    MirrorSpec(23e-6, 3e-6),
+    CavitySpec((MirrorSpec(23e-6, 3e-6),) * 3, 0.097, 60e-6, 0.5),
+    ModeGeometry(134e-6, 129e-6),
+    state_a().trap,
+    state_a(),
+    NoiseSpectrum((100.0, 1e4, 1e6), (1e-13, 2e-13, 1e-14)),
+    HeatingRates(0.1, 0.2),
+    RampProfile(4.8e-27, 2.0e-27, 0.07),
+    ExpansionSeries(np.array([0.0, 1e-3, 4e-3]), np.array([1e-4, 2e-4, 5e-4]),
+                    np.array([3.0, 2.0, 1.0])),
+    Dataset([0.0, 1.0, 4.0, 16.0], [4.0, 3.0, 2.0, 1.0], [0.1, 0.2, 0.1, 0.2]),
+]
+
+
+def _slots():
+    slots = {}
+    for record in FINITE:
+        name = type(record).__name__
+        for field, value in record._asdict().items():
+            if isinstance(value, float):
+                slots[f"{name}.{field}"] = (record, field, None)
+            elif type(value) in (tuple, np.ndarray) and all(isinstance(v, float) for v in value):
+                for i in range(len(value)):
+                    slots[f"{name}.{field}[{i}]"] = (record, field, i)
+    return slots
+
+
+SLOTS = _slots()
+
+
+def _cell(record, field, index):
+    return getattr(record, field) if index is None else getattr(record, field)[index]
+
+
+def _set(record, field, index, value):
+    """The record's fields with one field, or one cell of it, set to value."""
+    fields = record._asdict()
+    if index is None:
+        fields[field] = value
+    else:
+        fields[field] = [*fields[field][:index], value, *fields[field][index + 1:]]
+    return fields
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(sorted(SLOTS)), st.sampled_from([math.nan, math.inf, -math.inf]),
+       st.floats(0.5, 2.0))
+@example("MirrorSpec.transmission", math.nan, 1.0)
+@example("MirrorSpec.transmission", math.inf, 1.0)  # no "must sum below 1"
+@example("CavitySpec.round_trip_length", math.inf, 1.0)
+@example("ModeGeometry.waist_sagittal", math.nan, 1.0)
+@example("TrapParameters.u0", math.inf, 1.0)  # no "axial must exceed radial"
+@example("TrapParameters.wavelength", math.nan, 1.0)
+@example("TrapState.n_atoms", math.nan, 1.0)
+@example("TrapState.envelope_sigma[2]", math.inf, 1.0)
+@example("HeatingRates.gamma_axial", math.inf, 1.0)
+@example("RampProfile.u_initial", math.nan, 1.0)
+@example("NoiseSpectrum.s_rel_per_hz[0]", math.nan, 1.0)
+@example("ExpansionSeries.sigma[1]", math.nan, 1.0)
+@example("ExpansionSeries.times[2]", math.inf, 1.0)
+@example("Dataset.value[0]", -math.inf, 1.0)
+def test_records_refuse_non_finite_values(slot, bad, scale):
+    assert {type(r) for r in FINITE} == {type(c[0]) for c in CHECKED}
+    record, field, index = SLOTS[slot]
+    kind = type(record)
+    fields = _set(record, field, index, bad)
+    with pytest.raises(ValueError, match="must be finite"):
+        kind(**fields)
+    with pytest.raises(ValueError, match="must be finite"):
+        kind._make(fields.values())
+    with pytest.raises(ValueError, match="must be finite"):
+        record._replace(**{field: fields[field]})
+    # a finite in-domain value builds the same record on every path
+    value = float(_cell(record, field, index)) * scale
+    fields = _set(record, field, index, value)
+    built = kind(**fields)
+    assert _same(kind._make(fields.values()), built)
+    assert _same(record._replace(**{field: fields[field]}), built)
+    assert _cell(built, field, index) == value
 
 
 # A record stores only its inputs, so replacing one re-derives every property

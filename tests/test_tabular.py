@@ -119,7 +119,7 @@ finite_or_inf = st.one_of(
 ).filter(lambda v: not math.isnan(v))
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(st.integers(1, 3).flatmap(
     lambda width: st.lists(st.tuples(*[finite_or_inf] * width), max_size=12)
 ))
@@ -134,7 +134,7 @@ def test_writer_matches_the_per_cell_oracle(rows):
     assert columns_csv(header, as_numpy) == expected
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.lists(finite_or_inf, max_size=12))
 def test_residuals_match_the_per_cell_oracle(values):
     expected = oracles.residuals_csv(values)
@@ -183,7 +183,7 @@ def _outcome(read, path):
         return str(exc)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=400)
 @given(csv_texts())
 @example("t_s,N\n0\n1,2,3\n")
 def test_reader_matches_the_per_line_oracle(text):
