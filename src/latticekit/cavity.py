@@ -77,6 +77,11 @@ class ModeGeometry(CheckedRecord, namedtuple("ModeGeometry", "waist_sagittal wai
     _domains = (("waist_sagittal", "> 0", "waists must be positive"),
                 ("waist_transversal", "> 0", "waists must be positive"))
 
+    def _checked(self):
+        if not math.isfinite(self.effective_waist):
+            raise ValueError("effective_waist must be finite")
+        return self
+
     @property
     def effective_waist(self) -> float:
         """Geometric mean of the two waists, m."""

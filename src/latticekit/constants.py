@@ -48,7 +48,11 @@ class CheckedRecord:
         self = super().__new__(cls, *args, **kwargs)
         for field, domain, message in self._domains:
             value = getattr(self, field)
-            if not math.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int beyond the float range
+                finite = False
+            if not finite:
                 raise ValueError(f"{field} must be finite")
             if not DOMAINS[domain](value):
                 raise ValueError(message)
@@ -87,16 +91,22 @@ RB85 = Species(
 )
 
 
-# 3 kB and m of thermal_velocity, read once: the ramp calls it every step
+# 3 kB and m of thermal_velocity, read once: a record field read costs more
+# than a module global
 _THREE_KB = 3.0 * CONST.kB
 _MASS = RB85.mass
+
+
+def _thermal_velocity(temperature):
+    # the unchecked body, which the ramp calls once per step
+    return math.sqrt(_THREE_KB * temperature / _MASS)
 
 
 def thermal_velocity(temperature: float) -> float:
     """Root mean square speed sqrt(3 kB T / m), m/s."""
     if temperature < 0:
         raise ValueError("temperature must be >= 0")
-    return math.sqrt(_THREE_KB * temperature / _MASS)
+    return _thermal_velocity(temperature)
 
 
 def thermal_de_broglie(temperature: float) -> float:

@@ -23,26 +23,62 @@ tests/oracles.evaporation_rate; the two must agree to machine precision
 import math
 from collections import namedtuple
 
-from .constants import CONST, M3_TO_CM3, RB85, thermal_velocity
+from .constants import CONST, M3_TO_CM3, RB85, _thermal_velocity
 from .errors import DomainError
 from .trap import TrapState
 
 # The constant left-most factors of the formulas below, multiplied out once:
-# the ramp calls them every step, and a record field read costs more than a
-# module global. Each is the product the formula would form first, so every
-# result is bit for bit the inline one.
+# a record field read costs more than a module global. Each is the product
+# the formula would form first, so every result is bit for bit the inline one.
 _KB = CONST.kB
 _MU2 = (RB85.mass / 2.0) ** 2
 _FOUR_PI_HBAR2 = 4.0 * math.pi * CONST.hbar**2
 _EIGHT_PI_HBAR2 = 8.0 * math.pi * CONST.hbar**2
 _MASS3 = RB85.mass**3
+_ERF_WEIGHT = 3.0 * math.sqrt(math.pi) / 8.0
+_INTEGRAL_WEIGHT = 8.0 / (3.0 * math.sqrt(math.pi))
+
+# Each formula is written once, as a private body with no argument checks:
+# the public functions below check their arguments and call it, and the ramp
+# (see ramp) calls the bodies once per step with the intermediates they
+# share, one exp(-eta) and one sqrt(eta) per step and one v_rms.
+
+
+def _eta(u0, temperature):
+    return u0 / (_KB * temperature)
+
+
+def _unitarity_cross_section(v_rms):
+    return _FOUR_PI_HBAR2 / (_MU2 * (2.0 * v_rms**2))
+
+
+def _beta_esc(u0, eta_value, exp_minus_eta):
+    return (
+        _EIGHT_PI_HBAR2 * eta_value**1.5 * exp_minus_eta
+        / math.sqrt(3.0 * u0 * _MASS3) * M3_TO_CM3
+    )
+
+
+def _truncated_r4_integral(eta_value, sqrt_eta, exp_minus_eta):
+    return (
+        _ERF_WEIGHT * math.erf(sqrt_eta)
+        - sqrt_eta / 4.0 * (2.0 * eta_value + 3.0) * exp_minus_eta
+    )
+
+
+def _epsilon(eta_value, sqrt_eta, exp_minus_eta):
+    return (
+        2.0 / 3.0 * eta_value
+        - 1.0
+        - _INTEGRAL_WEIGHT * _truncated_r4_integral(eta_value, sqrt_eta, exp_minus_eta)
+    )
 
 
 def eta(u0: float, temperature: float) -> float:
     """Truncation parameter U0 / (kB T)."""
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
-    return u0 / (_KB * temperature)
+    return _eta(u0, temperature)
 
 
 def unitarity_cross_section(temperature: float) -> float:
@@ -53,19 +89,14 @@ def unitarity_cross_section(temperature: float) -> float:
     """
     if temperature <= 0:
         raise ValueError("temperature must be > 0")
-    dv2 = 2.0 * thermal_velocity(temperature) ** 2
-    return _FOUR_PI_HBAR2 / (_MU2 * dv2)
+    return _unitarity_cross_section(_thermal_velocity(temperature))
 
 
 def beta_esc(u0: float, eta_value: float) -> float:
     """Equivalent two-body escape coefficient, cm^3/s (closed form)."""
     if u0 <= 0 or eta_value <= 0:
         raise ValueError("U0 and eta must be positive")
-    si = (
-        _EIGHT_PI_HBAR2 * eta_value**1.5 * math.exp(-eta_value)
-        / math.sqrt(3.0 * u0 * _MASS3)
-    )
-    return si * M3_TO_CM3
+    return _beta_esc(u0, eta_value, math.exp(-eta_value))
 
 
 # ---------------------------------------------------------------------------
@@ -76,11 +107,7 @@ def truncated_r4_integral(eta_value: float) -> float:
     (3 sqrt(pi)/8) erf(x) - (x/4)(2 x^2 + 3) exp(-x^2), with math.erf."""
     if eta_value < 0:
         raise ValueError("eta must be >= 0")
-    x = math.sqrt(eta_value)
-    return (
-        3.0 * math.sqrt(math.pi) / 8.0 * math.erf(x)
-        - x / 4.0 * (2.0 * eta_value + 3.0) * math.exp(-eta_value)
-    )
+    return _truncated_r4_integral(eta_value, math.sqrt(eta_value), math.exp(-eta_value))
 
 
 def epsilon(eta_value: float) -> float:
@@ -92,12 +119,7 @@ def epsilon(eta_value: float) -> float:
     """
     if eta_value < 0:
         raise ValueError("eta must be >= 0")
-    integral = truncated_r4_integral(eta_value)
-    return (
-        2.0 / 3.0 * eta_value
-        - 1.0
-        - 8.0 / (3.0 * math.sqrt(math.pi)) * integral
-    )
+    return _epsilon(eta_value, math.sqrt(eta_value), math.exp(-eta_value))
 
 
 def over_times(t, curve):

@@ -66,6 +66,11 @@ class HeatingRates(CheckedRecord, namedtuple("HeatingRates", "gamma_axial gamma_
     _domains = (("gamma_axial", ">= 0", "rates must be >= 0"),
                 ("gamma_radial", ">= 0", "rates must be >= 0"))
 
+    def _checked(self):
+        if not math.isfinite(self.gamma_total):
+            raise ValueError("gamma_total must be finite")
+        return self
+
     @property
     def gamma_total(self) -> float:
         """Thermal-equilibrium combination (gamma_a + 2 gamma_r) / 3, 1/s."""

@@ -8,14 +8,23 @@ min(1, Gamma_el * dt) built from the elastic collision rate; the gate is a
 documented heuristic, so results are defined at the default step count and
 only ordering and percent-level statements should be read off them.
 
+Each step calls the unchecked formula bodies of evaporation (eta, the
+thermal velocity, the unitarity cross section, beta_esc and epsilon), which
+share one v_rms, one exp(-eta) and one sqrt(eta) per step. It makes the
+checks of the public eta and beta_esc where those would make them; the
+other public checks cannot fail once these two pass.
+tests/oracles.ramp_reference is the same loop over the public checked
+functions, one call per formula; the two agree bit for bit and raise the
+same errors.
+
 Everything here is scalar arithmetic on math, so the ramp never loads numpy.
 """
 
 import math
 from collections import namedtuple
 
-from .constants import M3_TO_CM3, CheckedRecord, thermal_velocity
-from .evaporation import beta_esc, epsilon, eta, unitarity_cross_section
+from .constants import M3_TO_CM3, CheckedRecord, _thermal_velocity
+from .evaporation import _beta_esc, _epsilon, _eta, _unitarity_cross_section, eta
 from .trap import TrapState
 
 RETHERMALIZATION_MODES = ("collision-gated", "instant", "off")
@@ -89,32 +98,40 @@ def ramp_simulate(state: TrapState, profile: RampProfile,
     dt = profile.duration / steps
     quasi_static = True
     nu_r0, u_ref = state.trap.nu_radial, state.trap.u0
+    depth_at = profile.depth_at
+    evaporates = rethermalization != "off"
+    gated = rethermalization == "collision-gated"
+    sqrt, exp = math.sqrt, math.exp
 
     for i in range(steps):
-        u_new = profile.depth_at((i + 1) / steps)
+        u_new = depth_at((i + 1) / steps)
         # fractional depth change per step must stay slow on the radial
         # oscillation timescale for the quasi-static picture to hold
-        nu_r = nu_r0 * math.sqrt(u / u_ref)
+        nu_r = nu_r0 * sqrt(u / u_ref)
         if abs(u_new - u) / u / dt > nu_r:
             quasi_static = False
-        temp *= math.sqrt(u_new / u)
+        temp *= sqrt(u_new / u)
         u = u_new
-        if rethermalization == "off":
+        if not evaporates:
             continue
-        eta_now = eta(u, temp)
+        if temp <= 0:  # the check of eta
+            raise ValueError("temperature must be > 0")
+        eta_now = _eta(u, temp)
         rho_now = rho0 * (n / n0) * (eta_now / eta0) ** 1.5
-        if rethermalization == "instant":
-            gate = 1.0
+        if gated:
+            v_rms = _thermal_velocity(temp)
+            gamma_el = rho_now * M3_TO_CM3 * _unitarity_cross_section(v_rms) * v_rms
+            gate = gamma_el * dt
+            if not gate < 1.0:  # min(1.0, gate), a nan gate included
+                gate = 1.0
         else:
-            gamma_el = (
-                rho_now * M3_TO_CM3
-                * unitarity_cross_section(temp)
-                * thermal_velocity(temp)
-            )
-            gate = min(1.0, gamma_el * dt)
-        gamma_ev = gate * rho_now * beta_esc(u, eta_now)
-        temp *= math.exp(-epsilon(eta_now) * gamma_ev * dt)
-        n *= math.exp(-gamma_ev * dt)
+            gate = 1.0
+        if u <= 0 or eta_now <= 0:  # the check of beta_esc
+            raise ValueError("U0 and eta must be positive")
+        sqrt_eta, exp_minus_eta = sqrt(eta_now), exp(-eta_now)
+        gamma_ev = gate * rho_now * _beta_esc(u, eta_now, exp_minus_eta)
+        temp *= exp(-_epsilon(eta_now, sqrt_eta, exp_minus_eta) * gamma_ev * dt)
+        n *= exp(-gamma_ev * dt)
 
     return RampResult(
         t_final=temp,

@@ -5,10 +5,10 @@ units. Writes go through a temporary file plus rename, so a crashed run
 never leaves a half-written table behind.
 
 This module is the one CSV codec, and it handles a table in one pass, not
-one Python call per cell: a write formats each row with one % template and
-joins the rows once; a read checks every line's field count, then parses
-the whole body with one map(float, ...) and checks it is finite. A cell is
-whatever float() accepts. Only a read that fails walks the lines again, to
+one Python call per cell: a write formats the whole table with one %
+template over one flat tuple of its cells; a read checks every line's field
+count, then parses the whole body with one map(float, ...) and checks it is
+finite. A cell is whatever float() accepts. Only a read that fails walks the lines again, to
 name the first bad one. The codec is plain Python, so writing columns and
 reading the noise spectrum never load numpy; numpy loads only when a fit
 dataset or an expansion series is built.
@@ -65,10 +65,17 @@ def format_value(value, sig_digits=None):
 
 def columns_csv(header, columns):
     """CSV text of equal-length float columns under header, each cell to
-    TRAJECTORY_DIGITS significant digits. One % template formats a whole
-    row, with the bytes of format(v, ".9g") per cell."""
-    row = ",".join([f"%.{TRAJECTORY_DIGITS}g"] * len(header))
-    return "\n".join([",".join(header), *map(row.__mod__, zip(*columns))]) + "\n"
+    TRAJECTORY_DIGITS significant digits. One % formats the whole table:
+    the template is the header plus one line of %.9g cells (the bytes of
+    format(v, ".9g")) per row, and the tuple holds every cell in row order.
+    Like zip, it stops at the shortest column."""
+    width, length = len(columns), min(map(len, columns), default=0)
+    cells = [None] * (width * length)
+    for i, column in enumerate(columns):
+        cells[i::width] = column[:length]
+    row = ",".join([f"%.{TRAJECTORY_DIGITS}g"] * len(header)) + "\n"
+    template = ",".join(header).replace("%", "%%") + "\n" + row * length
+    return template % tuple(cells)
 
 
 def residuals_csv(residuals):

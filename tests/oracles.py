@@ -7,7 +7,9 @@ the mean energy an escaping atom removes. None of this is on the product
 path. The RK4 step size is tied to the total span (span / 4096 by default),
 so repeated runs give bit-identical arrays. Then the argparse command line
 that latticekit.cli parsed before its command table, which
-tests/test_command_line.py compares the hand-written parser against. Last,
+tests/test_command_line.py compares the hand-written parser against. The
+depth ramp as a loop over the public checked functions, one call per
+formula, which latticekit.ramp must match bit for bit. Last,
 the per-cell CSV writer and per-line CSV reader that tests/test_tabular.py
 holds the one-pass codec of latticekit.tabular to.
 """
@@ -20,7 +22,8 @@ import numpy as np
 
 from latticekit.constants import CONST, M3_TO_CM3, thermal_velocity
 from latticekit.errors import ConfigError, DomainError
-from latticekit.evaporation import epsilon, unitarity_cross_section
+from latticekit.evaporation import beta_esc, epsilon, eta, unitarity_cross_section
+from latticekit.ramp import RETHERMALIZATION_MODES, RampResult, adiabatic_final_temperature
 from latticekit.tabular import TRAJECTORY_DIGITS, format_value
 
 DEFAULT_SUBSTEPS = 4096
@@ -131,6 +134,81 @@ def evaporation_rate(rho_bar_per_cm3, temperature, eta_value):
         rho_bar_per_cm3
         * sigma_v * M3_TO_CM3
         * eta_value * math.exp(-eta_value)
+    )
+
+
+# ---------------------------------------------------------------------------
+# the ramp loop latticekit.ramp ran before it called the formula bodies
+
+
+def ramp_reference(state, profile, rho_bar_per_cm3,
+                   rethermalization="collision-gated", steps=1024):
+    """ramp.ramp_simulate as a loop over the public checked functions, one
+    call per formula and step; ramp_simulate must return the same bits and
+    raise the same errors."""
+    if rethermalization not in RETHERMALIZATION_MODES:
+        raise ValueError(
+            f"rethermalization must be one of {RETHERMALIZATION_MODES}"
+        )
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if state.n_atoms <= 0:
+        raise ValueError("atom number must be positive")
+
+    t_adiabatic = adiabatic_final_temperature(
+        state.temperature, profile.u_initial, profile.u_final
+    )
+    if profile.duration == 0.0:
+        return RampResult(
+            t_final=t_adiabatic,
+            n_final=state.n_atoms,
+            adiabatic_reference=t_adiabatic,
+            eta_final=eta(profile.u_final, t_adiabatic),
+            quasi_static=False,
+        )
+
+    temp = state.temperature
+    n = state.n_atoms
+    u = profile.u_initial
+    eta0 = eta(profile.u_initial, state.temperature)
+    rho0 = rho_bar_per_cm3
+    n0 = state.n_atoms
+    dt = profile.duration / steps
+    quasi_static = True
+    nu_r0, u_ref = state.trap.nu_radial, state.trap.u0
+
+    for i in range(steps):
+        u_new = profile.depth_at((i + 1) / steps)
+        # fractional depth change per step must stay slow on the radial
+        # oscillation timescale for the quasi-static picture to hold
+        nu_r = nu_r0 * math.sqrt(u / u_ref)
+        if abs(u_new - u) / u / dt > nu_r:
+            quasi_static = False
+        temp *= math.sqrt(u_new / u)
+        u = u_new
+        if rethermalization == "off":
+            continue
+        eta_now = eta(u, temp)
+        rho_now = rho0 * (n / n0) * (eta_now / eta0) ** 1.5
+        if rethermalization == "instant":
+            gate = 1.0
+        else:
+            gamma_el = (
+                rho_now * M3_TO_CM3
+                * unitarity_cross_section(temp)
+                * thermal_velocity(temp)
+            )
+            gate = min(1.0, gamma_el * dt)
+        gamma_ev = gate * rho_now * beta_esc(u, eta_now)
+        temp *= math.exp(-epsilon(eta_now) * gamma_ev * dt)
+        n *= math.exp(-gamma_ev * dt)
+
+    return RampResult(
+        t_final=temp,
+        n_final=n,
+        adiabatic_reference=t_adiabatic,
+        eta_final=eta(profile.u_final, temp),
+        quasi_static=quasi_static,
     )
 
 

@@ -278,6 +278,8 @@ def _set(record, field, index, value):
 @example("ExpansionSeries.sigma[1]", math.nan, 1.0)
 @example("ExpansionSeries.times[2]", math.inf, 1.0)
 @example("Dataset.value[0]", -math.inf, 1.0)
+@example("TrapState.n_atoms", 10**400, 1.0)  # an int beyond the float range
+@example("MirrorSpec.transmission", 10**400, 1.0)
 def test_records_refuse_non_finite_values(slot, bad, scale):
     assert {type(r) for r in FINITE} == {type(c[0]) for c in CHECKED}
     record, field, index = SLOTS[slot]
@@ -296,6 +298,23 @@ def test_records_refuse_non_finite_values(slot, bad, scale):
     assert _same(kind._make(fields.values()), built)
     assert _same(record._replace(**{field: fields[field]}), built)
     assert _cell(built, field, index) == value
+
+
+# Finite fields whose derived value overflows: the product of the waists
+# under effective_waist's square root, the sum under gamma_total.
+@pytest.mark.parametrize(("kind", "fields", "derived"), [
+    (ModeGeometry, (1e200, 1e200), "effective_waist"),
+    (HeatingRates, (1e308, 1e308), "gamma_total"),
+])
+def test_records_refuse_an_overflowing_derived_value(kind, fields, derived):
+    text = f"{derived} must be finite"
+    with pytest.raises(ValueError, match=text):
+        kind(*fields)
+    with pytest.raises(ValueError, match=text):
+        kind._make(fields)
+    built = kind(fields[0], 1.0)
+    with pytest.raises(ValueError, match=text):
+        built._replace(**{kind._fields[1]: fields[1]})
 
 
 # A record stores only its inputs, so replacing one re-derives every property

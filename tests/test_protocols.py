@@ -1,9 +1,13 @@
 import math
+import random
+import struct
 
 import numpy as np
 import pytest
-from conftest import state_a
+from conftest import make_lattice_state, state_a
+from oracles import ramp_reference
 
+from latticekit.config import load_config, state_from_config
 from latticekit.constants import CONST, RB85
 from latticekit.protocols import (
     ExpansionSeries,
@@ -11,7 +15,12 @@ from latticekit.protocols import (
     fit_expansion,
     synthesize_expansion,
 )
-from latticekit.ramp import RampProfile, adiabatic_final_temperature, ramp_simulate
+from latticekit.ramp import (
+    RETHERMALIZATION_MODES,
+    RampProfile,
+    adiabatic_final_temperature,
+    ramp_simulate,
+)
 
 KB = CONST.kB
 U_350 = 350e-6 * KB
@@ -114,6 +123,95 @@ def test_ramp_validation():
 def test_ramp_eta_final_consistent():
     result = _ramp(0.070)
     assert rel(result.eta_final, U_147 / (KB * result.t_final)) < 1e-12
+
+
+def _outcome(state, profile, rho_bar_per_cm3, rethermalization, steps):
+    """The bits of the five RampResult fields that ramp_simulate and the
+    reference loop return, or the type and text of the error they raise."""
+    outcomes = []
+    for ramp in (ramp_simulate, ramp_reference):
+        try:
+            result = ramp(state, profile, rho_bar_per_cm3, rethermalization, steps)
+        except (ArithmeticError, ValueError) as exc:
+            outcomes.append((type(exc), str(exc)))
+        else:
+            outcomes.append(tuple(
+                struct.pack("<d", v) if isinstance(v, float) else v for v in result
+            ))
+    return outcomes
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7, 1024, 4096])
+@pytest.mark.parametrize("rethermalization", RETHERMALIZATION_MODES)
+def test_ramp_matches_its_reference_loop(rethermalization, steps):
+    draw = random.Random(f"{rethermalization}-{steps}")
+    for depths, duration in [
+        ((U_350, U_147), 0.070),  # falling, quasi-static
+        ((U_147, U_350), 0.010),  # rising
+        ((U_350, U_147), 0.0),  # sudden
+        ((U_350, U_147), 1e-7),  # too fast to be quasi-static
+    ]:
+        state = make_lattice_state(draw.uniform(1e5, 1e7), draw.uniform(20e-6, 300e-6),
+                                   depths[0] / KB * 1e6)
+        profile = RampProfile(*depths, duration)
+        rho = draw.uniform(1e10, 1e13)
+        result, reference = _outcome(state, profile, rho, rethermalization, steps)
+        assert result == reference, (depths, duration)
+        assert result[-1] is (duration not in (0.0, 1e-7))  # quasi_static
+
+
+def _cli_ramp(*overrides):
+    """The inputs of ramp_simulate that the ramp command passes at the default
+    config with overrides."""
+    cfg = load_config(None, list(overrides))
+    state = state_from_config(cfg)
+    profile = RampProfile(state.trap.u0, cfg["ramp.depth_final_uK"] * 1e-6 * KB,
+                          cfg["ramp.duration_ms"] * 1e-3)
+    return (state, profile, cfg["sample.rho_peak_per_cm3"] / 4.0,
+            cfg["ramp.rethermalization"], cfg["ramp.steps"])
+
+
+A = state_a()
+FALLING = RampProfile(U_350, U_147, 0.070)
+TINY = make_lattice_state(4e6, 1e290, 1e-21)  # eta 1e-317 at the start
+
+
+# Inputs on which the ramp raises, each with the error of one mode and step
+# count; the test runs every mode at 1 and 7 steps on them as well.
+RAISING = [
+    pytest.param(_cli_ramp(("trap.depth_uK", "1e300")), OverflowError,
+                 id="cli-trap.depth_uK-1e300"),
+    pytest.param((A, FALLING, -1e15, "instant", 7), OverflowError, id="negative-density"),
+    pytest.param((A, FALLING, -1e20, "collision-gated", 7), ValueError,
+                 id="negative-density-cools-to-0-K"),
+    pytest.param((A, RampProfile(U_350, U_350 * 1e-20, 0.070), RHO_BAR_A, "off", 7),
+                 ValueError, id="last-depth-rounds-to-0"),
+    # a nan density makes T nan, so the zero depth fails beta_esc's check
+    pytest.param((A, RampProfile(U_350, U_350 * 1e-20, 0.070), math.nan, "instant", 7),
+                 ValueError, id="nan-density-to-0-depth"),
+    pytest.param((A, RampProfile(U_350, U_147, 5e-324), RHO_BAR_A, "off", 7),
+                 ZeroDivisionError, id="step-underflows"),
+    pytest.param((TINY, RampProfile(TINY.trap.u0, TINY.trap.u0 * 1e-15, 0.070), RHO_BAR_A,
+                  "collision-gated", 1), ValueError, id="eta-underflows"),
+]
+
+
+@pytest.mark.parametrize(("inputs", "error"), RAISING)
+def test_ramp_raises_what_its_reference_loop_raises(inputs, error):
+    result, reference = _outcome(*inputs)
+    assert result == reference
+    assert result[0] is error, result
+    for rethermalization in RETHERMALIZATION_MODES:
+        for steps in (1, 7):
+            result, reference = _outcome(*inputs[:3], rethermalization, steps)
+            assert result == reference, (rethermalization, steps)
+
+
+@pytest.mark.parametrize(("rethermalization", "steps"), [("sometimes", 7), ("off", 0)])
+def test_ramp_refuses_what_its_reference_loop_refuses(rethermalization, steps):
+    result, reference = _outcome(A, FALLING, RHO_BAR_A, rethermalization, steps)
+    assert result == reference
+    assert result[0] is ValueError
 
 
 # ---------------------------------------------------------------------------
