@@ -8,10 +8,10 @@ This module is the one CSV codec, and it handles a table in one pass, not
 one Python call per cell: a write formats the whole table with one %
 template over one flat tuple of its cells; a read checks every line's field
 count, then parses the whole body with one map(float, ...) and checks it is
-finite. A cell is whatever float() accepts. Only a read that fails walks the lines again, to
-name the first bad one. The codec is plain Python, so writing columns and
-reading the noise spectrum never load numpy; numpy loads only when a fit
-dataset or an expansion series is built.
+finite. A cell is whatever float() accepts. Only a read that fails walks the
+lines again, to name the first bad one. The codec is plain Python, so
+writing columns and reading the noise spectrum never load numpy; numpy loads
+only when a fit dataset or an expansion series is built.
 """
 
 import math
