@@ -14,19 +14,22 @@ Exit codes: 0 success, 2 input or configuration error, 3 model-domain error,
 DomainError gives 3; any other ValueError (ConfigError included), an OSError
 or an ArithmeticError gives 2. An ArithmeticError (OverflowError or
 ZeroDivisionError from float arithmetic, FloatingPointError from the numpy
-array functions, which raise instead of warning) gets a line that names the
-command and says that a derived quantity overflows the float range or is
-undefined. A malformed command line (unknown command, missing --model or
+array functions and from the checked sums of the pure fits, which raise
+instead of warning) gets a line that names the command and says that a
+derived quantity overflows the float range or is undefined. Every output file
+is written by tabular.atomic_write_text, the one write path. A malformed command line (unknown command, missing --model or
 --out) exits 2 with the usage line and one error line; -h or --help prints the
 commands, or the command's flags, and exits 0.
 
 Only numpy-free modules are imported here, and cavity, trap, simulate, bound
-(with or without --psd) and ramp never load numpy: simulate builds its time
-grid as a list and evaluates its closed form once on the whole grid. The
-array commands, fit and tof, import their modules when they run. main keeps
-numpy's OpenBLAS pool to one thread unless OPENBLAS_NUM_THREADS is already
-set: the largest product is J^T J of an n x 3 Jacobian, so helper threads
-only cost CPU.
+(with or without --psd), ramp, fit --kind temperature and fit --kind tof
+never load numpy: simulate builds its time grid as a list and evaluates its
+closed form once on the whole grid, and the two linear fits are plain float
+code. fit imports only the module of its --kind, and tof its generator,
+when they run; fit --kind decay and tof load numpy. main keeps numpy's
+OpenBLAS pool to one thread unless OPENBLAS_NUM_THREADS is already set: the
+largest product is J^T J of an n x 3 Jacobian, so helper threads only cost
+CPU.
 """
 
 import math
@@ -285,11 +288,10 @@ def _emit_fit(result, out):
 
 
 def cmd_fit(cfg, args):
-    from .fitting import fit_decay, fit_epsilon
-    from .protocols import fit_expansion
-
     kind = args.kind
     if kind == "decay":
+        from .fitting import fit_decay
+
         rho = cfg["sample.rho_peak_per_cm3"]
         if rho <= 0:
             raise ConfigError("sample.rho_peak_per_cm3 must be positive for a decay fit")
@@ -301,6 +303,8 @@ def cmd_fit(cfg, args):
             max_iterations=cfg["fit.max_iterations"],
         )
     elif kind == "temperature":
+        from .fitting import fit_epsilon
+
         dataset = read_dataset(args.data, "temperature")
         xi = _configured_xi(cfg)
         if xi <= 0:  # a flat cooling law leaves epsilon unidentified
@@ -309,6 +313,8 @@ def cmd_fit(cfg, args):
             dataset, xi, cfg["loss.gamma_per_s"], cfg["sample.temperature_uK"]
         )
     else:  # tof
+        from .protocols import fit_expansion
+
         series = read_expansion(args.data)
         fit = fit_expansion(series)
         # a degenerate fit has no initial width, so its two lines are left

@@ -172,10 +172,15 @@ def cavity_from_config(cfg: dict) -> CavitySpec:
 
 def mode_from_config(cfg: dict) -> ModeGeometry:
     # the config stores 1/e^2 diameters; the model works with radii
-    return ModeGeometry(
-        waist_sagittal=cfg["mode.diameter_sagittal_um"] * 1e-6 / 2.0,
-        waist_transversal=cfg["mode.diameter_transversal_um"] * 1e-6 / 2.0,
-    )
+    sagittal, transversal = cfg["mode.diameter_sagittal_um"], cfg["mode.diameter_transversal_um"]
+    try:
+        return ModeGeometry(sagittal * 1e-6 / 2.0, transversal * 1e-6 / 2.0)
+    except ValueError as exc:
+        # each key is in its domain, so the record refuses what they give together
+        raise ConfigError(
+            f"{exc}: mode.diameter_sagittal_um = {sagittal!r} and "
+            f"mode.diameter_transversal_um = {transversal!r}"
+        ) from None
 
 
 def trap_from_config(cfg: dict) -> TrapParameters:

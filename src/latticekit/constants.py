@@ -16,7 +16,9 @@ natural linewidth (rad/s) and the (D2, D1) relative dipole weights.
 
 DOMAINS defines each value domain of the config schema and the records once.
 CheckedRecord is the records' one construction path: the constructor, _make,
-_replace, pickle and copy all check and convert through it.
+_replace, pickle and copy all check and convert through it. _all_finite is
+the records' finiteness test of a float sequence, and _fsum the one checked
+sum of the fits that run without numpy.
 """
 
 import math
@@ -64,6 +66,29 @@ class CheckedRecord:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+
+def _all_finite(values):
+    """True if every float of the sequence values is finite. A float sum is
+    finite only if every term is, so only a sum that overflows needs the
+    test term by term."""
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
+def _fsum(terms):
+    """The correctly rounded math.fsum of float terms, under the error policy
+    of the fits: FloatingPointError where numpy's raise policy raised, that
+    is when a term or the sum overflows (inf) or is undefined (nan)."""
+    try:
+        total = math.fsum(terms)
+    except OverflowError:  # finite terms whose sum overflows
+        total = math.inf
+    except ValueError:  # inf - inf
+        total = math.nan
+    if not math.isfinite(total):
+        kind = "invalid value" if math.isnan(total) else "overflow"
+        raise FloatingPointError(f"{kind} encountered in fsum")
+    return total
 
 
 _H = 6.62607015e-34

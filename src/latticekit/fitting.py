@@ -1,51 +1,61 @@
-"""Deterministic nonlinear least squares for the decay and cooling models.
+"""Deterministic least squares for the decay and cooling models.
 
 A damped Gauss-Newton engine with Marquardt scaling binds the closed-form
 models to measured series: (gamma, beta) from N(t) data and the
 energy-removal coefficient from T(t) data. The models themselves are
 losses.population and evaporation.temperature. A Dataset record holds the
-series as float arrays, checked however it is built. Each fit returns a
+series as tuples of floats, checked however it is built. Each fit returns a
 FitResult record with the weighted residuals (model - data)/sigma at its
 optimum, their sum of squares and the degrees of freedom (points minus free
 parameters: 3 for the decay, 1 for the cooling law), so the reduced chi^2
 and the covariance share one count. Everything is double precision with a
-fixed iteration order, so identical inputs give bit-identical fits. Both fits
-run under numpy's raise policy for overflow, division by zero and invalid
-values: an extreme input raises FloatingPointError instead of carrying inf
-or nan into a report.
+fixed iteration order, so identical inputs give bit-identical fits.
+
+Only the decay fit needs arrays: fit_decay, decay_jacobian and the engine
+import numpy when they run, and the decay fit runs under numpy's raise
+policy for overflow, division by zero and invalid values. The cooling-law
+fit is plain float code whose every sum is a correctly rounded math.fsum,
+so its bits depend on no BLAS kernel, and it never loads numpy. Both fits
+share one error policy: an extreme input raises FloatingPointError instead
+of carrying inf or nan into a report.
 """
 
 import math
 from collections import namedtuple
+from operator import lt, mul
 
-import numpy as np
-
-from .constants import CheckedRecord
+from .constants import CheckedRecord, _all_finite, _fsum
 from .evaporation import temperature
 from .losses import population, xi_from_beta
 
 
 class Dataset(CheckedRecord, namedtuple("Dataset", "t value sigma", defaults=(None,))):
-    """Timestamped measurement series, any sequences converted to float
-    arrays; sigma defaults to 1 (unweighted). t.size is the row count."""
+    """Timestamped measurement series, any sequences converted to tuples of
+    floats; sigma defaults to 1 (unweighted). len(t) is the row count."""
 
     __slots__ = ()
 
     def _checked(self):
-        t = np.asarray(self.t, dtype=float)
-        v = np.asarray(self.value, dtype=float)
-        s = np.ones_like(v) if self.sigma is None else np.asarray(self.sigma, dtype=float)
-        if t.ndim != 1 or t.size != v.size or s.size != v.size:
+        given = (self.t, self.value) if self.sigma is None else tuple(self)
+        columns = ()
+        try:
+            if all(getattr(c, "ndim", 1) == 1 for c in given):  # an array states its ndim
+                columns = [tuple(map(float, c)) for c in given]
+        except TypeError:  # a scalar, or a nested row
+            pass
+        if len(set(map(len, columns))) != 1:
             raise ValueError("t, value and sigma must be 1-d of equal length")
-        if not all(np.all(np.isfinite(x)) for x in (t, v, s)):
+        t, v, *s = columns
+        s = s[0] if s else (1.0,) * len(v)
+        if not _all_finite(t + v + s):
             raise ValueError("t, value and sigma must be finite")
-        if np.any(t < 0):
+        if min(t, default=0.0) < 0:
             raise ValueError("times must be >= 0")
-        if np.any(np.diff(t) <= 0):
+        if not all(map(lt, t, t[1:])):
             raise ValueError("times must be strictly increasing")
-        if np.any(v <= 0):
+        if min(v, default=1.0) <= 0:
             raise ValueError("values must be positive")
-        if np.any(s <= 0):
+        if min(s, default=1.0) <= 0:
             raise ValueError("sigmas must be positive")
         return t, v, s
 
@@ -75,6 +85,8 @@ def decay_jacobian(t, gamma, xi, n0):
     Under fit_decay's error policy an extreme gamma or xi raises
     FloatingPointError, and the fit rejects that trial step.
     """
+    import numpy as np
+
     t = np.asarray(t, dtype=float)
     u = np.exp(-gamma * t)
     denom = 1.0 + xi * (1.0 - u)
@@ -103,6 +115,8 @@ def _levenberg_marquardt(eval_fn, p0, max_iterations=200):
     when the relative RSS change drops below 1e-12 or the gradient
     infinity-norm below 1e-10. An overflow at p0 or in J^T J raises.
     """
+    import numpy as np
+
     p = np.asarray(p0, dtype=float).copy()
     r, jac = eval_fn(p)
     rss = float(r @ r)
@@ -151,6 +165,8 @@ def _levenberg_marquardt(eval_fn, p0, max_iterations=200):
 
 def _covariance(jac, chi2_reduced):
     """Linearized covariance at the optimum, scaled by the reduced chi^2."""
+    import numpy as np
+
     jtj = jac.T @ jac
     try:
         cov = np.linalg.inv(jtj)
@@ -162,7 +178,6 @@ def _covariance(jac, chi2_reduced):
 # ---------------------------------------------------------------------------
 # decay fit
 
-@np.errstate(over="raise", divide="raise", invalid="raise")
 def fit_decay(dataset: Dataset, rho_peak_per_cm3, initial_guess,
               max_iterations=200) -> FitResult:
     """Fit (gamma, beta) plus the amplitude N0 to a population series.
@@ -170,9 +185,10 @@ def fit_decay(dataset: Dataset, rho_peak_per_cm3, initial_guess,
     initial_guess is (gamma, beta_cm3_per_s); the internal parameters are
     (gamma, xi, N0) with xi = beta rho_peak / (4 gamma) and the amplitude
     seeded from the first sample. beta and its uncertainty are recovered
-    through the fixed rho_peak convention.
+    through the fixed rho_peak convention. The fit runs on float arrays under
+    numpy's raise policy for overflow, division by zero and invalid values.
     """
-    if dataset.t.size < 4:
+    if len(dataset.t) < 4:
         raise ValueError("need at least 4 points to fit the decay model")
     if rho_peak_per_cm3 <= 0:
         raise ValueError("peak density must be positive")
@@ -180,9 +196,11 @@ def fit_decay(dataset: Dataset, rho_peak_per_cm3, initial_guess,
     if gamma0 <= 0 or beta0 <= 0:
         raise ValueError("initial guess must be positive")
     xi0 = xi_from_beta(beta0, rho_peak_per_cm3, gamma0)
-    p0 = np.array([gamma0, xi0, dataset.value[0]])
 
-    t, y, s = dataset.t, dataset.value, dataset.sigma
+    import numpy as np
+
+    t, y, s = map(np.asarray, dataset)
+    p0 = np.array([gamma0, xi0, y[0]])
 
     def eval_fn(p):
         gamma, xi, n0 = p
@@ -190,25 +208,26 @@ def fit_decay(dataset: Dataset, rho_peak_per_cm3, initial_guess,
         jac = decay_jacobian(t, gamma, xi, n0) / s[:, None]
         return r, jac
 
-    p, r, jac, rss, converged, iterations, message = _levenberg_marquardt(
-        eval_fn, p0, max_iterations
-    )
-    gamma, xi, n0 = p
-    # the steps are unbounded, so the optimum can leave the domain gamma > 0, xi >= 0
-    if gamma <= 0 or xi < 0:
-        converged = False
-        message = "the optimum lies outside the model domain gamma > 0, xi >= 0"
-    beta = 4.0 * gamma * xi / rho_peak_per_cm3
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        p, r, jac, rss, converged, iterations, message = _levenberg_marquardt(
+            eval_fn, p0, max_iterations
+        )
+        gamma, xi, n0 = p
+        # the steps are unbounded, so the optimum can leave the domain gamma > 0, xi >= 0
+        if gamma <= 0 or xi < 0:
+            converged = False
+            message = "the optimum lies outside the model domain gamma > 0, xi >= 0"
+        beta = 4.0 * gamma * xi / rho_peak_per_cm3
 
-    # beta is derived from xi, so three parameters are free
-    dof = dataset.t.size - 3
-    cov = _covariance(jac, rss / dof)
-    var_gamma, var_xi, var_n0 = np.diag(cov)
-    cov_gx = cov[0, 1]
-    # beta = 4 gamma xi / rho: first-order propagation incl. the cross term
-    var_beta = (4.0 / rho_peak_per_cm3) ** 2 * (
-        xi**2 * var_gamma + gamma**2 * var_xi + 2.0 * gamma * xi * cov_gx
-    )
+        # beta is derived from xi, so three parameters are free
+        dof = t.size - 3
+        cov = _covariance(jac, rss / dof)
+        var_gamma, var_xi, var_n0 = np.diag(cov)
+        cov_gx = cov[0, 1]
+        # beta = 4 gamma xi / rho: first-order propagation incl. the cross term
+        var_beta = (4.0 / rho_peak_per_cm3) ** 2 * (
+            xi**2 * var_gamma + gamma**2 * var_xi + 2.0 * gamma * xi * cov_gx
+        )
     # an inverted covariance can hold inf or nan without a float flag
     if not math.isfinite(var_beta):
         raise ValueError(
@@ -240,7 +259,6 @@ def fit_decay(dataset: Dataset, rho_peak_per_cm3, initial_guess,
 # ---------------------------------------------------------------------------
 # energy-removal coefficient fit
 
-@np.errstate(over="raise", divide="raise", invalid="raise")
 def fit_epsilon(dataset: Dataset, xi, gamma_per_s, t0) -> FitResult:
     """One-dimensional least squares for the energy-removal coefficient.
 
@@ -249,28 +267,34 @@ def fit_epsilon(dataset: Dataset, xi, gamma_per_s, t0) -> FitResult:
     gives the exact optimum. It is clipped to [0, 1/xi), with the upper end
     stepped down until eps xi < 1 in floating point so the cooling law stays
     positive, and a clipped solution is reported as not converged. The
-    residuals come from the cooling law itself.
+    residuals come from the cooling law itself. Plain float code: each sum
+    is a math.fsum, and one that overflows raises FloatingPointError.
     """
-    if dataset.t.size < 3:
+    if len(dataset.t) < 3:
         raise ValueError("need at least 3 points to fit")
     if xi <= 0:
         raise ValueError("xi must be positive")
-    t, y, s = dataset.t, dataset.value, dataset.sigma
-    u = np.exp(-gamma_per_s * t)
-    a = -t0 * xi * (1.0 - u) / s  # d(model)/d(eps), weighted
-    z = (y - t0) / s
-    denom = float(a @ a)
-    numer = float(a @ z)
+    t, y, s = dataset
+    exp, minus_gamma, scale = math.exp, -gamma_per_s, -t0 * xi
+    try:
+        # d(model)/d(eps), weighted
+        a = [scale * (1.0 - exp(minus_gamma * time)) / sigma for time, sigma in zip(t, s)]
+    except OverflowError:  # a negative gamma; math.exp raises where np.exp flags
+        raise FloatingPointError("overflow encountered in exp") from None
+    denom = _fsum(map(mul, a, a))
+    # a times the weighted offset from T0
+    numer = _fsum([ai * ((value - t0) / sigma) for ai, value, sigma in zip(a, y, s)])
     eps_free = numer / denom if denom > 0 else 0.0
     eps_max = 1.0 / xi
     while eps_max * xi >= 1.0:
         eps_max = math.nextafter(eps_max, 0.0)
     eps = min(max(eps_free, 0.0), eps_max)
-    r = (temperature(t, t0, eps, xi, gamma_per_s) - y) / s
-    rss = float(r @ r)
+    model = temperature(t, t0, eps, xi, gamma_per_s)
+    r = tuple([(m - value) / sigma for m, value, sigma in zip(model, y, s)])
+    rss = _fsum(map(mul, r, r))
 
     converged = 0.0 < eps_free < eps_max
-    dof = dataset.t.size - 1
+    dof = len(t) - 1
     var_eps = (rss / dof) / denom if denom > 0 else math.inf
     return FitResult(
         params={"epsilon": eps},
@@ -283,4 +307,3 @@ def fit_epsilon(dataset: Dataset, xi, gamma_per_s, t0) -> FitResult:
         message="converged" if converged else "minimum at domain boundary",
         model="temperature",
     )
-

@@ -1,26 +1,34 @@
 """CSV I/O for trajectories, datasets, noise spectra and expansion series.
 
 Files carry mandatory single-line headers whose column names state the
-units. Writes go through a temporary file plus rename, so a crashed run
-never leaves a half-written table behind.
+units. atomic_write_text is the one write path: every table and report a
+command writes goes through a temporary file plus rename, so a crashed run
+never leaves a half-written file behind, and an OSError names the requested
+path.
 
 This module is the one CSV codec, and it handles a table in one pass, not
 one Python call per cell: a write formats the whole table with one %
 template over one flat tuple of its cells; a read checks every line's field
 count, then parses the whole body with one map(float, ...) and checks it is
 finite. A cell is whatever float() accepts. Only a read that fails walks the
-lines again, to name the first bad one. The codec is plain Python, so
-writing columns and reading the noise spectrum never load numpy; numpy loads
-only when a fit dataset or an expansion series is built.
+lines again, to name the first bad one. The codec is plain Python, and so
+are the records it reads into (fitting.Dataset, heating.NoiseSpectrum and
+protocols.ExpansionSeries hold tuples of floats): no read or write loads
+numpy.
 """
 
 import math
 import os
-from itertools import repeat
+from itertools import count, repeat
 
+from .constants import _all_finite
 from .errors import ConfigError
 
 TRAJECTORY_DIGITS = 9
+
+# a new file for writing only; binary, so Windows translates no newline
+_CREATE_NEW = (os.O_WRONLY | os.O_CREAT | os.O_EXCL
+               | getattr(os, "O_CLOEXEC", 0) | getattr(os, "O_BINARY", 0))
 
 DATASET_HEADERS = {
     "population": ("t_s", "N"),
@@ -29,26 +37,43 @@ DATASET_HEADERS = {
 
 
 def atomic_write_text(path, text):
-    """Write text to path via a temporary file in the same directory.
+    """Write text to path as UTF-8, through a temporary file in the same
+    directory that is renamed over path, so path holds the old or the new
+    text and never a part of it.
 
-    An OSError names the requested path, not the random temporary file.
-    tempfile is imported here, so commands that write no file never load it.
+    The temporary file is named from the process id; one that exists already
+    (left by a crashed run whose pid was reused, or another thread's) is
+    stepped over, never opened. It is created like open() creates a file,
+    with mode 0o666 less the umask. An OSError names the requested path, not
+    the temporary file, which is removed.
     """
-    import tempfile
-
-    directory = os.path.dirname(os.path.abspath(path))
+    data = text.encode("utf-8")
+    head = os.path.join(os.path.dirname(path), f"tmp{os.getpid()}_")
     tmp = None
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        for attempt in count():
+            try:
+                fd = os.open(f"{head}{attempt}.tmp", _CREATE_NEW, 0o666)
+            except FileExistsError:  # a crashed run's file, or another thread's
+                continue
+            tmp = f"{head}{attempt}.tmp"
+            break
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
         tmp = None
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     finally:
-        if tmp is not None and os.path.exists(tmp):
-            os.unlink(tmp)
+        if tmp is not None:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
 
 
 def format_value(value, sig_digits=None):
@@ -63,26 +88,27 @@ def format_value(value, sig_digits=None):
     return str(value)
 
 
-def columns_csv(header, columns):
-    """CSV text of equal-length float columns under header, each cell to
-    TRAJECTORY_DIGITS significant digits. One % formats the whole table:
-    the template is the header plus one line of %.9g cells (the bytes of
-    format(v, ".9g")) per row, and the tuple holds every cell in row order.
-    Like zip, it stops at the shortest column."""
+def columns_csv(header, columns, cell_formats=None):
+    """CSV text of equal-length columns under header, each cell in the %
+    format cell_formats gives its column, by default %.9g (the bytes of
+    format(v, ".9g"): TRAJECTORY_DIGITS significant digits). One % formats
+    the whole table: the template is the header plus one line of cells per
+    row, and the tuple holds every cell in row order. Like zip, it stops at
+    the shortest column."""
     width, length = len(columns), min(map(len, columns), default=0)
     cells = [None] * (width * length)
     for i, column in enumerate(columns):
         cells[i::width] = column[:length]
-    row = ",".join([f"%.{TRAJECTORY_DIGITS}g"] * len(header)) + "\n"
-    template = ",".join(header).replace("%", "%%") + "\n" + row * length
+    formats = cell_formats or [f"%.{TRAJECTORY_DIGITS}g"] * len(header)
+    template = ",".join(header).replace("%", "%%") + "\n" + (",".join(formats) + "\n") * length
     return template % tuple(cells)
 
 
 def residuals_csv(residuals):
     """index,residual CSV text of a fit's residuals, each as its round-trip
     repr."""
-    rows = map("%d,%r\n".__mod__, enumerate(map(float, residuals)))
-    return "index,residual\n" + "".join(rows)
+    values = tuple(map(float, residuals))
+    return columns_csv(("index", "residual"), (range(len(values)), values), ("%d", "%r"))
 
 
 def write_columns(path, header, columns):
@@ -128,7 +154,7 @@ def _read_columns(path, headers, source_kind):
             cells = list(map(float, ",".join(body).split(",")))
         except ValueError:
             pass
-    if cells is None or not all(map(math.isfinite, cells)):
+    if cells is None or not _all_finite(cells):
         raise ConfigError(_first_bad_line(path, lines, width))
     return [cells[i::width] for i in range(width)]
 
@@ -190,7 +216,6 @@ def write_expansion(path, series):
     write_columns(
         path,
         ("t_ms", "sigma_um", "amplitude"),
-        # Python floats format faster than numpy scalars
-        ((series.times * 1e3).tolist(), (series.sigma * 1e6).tolist(),
-         series.amplitude.tolist()),
+        ([t * 1e3 for t in series.times], [s * 1e6 for s in series.sigma],
+         series.amplitude),
     )

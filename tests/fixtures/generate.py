@@ -44,7 +44,8 @@ def make_decay(path):
             raise SystemExit(f"simulate failed with exit code {code}")
         dataset = read_dataset(clean, "population")
     rng = np.random.default_rng(SEED)
-    noisy = dataset.value * (1.0 + 0.03 * rng.standard_normal(dataset.value.size))
+    value = np.asarray(dataset.value)
+    noisy = value * (1.0 + 0.03 * rng.standard_normal(value.size))
     write_columns(path, ("t_s", "N"), (dataset.t, noisy))
 
 
@@ -80,9 +81,10 @@ def make_temperature(path):
             raise SystemExit(f"simulate failed with exit code {code}")
         dataset = read_dataset(clean, "temperature")
     rng = np.random.default_rng(SEED)
-    noisy = dataset.value * (1.0 + 0.005 * rng.standard_normal(dataset.value.size))
+    value = np.asarray(dataset.value)
+    noisy = value * (1.0 + 0.005 * rng.standard_normal(value.size))
     lines = [" t_s , T_uK "]
-    for i, (t, value) in enumerate(zip(dataset.t.tolist(), noisy.tolist())):
+    for i, (t, value) in enumerate(zip(dataset.t, noisy.tolist())):
         if i % 4 == 3:
             lines.append("" if i % 8 == 3 else "  \t")
         lines.append(f" {t:.9g} ,  {value:.9g}" if i % 2 else f"{t:.9g},\t{value:.9g} ")

@@ -9,9 +9,13 @@ so repeated runs give bit-identical arrays. Then the argparse command line
 that latticekit.cli parsed before its command table, which
 tests/test_command_line.py compares the hand-written parser against. The
 depth ramp as a loop over the public checked functions, one call per
-formula, which latticekit.ramp must match bit for bit. Last,
+formula, which latticekit.ramp must match bit for bit. Then
 the per-cell CSV writer and per-line CSV reader that tests/test_tabular.py
-holds the one-pass codec of latticekit.tabular to.
+holds the one-pass codec of latticekit.tabular to. Last, the cooling-law and
+expansion fits on numpy arrays, as latticekit computed them before its
+math.fsum code, with BLAS and numpy's pairwise sums under numpy's raise
+policy: the pure fits must agree with them to 1e-12 and raise
+FloatingPointError where they do.
 """
 
 import argparse
@@ -20,9 +24,17 @@ from itertools import chain
 
 import numpy as np
 
-from latticekit.constants import CONST, M3_TO_CM3, thermal_velocity
+from latticekit.constants import CONST, M3_TO_CM3, RB85, thermal_velocity
 from latticekit.errors import ConfigError, DomainError
-from latticekit.evaporation import beta_esc, epsilon, eta, unitarity_cross_section
+from latticekit.evaporation import (
+    beta_esc,
+    epsilon,
+    eta,
+    temperature,
+    unitarity_cross_section,
+)
+from latticekit.fitting import FitResult
+from latticekit.protocols import ExpansionFit
 from latticekit.ramp import RETHERMALIZATION_MODES, RampResult, adiabatic_final_temperature
 from latticekit.tabular import TRAJECTORY_DIGITS, format_value
 
@@ -345,3 +357,92 @@ def read_rows(path, headers, source_kind):
             f"{path}: line {lineno}: non-finite value in {lines[lineno - 1]!r}"
         )
     return header, rows
+
+
+# ---------------------------------------------------------------------------
+# the cooling-law and expansion fits as numpy array code
+
+
+@np.errstate(over="raise", divide="raise", invalid="raise")
+def fit_epsilon_numpy(dataset, xi, gamma_per_s, t0):
+    """latticekit.fitting.fit_epsilon on float arrays: BLAS dot products,
+    np.exp and the cooling law evaluated on an array."""
+    if len(dataset.t) < 3:
+        raise ValueError("need at least 3 points to fit")
+    if xi <= 0:
+        raise ValueError("xi must be positive")
+    t, y, s = (np.asarray(c, dtype=float) for c in dataset)
+    u = np.exp(-gamma_per_s * t)
+    a = -t0 * xi * (1.0 - u) / s  # d(model)/d(eps), weighted
+    z = (y - t0) / s
+    denom = float(a @ a)
+    numer = float(a @ z)
+    eps_free = numer / denom if denom > 0 else 0.0
+    eps_max = 1.0 / xi
+    while eps_max * xi >= 1.0:
+        eps_max = math.nextafter(eps_max, 0.0)
+    eps = min(max(eps_free, 0.0), eps_max)
+    r = (temperature(t, t0, eps, xi, gamma_per_s) - y) / s
+    rss = float(r @ r)
+
+    converged = 0.0 < eps_free < eps_max
+    dof = t.size - 1
+    var_eps = (rss / dof) / denom if denom > 0 else math.inf
+    return FitResult(
+        params={"epsilon": eps},
+        uncertainties={"epsilon": math.sqrt(var_eps)},
+        residuals=r,
+        rss=rss,
+        dof=dof,
+        converged=converged,
+        iterations=1,
+        message="converged" if converged else "minimum at domain boundary",
+        model="temperature",
+    )
+
+
+@np.errstate(over="raise", divide="raise", invalid="raise")
+def fit_expansion_numpy(series):
+    """latticekit.protocols.fit_expansion on float arrays: numpy's pairwise
+    sums, mean and std."""
+    if len(series.times) < 3:
+        raise ValueError("need at least 3 distinct expansion times")
+    times, sigma, amplitude = (np.asarray(c, dtype=float) for c in series)
+    x = times**2
+    y = sigma**2
+    n = x.size
+    x_mean = x.mean()
+    y_mean = y.mean()
+    sxx = float(np.sum((x - x_mean) ** 2))
+    if sxx == 0:
+        raise ValueError("expansion times must not be all equal")
+    slope = float(np.sum((x - x_mean) * (y - y_mean))) / sxx
+    intercept = y_mean - slope * x_mean
+
+    resid = y - (intercept + slope * x)
+    s2 = float(np.sum(resid**2)) / (n - 2)
+    var_slope = s2 / sxx
+    var_intercept = s2 * (1.0 / n + x_mean**2 / sxx)
+
+    temp = slope * RB85.mass / CONST.kB
+    temp_err = math.sqrt(var_slope) * RB85.mass / CONST.kB
+    degenerate = bool(intercept <= 0)
+    if degenerate:
+        sigma0 = math.nan
+        sigma0_err = math.nan
+    else:
+        sigma0 = math.sqrt(intercept)
+        sigma0_err = math.sqrt(var_intercept) / (2.0 * sigma0)
+
+    counts = 2.0 * math.pi * y * amplitude
+    n_atoms = float(counts.mean())
+    n_err = float(counts.std(ddof=1) / math.sqrt(n))
+    return ExpansionFit(
+        temperature=temp,
+        temperature_err=temp_err,
+        sigma0=sigma0,
+        sigma0_err=sigma0_err,
+        n_atoms=n_atoms,
+        n_atoms_err=n_err,
+        degenerate=degenerate,
+    )

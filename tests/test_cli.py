@@ -453,7 +453,7 @@ def test_fit_decay_fixture(tmp_path, capsys):
 def test_fit_decay_chi2_counts_three_free_parameters(capsys):
     # beta is derived from xi, so the 20-row fixture leaves 20 - 3 = 17 dof
     data = os.path.join(FIXTURES, "decay_noisy.csv")
-    assert read_dataset(data, "population").t.size == 20
+    assert len(read_dataset(data, "population").t) == 20
     assert main(["fit", "--kind", "decay", "--data", data]) == 0
     text = capsys.readouterr().out
     rss = report_value(text, "rss")
@@ -606,7 +606,7 @@ def test_tof_writes_deterministic_series(tmp_path, capsys):
     assert main(["tof", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
     series = read_expansion(str(a))
-    assert series.times.size == 8
+    assert len(series.times) == 8
 
 
 def test_tof_requires_out(capsys):
@@ -627,7 +627,7 @@ def test_tof_accepts_zero_atoms(tmp_path, capsys):
     # an empty cloud is valid input: its amplitudes are 0, not negative
     out = tmp_path / "series.csv"
     assert main(["tof", "--out", str(out), "--sample.atom_number", "0"]) == 0
-    assert not read_expansion(str(out)).amplitude.any()
+    assert not any(read_expansion(str(out)).amplitude)
 
 
 # ---------------------------------------------------------------------------
@@ -888,10 +888,86 @@ def test_scalar_commands_run_without_numpy(tmp_path):
         ["simulate", "--model", "temperature", "--out", out("temperature.csv")],
         ["simulate", "--model", "combined", "--out", out("combined.csv")],
         ["bound", "--psd", os.path.join(FIXTURES, "psd_noisy.csv"), "--out", out("psd.txt")],
+        # the two linear fits, on the CRLF fixture and on the simulated series
+        ["fit", "--kind", "temperature", "--data",
+         os.path.join(FIXTURES, "temperature_noisy.csv"), "--out", out("crlf.txt")],
+        ["fit", "--kind", "temperature", "--data", out("temperature.csv"),
+         "--out", out("cooling.txt")],
+        ["fit", "--kind", "tof", "--data", os.path.join(FIXTURES, "tof_noisy.csv"),
+         "--out", out("tof.txt")],
     ])
     for name in ("cavity.txt.csv", "decay.csv", "temperature.csv", "combined.csv",
-                 "psd.txt.csv"):
+                 "psd.txt.csv", "crlf.txt", "crlf.txt.csv", "crlf.txt.residuals.csv",
+                 "cooling.txt", "cooling.txt.csv", "cooling.txt.residuals.csv",
+                 "tof.txt", "tof.txt.csv"):
         assert (tmp_path / name).exists(), name
+
+
+def test_fit_and_protocols_modules_import_without_numpy():
+    # -S: no site .pth file can import numpy on the modules' behalf
+    script = ("import sys, latticekit.fitting, latticekit.protocols\n"
+              "assert 'numpy' not in sys.modules, 'numpy was imported'")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=_SRC),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+# Runs pins of tests/pins.py in a fresh interpreter, whose environment selects
+# the OpenBLAS kernel, and prints the names whose pin moved.
+_KERNEL_SCRIPT = """
+import os
+import sys
+
+import pins
+
+table = pins.load_pins()
+moved = []
+for name in sys.argv[2:]:
+    directory = f"{sys.argv[1]}/{name}"
+    os.mkdir(directory)
+    if pins.pin(name, directory) != table[name]:
+        moved.append(name)
+print(" ".join(moved))
+"""
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Zen"])
+def test_linear_fit_pins_hold_under_every_blas_kernel(tmp_path, kernel):
+    # both linear fits sum with math.fsum, so no BLAS kernel reaches their bits
+    tests = os.path.dirname(os.path.abspath(__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, tests]),
+               OPENBLAS_CORETYPE=kernel)
+    runs = ["fit-temperature", "fit-temperature-crlf", "fit-tof"]
+    proc = subprocess.run([sys.executable, "-c", _KERNEL_SCRIPT, str(tmp_path), *runs],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [], f"pins moved under {kernel}: {proc.stdout}"
+
+
+@pytest.mark.parametrize("command", ["cavity", "trap"])
+def test_overflowing_mode_diameters_name_both_keys(capsys, command):
+    # each diameter is in its domain; their product under the effective
+    # waist's square root overflows
+    assert main([command, "--mode.diameter_sagittal_um", "1e200",
+                 "--mode.diameter_transversal_um", "1e200"]) == 2
+    assert capsys.readouterr().err == (
+        "error: effective_waist must be finite: mode.diameter_sagittal_um = 1e+200"
+        " and mode.diameter_transversal_um = 1e+200\n"
+    )
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize(("umask", "mode"), [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+def test_outputs_are_created_with_the_umask_mode(tmp_path, capsys, umask, mode):
+    out = tmp_path / "cavity.txt"
+    previous = os.umask(umask)
+    try:
+        assert main(["cavity", "--out", str(out)]) == 0
+    finally:
+        os.umask(previous)
+    for path in (out, tmp_path / "cavity.txt.csv"):
+        assert os.stat(path).st_mode & 0o777 == mode, oct(os.stat(path).st_mode)
 
 
 # Runs an array command in a fresh interpreter and prints the thread count

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from oracles import fit_epsilon_numpy
 
 from latticekit.evaporation import temperature
 from latticekit.fitting import (
@@ -50,19 +53,19 @@ def test_dataset_validation():
             Dataset(t=np.array(t), value=np.array(value),
                     sigma=None if sigma is None else np.array(sigma))
     ds = Dataset(t=np.array([0.0, 1.0]), value=np.array([2.0, 1.0]))
-    assert np.all(ds.sigma == 1.0)
+    assert ds.sigma == (1.0, 1.0)
 
 
 def test_dataset_make_and_replace_convert_and_check():
-    # the namedtuple API builds through __new__: float arrays, checked
-    made = Dataset._make([[0.0, 1.0, 2.0], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0]])
-    assert len(made) == 3  # the three fields; t.size is the row count
-    assert all(type(column) is np.ndarray and column.dtype == float
+    # the namedtuple API builds through __new__: tuples of floats, checked
+    made = Dataset._make([[0, 1.0, 2.0], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0]])
+    assert len(made) == 3  # the three fields; len(t) is the row count
+    assert all(type(column) is tuple and all(type(v) is float for v in column)
                for column in made)
     replaced = made._replace(value=[3.0, 2.0, 1.0])
-    assert type(replaced.value) is np.ndarray
-    assert np.array_equal(replaced.value, [3.0, 2.0, 1.0])
-    assert replaced.t is made.t and replaced.sigma is made.sigma
+    assert type(replaced.value) is tuple
+    assert replaced.value == (3.0, 2.0, 1.0)
+    assert replaced.t == made.t and replaced.sigma == made.sigma
     for value in ([3.0, 0.0, 1.0], [3.0, -2.0, 1.0]):
         with pytest.raises(ValueError, match="values must be positive"):
             made._replace(value=value)
@@ -141,7 +144,7 @@ def test_fit_determinism_bit_identical():
 
 def test_scale_equivariance():
     ds = decay_dataset(noise=0.02, seed=3)
-    scaled = Dataset(t=ds.t, value=7.3 * ds.value)
+    scaled = Dataset(t=ds.t, value=7.3 * np.asarray(ds.value))
     a = fit_decay(ds, RHO_T, GUESS)
     b = fit_decay(scaled, RHO_T, GUESS)
     assert rel(b.params["gamma_per_s"], a.params["gamma_per_s"]) < 1e-9
@@ -216,7 +219,7 @@ def test_residuals_zero_for_noiseless_self_fit():
 
 def test_halving_sigma_quadruples_chi2():
     ds = decay_dataset(noise=0.03, seed=2)
-    halved = Dataset(t=ds.t, value=ds.value, sigma=np.full(ds.t.size, 0.5))
+    halved = Dataset(t=ds.t, value=ds.value, sigma=np.full(len(ds.t), 0.5))
     r1 = fit_decay(ds, RHO_T, GUESS)
     r2 = fit_decay(halved, RHO_T, GUESS)
     assert rel(r2.rss, 4 * r1.rss) < 1e-12
@@ -239,12 +242,63 @@ def test_fit_carries_its_residuals_and_dof(kind, n_free):
         ds = decay_dataset(noise=0.03, seed=4, n_points=20, weighted=True)
         result = fit_decay(ds, RHO_T, GUESS)
         p = result.params
-        model = population(ds.t, p["n0"], p["gamma_per_s"], p["xi"])
+        # the decay fit evaluates its model on float arrays
+        model = population(np.asarray(ds.t), p["n0"], p["gamma_per_s"], p["xi"])
     else:
         ds = cooling_dataset(0.057, 2.80, 0.6, 123.0, noise=0.005, seed=4)
         result = fit_epsilon(ds, 2.80, 0.6, 123.0)
         model = temperature(ds.t, 123.0, result.params["epsilon"], 2.80, 0.6)
-    assert np.array_equal(result.residuals, (model - ds.value) / ds.sigma)
-    assert result.rss == float(result.residuals @ result.residuals)
-    assert result.dof == ds.t.size - n_free
+    assert np.array_equal(result.residuals, (np.asarray(model) - ds.value) / ds.sigma)
+    # the cooling-law fit sums with math.fsum, the decay fit with numpy
+    r = result.residuals
+    assert result.rss == (math.fsum(x * x for x in r) if kind == "temperature"
+                          else float(r @ r))
+    assert result.dof == len(ds.t) - n_free
     assert result.chi2_reduced == result.rss / result.dof
+
+
+# ---------------------------------------------------------------------------
+# the cooling-law fit against its numpy oracle
+
+def _noisy_cooling(n_points, weighted, seed):
+    """A seeded cooling series with 0.5% multiplicative noise, and the sigma
+    column of that noise when weighted."""
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.uniform(0.0, 6.0, n_points))
+    truth = np.asarray(temperature(t, 123.0, 0.057, 2.80, 0.6))
+    values = truth * (1 + 0.005 * rng.standard_normal(n_points))
+    return Dataset(t, values, 0.005 * truth if weighted else None)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "sigma"])
+@pytest.mark.parametrize("n_points", [3, 4, 7, 20, 200, 2000])
+def test_epsilon_fit_agrees_with_its_numpy_oracle(n_points, weighted):
+    for seed in range(5):
+        ds = _noisy_cooling(n_points, weighted, seed)
+        pure = fit_epsilon(ds, 2.80, 0.6, 123.0)
+        oracle = fit_epsilon_numpy(ds, 2.80, 0.6, 123.0)
+        for field in ("params", "uncertainties"):
+            a, b = getattr(pure, field)["epsilon"], getattr(oracle, field)["epsilon"]
+            assert abs(a - b) <= 1e-12 * abs(b), (field, seed)
+        assert abs(pure.rss - oracle.rss) <= 1e-12 * oracle.rss
+        # the residuals to 1e-12 of the largest one: a residual near 0 is a
+        # difference of nearly equal numbers, and moves by an ulp of them
+        gap = np.max(np.abs(np.subtract(pure.residuals, oracle.residuals)))
+        assert gap <= 1e-12 * np.max(np.abs(oracle.residuals))
+        assert (pure.dof, pure.converged, pure.message) == (
+            oracle.dof, oracle.converged, oracle.message)
+
+
+@pytest.mark.parametrize(("t0", "sigma"), [
+    (1e160, None),  # the squared derivative column overflows
+    (123.0, 1e-300),  # the weighted offsets from T0 overflow
+    (1e300, None),  # T0 xi itself overflows
+], ids=["T0-1e160", "sigma-1e-300", "T0-1e300"])
+def test_epsilon_fit_raises_where_its_numpy_oracle_raises(t0, sigma):
+    t = [0.0, 1.0, 2.0]
+    ds = Dataset(t, [123.0, 120.0, 117.0], None if sigma is None else [sigma] * 3)
+    with pytest.raises(FloatingPointError):
+        fit_epsilon_numpy(ds, 2.8125, 0.6, t0)
+    with np.errstate(all="ignore"):  # the policy is the fit's own
+        with pytest.raises(FloatingPointError):
+            fit_epsilon(ds, 2.8125, 0.6, t0)

@@ -5,11 +5,12 @@ import struct
 import numpy as np
 import pytest
 from conftest import make_lattice_state, state_a
-from oracles import ramp_reference
+from oracles import fit_expansion_numpy, ramp_reference
 
 from latticekit.config import load_config, state_from_config
 from latticekit.constants import CONST, RB85
 from latticekit.protocols import (
+    ExpansionFit,
     ExpansionSeries,
     expansion_sigma,
     fit_expansion,
@@ -287,11 +288,7 @@ def test_fit_expansion_order_invariant():
     times = np.linspace(0.5e-3, 6e-3, 8)
     series = synthesize_expansion(1e6, 123e-6, 40e-6, times, 0.01, 11)
     perm = np.array([3, 0, 7, 1, 5, 2, 6, 4])
-    shuffled = ExpansionSeries(
-        times=series.times[perm],
-        sigma=series.sigma[perm],
-        amplitude=series.amplitude[perm],
-    )
+    shuffled = ExpansionSeries(*(np.asarray(column)[perm] for column in series))
     a = fit_expansion(series)
     b = fit_expansion(shuffled)
     assert rel(a.temperature, b.temperature) < 1e-12
@@ -303,8 +300,8 @@ def test_expansion_series_converts_its_columns():
     from_lists = ExpansionSeries(*columns)
     from_arrays = ExpansionSeries(*(np.array(c) for c in columns))
     for a, b in zip(from_lists, from_arrays, strict=True):
-        assert type(a) is np.ndarray and a.dtype == float
-        assert np.array_equal(a, b)
+        assert type(a) is tuple and all(type(v) is float for v in a)
+        assert a == b
     assert fit_expansion(from_lists) == fit_expansion(from_arrays)
 
 
@@ -345,3 +342,33 @@ def test_expansion_functions_raise_whatever_the_callers_numpy_policy():
         with pytest.raises(FloatingPointError):
             fit_expansion(ExpansionSeries(times, np.full(3, 1e200), np.ones(3)))
         assert np.geterr() == before
+
+
+# ---------------------------------------------------------------------------
+# the expansion fit against its numpy oracle
+
+@pytest.mark.parametrize("n_times", [3, 4, 8, 20, 200, 2000])
+def test_expansion_fit_agrees_with_its_numpy_oracle(n_times):
+    for seed in range(5):
+        times = np.linspace(0.1e-3, 2e-3, n_times)
+        series = synthesize_expansion(3e6, 123e-6, 100e-6, times, 0.01, seed)
+        pure, oracle = fit_expansion(series), fit_expansion_numpy(series)
+        assert pure.degenerate == oracle.degenerate
+        for field, a, b in zip(ExpansionFit._fields, pure, oracle):
+            if field != "degenerate" and not (math.isnan(a) and math.isnan(b)):
+                assert abs(a - b) <= 1e-12 * abs(b), (field, seed)
+
+
+@pytest.mark.parametrize("columns", [
+    ([1e-3, 2e-3, 3e-3], [1e200] * 3, [1.0] * 3),  # sigma^2 overflows
+    ([1e200, 2e200, 3e200], [1e-4] * 3, [1.0] * 3),  # t^2 overflows
+    ([1e-3, 2e-3, 3e-3], [1.0] * 3, [1e308] * 3),  # the counts overflow
+    ([1e-3, 2e-3, 3e-3], [1e154] * 3, [1.0] * 3),  # the sum of sigma^2 overflows
+], ids=["sigma-1e200", "t-1e200", "amplitude-1e308", "sigma-1e154"])
+def test_expansion_fit_raises_where_its_numpy_oracle_raises(columns):
+    series = ExpansionSeries(*columns)
+    with pytest.raises(FloatingPointError):
+        fit_expansion_numpy(series)
+    with np.errstate(all="ignore"):  # the policy is the fit's own
+        with pytest.raises(FloatingPointError):
+            fit_expansion(series)

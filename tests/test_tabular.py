@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from latticekit.errors import ConfigError
 from latticekit.tabular import (
     _read_columns,
+    atomic_write_text,
     columns_csv,
     read_dataset,
     read_expansion,
@@ -76,20 +77,20 @@ def test_readers_accept_crlf_padding_and_blank_lines(tmp_path):
         " t_s , T_uK \r\n\r\n 0 ,1_0\r\n  \r\n0.5,\t8.5 \r\n",
     )
     dataset = read_dataset(str(path), "temperature")
-    assert dataset.t.tolist() == [0.0, 0.5]
-    assert dataset.value.tolist() == [10.0, 8.5]
-    assert dataset.sigma.tolist() == [1.0, 1.0]  # unweighted
+    assert dataset.t == (0.0, 0.5)
+    assert dataset.value == (10.0, 8.5)
+    assert dataset.sigma == (1.0, 1.0)  # unweighted
 
 
 def test_three_column_readers(tmp_path):
     population = _write(tmp_path / "n.csv", "t_s,N,sigma\n0,4,0.5\n1,3,0.25\n")
     dataset = read_dataset(str(population), "population")
-    assert dataset.sigma.tolist() == [0.5, 0.25]
+    assert dataset.sigma == (0.5, 0.25)
     expansion = _write(tmp_path / "e.csv", "t_ms,sigma_um,amplitude\n1,40,7\n2,50,6\n")
     series = read_expansion(str(expansion))
-    assert series.times.tolist() == [1 * 1e-3, 2 * 1e-3]
-    assert series.sigma.tolist() == [40 * 1e-6, 50 * 1e-6]
-    assert series.amplitude.tolist() == [7.0, 6.0]
+    assert series.times == (1 * 1e-3, 2 * 1e-3)
+    assert series.sigma == (40 * 1e-6, 50 * 1e-6)
+    assert series.amplitude == (7.0, 6.0)
     spectrum = _write(tmp_path / "s.csv", "freq_hz,S_rel_per_hz\n10,1e-12\n20,2e-12\n")
     assert read_noise_spectrum(str(spectrum)) == ((10.0, 20.0), (1e-12, 2e-12))
 
@@ -196,3 +197,24 @@ def test_reader_matches_the_per_line_oracle(text):
     else:
         _header, rows = expected
         assert got == [list(c) for c in zip(*rows)]
+
+
+def test_atomic_write_steps_over_a_stale_temporary_file(tmp_path):
+    # the temporary file a crashed run left, whose pid this process reuses
+    stale = tmp_path / f"tmp{os.getpid()}_0.tmp"
+    stale.write_text("half a table")
+    target = tmp_path / "out.txt"
+    for text in ("first\n", "second\n"):
+        atomic_write_text(str(target), text)
+        assert target.read_text() == text
+    assert stale.read_text() == "half a table"  # never opened, never removed
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([stale.name, "out.txt"])
+
+
+def test_atomic_write_failure_names_the_path_and_removes_its_file(tmp_path):
+    target = tmp_path / "out.txt"
+    target.mkdir()  # os.replace cannot put a file over a directory
+    with pytest.raises(OSError) as info:
+        atomic_write_text(str(target), "text\n")
+    assert info.value.filename == str(target)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.txt"]
