@@ -958,7 +958,8 @@ def test_overflowing_mode_diameters_name_both_keys(capsys, command):
 
 
 @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
-@pytest.mark.parametrize(("umask", "mode"), [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)])
+@pytest.mark.parametrize(("umask", "mode"), [(0o022, 0o644), (0o077, 0o600), (0o002, 0o664)],
+                         ids=["umask-022", "umask-077", "umask-002"])
 def test_outputs_are_created_with_the_umask_mode(tmp_path, capsys, umask, mode):
     out = tmp_path / "cavity.txt"
     previous = os.umask(umask)
