@@ -16,9 +16,9 @@ natural linewidth (rad/s) and the (D2, D1) relative dipole weights.
 
 DOMAINS defines each value domain of the config schema and the records once.
 CheckedRecord is the records' one construction path: the constructor, _make,
-_replace, pickle and copy all check and convert through it. _all_finite is
-the records' finiteness test of a float sequence, and _fsum the one checked
-sum of the fits that run without numpy.
+_replace, pickle and copy all check and convert through it. _float_tuple
+and _all_finite convert and test the float columns of the fit records, and
+_fsum is the one checked sum of the fits that run without numpy.
 """
 
 import math
@@ -66,6 +66,14 @@ class CheckedRecord:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
+
+
+def _float_tuple(column):
+    """column as a tuple of floats. A tuple of floats is returned as it is,
+    so _replace carries a record's unchanged columns over uncopied."""
+    if type(column) is tuple and set(map(type, column)) <= {float}:
+        return column
+    return tuple(map(float, column))
 
 
 def _all_finite(values):

@@ -24,7 +24,7 @@ import math
 from collections import namedtuple
 from operator import lt, mul
 
-from .constants import CheckedRecord, _all_finite, _fsum
+from .constants import CheckedRecord, _all_finite, _float_tuple, _fsum
 from .evaporation import temperature
 from .losses import population, xi_from_beta
 
@@ -40,7 +40,7 @@ class Dataset(CheckedRecord, namedtuple("Dataset", "t value sigma", defaults=(No
         columns = ()
         try:
             if all(getattr(c, "ndim", 1) == 1 for c in given):  # an array states its ndim
-                columns = [tuple(map(float, c)) for c in given]
+                columns = [_float_tuple(c) for c in given]
         except TypeError:  # a scalar, or a nested row
             pass
         if len(set(map(len, columns))) != 1:

@@ -13,9 +13,8 @@ Cooling plus heating is evaporation.temperature with gamma_tot > 0.
 import bisect
 import math
 from collections import namedtuple
-from operator import lt
 
-from .constants import CheckedRecord, _all_finite
+from .constants import CheckedRecord
 from .errors import DomainError
 from .evaporation import temperature
 
@@ -30,11 +29,11 @@ class NoiseSpectrum(CheckedRecord, namedtuple("NoiseSpectrum", "freq_hz s_rel_pe
         f, s = (tuple(map(float, c)) for c in self)
         if len(f) < 2 or len(f) != len(s):
             raise ValueError("spectrum needs matching 1-d arrays, >= 2 points")
-        if not _all_finite(f + s):
+        if not all(map(math.isfinite, f + s)):
             raise ValueError("freq_hz and s_rel_per_hz must be finite")
-        if f[0] <= 0 or not all(map(lt, f, f[1:])):
+        if f[0] <= 0 or any(b <= a for a, b in zip(f, f[1:])):
             raise ValueError("frequencies must be positive and increasing")
-        if min(s) < 0:
+        if any(v < 0 for v in s):
             raise ValueError("spectral density must be >= 0")
         return f, s
 

@@ -16,7 +16,7 @@ import math
 from collections import namedtuple
 from operator import mul
 
-from .constants import CONST, RB85, CheckedRecord, _all_finite, _fsum
+from .constants import CONST, RB85, CheckedRecord, _all_finite, _float_tuple, _fsum
 
 
 def expansion_sigma(sigma0, temperature, t):
@@ -45,7 +45,7 @@ class ExpansionSeries(CheckedRecord, namedtuple("ExpansionSeries", "times sigma 
     __slots__ = ()
 
     def _checked(self):
-        times, sigma, amplitude = (tuple(map(float, c)) for c in self)
+        times, sigma, amplitude = map(_float_tuple, self)
         if not (len(times) == len(sigma) == len(amplitude)):
             raise ValueError("series columns must have equal length")
         if not _all_finite(times + sigma + amplitude):

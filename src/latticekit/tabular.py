@@ -21,7 +21,6 @@ import math
 import os
 from itertools import count, repeat
 
-from .constants import _all_finite
 from .errors import ConfigError
 
 TRAJECTORY_DIGITS = 9
@@ -88,27 +87,26 @@ def format_value(value, sig_digits=None):
     return str(value)
 
 
-def columns_csv(header, columns, cell_formats=None):
-    """CSV text of equal-length columns under header, each cell in the %
-    format cell_formats gives its column, by default %.9g (the bytes of
-    format(v, ".9g"): TRAJECTORY_DIGITS significant digits). One % formats
-    the whole table: the template is the header plus one line of cells per
-    row, and the tuple holds every cell in row order. Like zip, it stops at
-    the shortest column."""
+def columns_csv(header, columns):
+    """CSV text of equal-length float columns under header, each cell to
+    TRAJECTORY_DIGITS significant digits. One % formats the whole table:
+    the template is the header plus one line of %.9g cells (the bytes of
+    format(v, ".9g")) per row, and the tuple holds every cell in row order.
+    Like zip, it stops at the shortest column."""
     width, length = len(columns), min(map(len, columns), default=0)
     cells = [None] * (width * length)
     for i, column in enumerate(columns):
         cells[i::width] = column[:length]
-    formats = cell_formats or [f"%.{TRAJECTORY_DIGITS}g"] * len(header)
-    template = ",".join(header).replace("%", "%%") + "\n" + (",".join(formats) + "\n") * length
+    row = ",".join([f"%.{TRAJECTORY_DIGITS}g"] * len(header)) + "\n"
+    template = ",".join(header).replace("%", "%%") + "\n" + row * length
     return template % tuple(cells)
 
 
 def residuals_csv(residuals):
     """index,residual CSV text of a fit's residuals, each as its round-trip
     repr."""
-    values = tuple(map(float, residuals))
-    return columns_csv(("index", "residual"), (range(len(values)), values), ("%d", "%r"))
+    rows = map("%d,%r\n".__mod__, enumerate(map(float, residuals)))
+    return "index,residual\n" + "".join(rows)
 
 
 def write_columns(path, header, columns):
@@ -154,7 +152,7 @@ def _read_columns(path, headers, source_kind):
             cells = list(map(float, ",".join(body).split(",")))
         except ValueError:
             pass
-    if cells is None or not _all_finite(cells):
+    if cells is None or not all(map(math.isfinite, cells)):
         raise ConfigError(_first_bad_line(path, lines, width))
     return [cells[i::width] for i in range(width)]
 
