@@ -16,9 +16,9 @@ natural linewidth (rad/s) and the (D2, D1) relative dipole weights.
 
 DOMAINS defines each value domain of the config schema and the records once.
 CheckedRecord is the records' one construction path: the constructor, _make,
-_replace, pickle and copy all check and convert through it. _float_tuple
-and _all_finite convert and test the float columns of the fit records, and
-_fsum is the one checked sum of the fits that run without numpy.
+_replace, pickle and copy all check and convert through it, the float
+columns of the series records included, so what a valid column is lives
+here only. _fsum is the one checked sum of the fits that run without numpy.
 """
 
 import math
@@ -37,28 +37,61 @@ DOMAINS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, "in [0, 1]": lambda
 
 
 class CheckedRecord:
-    """Base listed before a record's namedtuple. Each (field, domain, message)
-    row of _domains refuses a non-finite field and one outside DOMAINS[domain]
-    with ValueError; _checked then converts, checks the rules that join fields
-    and returns the fields to store."""
+    """Base listed before a record's namedtuple. Each field of _columns becomes
+    a tuple of finite floats (a given tuple of floats is kept as it is) or,
+    if its default is None, may be None. Each (field, domain, message) row
+    of _domains then refuses a value outside DOMAINS[domain] with
+    ValueError, a column by its least cell (every column domain is a lower
+    bound), a scalar also when not finite. _checked then checks the rules
+    that join cells or fields and returns the fields to store."""
 
     __slots__ = ()
+    _columns = ()
     _domains = ()
 
     def __new__(cls, *args, **kwargs):
         # the namedtuple binds the arguments by name and fills its defaults
         self = super().__new__(cls, *args, **kwargs)
-        for field, domain, message in self._domains:
+        if cls._columns:
+            self = tuple.__new__(cls, self._float_columns())
+        for field, domain, message in cls._domains:
             value = getattr(self, field)
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an int beyond the float range
-                finite = False
-            if not finite:
-                raise ValueError(f"{field} must be finite")
+            if field in cls._columns:
+                if not value:  # None, or no cells
+                    continue
+                value = min(value)
+            else:
+                try:
+                    finite = math.isfinite(value)
+                except OverflowError:  # an int beyond the float range
+                    finite = False
+                if not finite:
+                    raise ValueError(f"{field} must be finite")
             if not DOMAINS[domain](value):
                 raise ValueError(message)
         return tuple.__new__(cls, self._checked())
+
+    def _float_columns(self):
+        """The field values, each column a tuple of finite floats."""
+        fields = self._asdict()
+        given = [n for n in self._columns
+                 if fields[n] is not None or self._field_defaults.get(n, 0) is not None]
+        listed = " and ".join(", ".join(self._columns).rsplit(", ", 1))  # "t, value and sigma"
+        columns = ()
+        try:
+            if all(getattr(fields[name], "ndim", 1) == 1 for name in given):  # an array states its ndim
+                columns = [c if type(c) is tuple and set(map(type, c)) <= {float}
+                           else tuple(map(float, c)) for c in map(fields.get, given)]
+        except TypeError:  # a scalar, or a nested row
+            pass
+        if len(set(map(len, columns))) != 1:
+            raise ValueError(f"{listed} must be 1-d of equal length")
+        # a finite float sum has only finite cells; an overflowing one needs the cell test
+        if not (math.isfinite(sum(map(sum, columns)))
+                or all(math.isfinite(v) for c in columns for v in c)):
+            raise ValueError(f"{listed} must be finite")
+        fields.update(zip(given, columns))
+        return fields.values()
 
     def _checked(self):
         return self
@@ -66,21 +99,6 @@ class CheckedRecord:
     @classmethod
     def _make(cls, iterable):
         return cls(*iterable)
-
-
-def _float_tuple(column):
-    """column as a tuple of floats. A tuple of floats is returned as it is,
-    so _replace carries a record's unchanged columns over uncopied."""
-    if type(column) is tuple and set(map(type, column)) <= {float}:
-        return column
-    return tuple(map(float, column))
-
-
-def _all_finite(values):
-    """True if every float of the sequence values is finite. A float sum is
-    finite only if every term is, so only a sum that overflows needs the
-    test term by term."""
-    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
 
 
 def _fsum(terms):

@@ -4,7 +4,8 @@ A damped Gauss-Newton engine with Marquardt scaling binds the closed-form
 models to measured series: (gamma, beta) from N(t) data and the
 energy-removal coefficient from T(t) data. The models themselves are
 losses.population and evaporation.temperature. A Dataset record holds the
-series as tuples of floats, checked however it is built. Each fit returns a
+series as float columns that constants.CheckedRecord checks; Dataset adds
+only increasing times and the default sigma. Each fit returns a
 FitResult record with the weighted residuals (model - data)/sigma at its
 optimum, their sum of squares and the degrees of freedom (points minus free
 parameters: 3 for the decay, 1 for the cooling law), so the reduced chi^2
@@ -24,40 +25,26 @@ import math
 from collections import namedtuple
 from operator import lt, mul
 
-from .constants import CheckedRecord, _all_finite, _float_tuple, _fsum
+from .constants import CheckedRecord, _fsum
 from .evaporation import temperature
 from .losses import population, xi_from_beta
 
 
 class Dataset(CheckedRecord, namedtuple("Dataset", "t value sigma", defaults=(None,))):
-    """Timestamped measurement series, any sequences converted to tuples of
-    floats; sigma defaults to 1 (unweighted). len(t) is the row count."""
+    """Timestamped measurement series, three float columns; sigma defaults
+    to 1 (unweighted). len(t) is the row count."""
 
     __slots__ = ()
+    _columns = ("t", "value", "sigma")
+    _domains = (("t", ">= 0", "times must be >= 0"),
+                ("value", "> 0", "values must be positive"),
+                ("sigma", "> 0", "sigmas must be positive"))
 
     def _checked(self):
-        given = (self.t, self.value) if self.sigma is None else tuple(self)
-        columns = ()
-        try:
-            if all(getattr(c, "ndim", 1) == 1 for c in given):  # an array states its ndim
-                columns = [_float_tuple(c) for c in given]
-        except TypeError:  # a scalar, or a nested row
-            pass
-        if len(set(map(len, columns))) != 1:
-            raise ValueError("t, value and sigma must be 1-d of equal length")
-        t, v, *s = columns
-        s = s[0] if s else (1.0,) * len(v)
-        if not _all_finite(t + v + s):
-            raise ValueError("t, value and sigma must be finite")
-        if min(t, default=0.0) < 0:
-            raise ValueError("times must be >= 0")
+        t, value, sigma = self
         if not all(map(lt, t, t[1:])):
             raise ValueError("times must be strictly increasing")
-        if min(v, default=1.0) <= 0:
-            raise ValueError("values must be positive")
-        if min(s, default=1.0) <= 0:
-            raise ValueError("sigmas must be positive")
-        return t, v, s
+        return t, value, (1.0,) * len(t) if sigma is None else sigma
 
 
 class FitResult(namedtuple(

@@ -6,13 +6,15 @@ HeatingRates record stores the axial and radial rates; its gamma_total
 property is their thermal-equilibrium weighting
 gamma_tot = (gamma_a + 2 gamma_r) / 3. The one-sided PSD convention with
 units 1/Hz for relative fluctuations is used throughout, including the CSV
-file format.
+file format. constants.CheckedRecord checks NoiseSpectrum's two float columns;
+the record adds only at least 2 points and increasing frequencies.
 Cooling plus heating is evaporation.temperature with gamma_tot > 0.
 """
 
 import bisect
 import math
 from collections import namedtuple
+from operator import lt
 
 from .constants import CheckedRecord
 from .errors import DomainError
@@ -20,22 +22,20 @@ from .evaporation import temperature
 
 
 class NoiseSpectrum(CheckedRecord, namedtuple("NoiseSpectrum", "freq_hz s_rel_per_hz")):
-    """One-sided PSD of relative well-depth fluctuations (1/Hz); any
-    sequences are converted to tuples of floats."""
+    """One-sided PSD of relative well-depth fluctuations (1/Hz) over
+    frequency (Hz), two float columns."""
 
     __slots__ = ()
+    _columns = ("freq_hz", "s_rel_per_hz")
+    _domains = (("freq_hz", "> 0", "frequencies must be positive and increasing"),
+                ("s_rel_per_hz", ">= 0", "spectral density must be >= 0"))
 
     def _checked(self):
-        f, s = (tuple(map(float, c)) for c in self)
-        if len(f) < 2 or len(f) != len(s):
+        if len(self.freq_hz) < 2:
             raise ValueError("spectrum needs matching 1-d arrays, >= 2 points")
-        if not all(map(math.isfinite, f + s)):
-            raise ValueError("freq_hz and s_rel_per_hz must be finite")
-        if f[0] <= 0 or any(b <= a for a, b in zip(f, f[1:])):
+        if not all(map(lt, self.freq_hz, self.freq_hz[1:])):
             raise ValueError("frequencies must be positive and increasing")
-        if any(v < 0 for v in s):
-            raise ValueError("spectral density must be >= 0")
-        return f, s
+        return self
 
     def value_at(self, freq: float) -> float:
         """Interpolate linearly in log-frequency; no extrapolation.

@@ -3,8 +3,9 @@
 A cloud released from the lattice expands as
 sigma^2(t) = sigma0^2 + (kB T / m) t^2; the series generator adds seeded
 fractional width noise and the fit solves the linear least squares in t^2.
-The atom is 85Rb: m is constants.RB85.mass. An ExpansionSeries holds tuples
-of floats. expansion_sigma and synthesize_expansion evaluate on arrays and
+The atom is 85Rb: m is constants.RB85.mass. An ExpansionSeries holds three
+float columns, converted and checked by constants.CheckedRecord against its
+_domains rows alone. expansion_sigma and synthesize_expansion evaluate on arrays and
 import numpy when they run, under numpy's raise policy: an overflow, a
 division by zero (a zero width at t = 0) or an invalid value raises
 FloatingPointError. fit_expansion is plain float code whose every sum is a
@@ -16,7 +17,7 @@ import math
 from collections import namedtuple
 from operator import mul
 
-from .constants import CONST, RB85, CheckedRecord, _all_finite, _float_tuple, _fsum
+from .constants import CONST, RB85, CheckedRecord, _fsum
 
 
 def expansion_sigma(sigma0, temperature, t):
@@ -39,24 +40,13 @@ def expansion_sigma(sigma0, temperature, t):
 
 class ExpansionSeries(CheckedRecord, namedtuple("ExpansionSeries", "times sigma amplitude")):
     """Expansion widths sigma (m) versus flight time (s) with amplitudes in
-    counts (peak areal density scale), stored as tuples of floats. Times must
-    be >= 0, widths positive and amplitudes >= 0."""
+    counts (peak areal density scale), three float columns."""
 
     __slots__ = ()
-
-    def _checked(self):
-        times, sigma, amplitude = map(_float_tuple, self)
-        if not (len(times) == len(sigma) == len(amplitude)):
-            raise ValueError("series columns must have equal length")
-        if not _all_finite(times + sigma + amplitude):
-            raise ValueError("times, sigma and amplitude must be finite")
-        if min(times, default=0.0) < 0:
-            raise ValueError("expansion times must be >= 0")
-        if min(sigma, default=1.0) <= 0:
-            raise ValueError("expansion widths must be positive")
-        if min(amplitude, default=0.0) < 0:
-            raise ValueError("expansion amplitudes must be >= 0")
-        return times, sigma, amplitude
+    _columns = ("times", "sigma", "amplitude")
+    _domains = (("times", ">= 0", "expansion times must be >= 0"),
+                ("sigma", "> 0", "expansion widths must be positive"),
+                ("amplitude", ">= 0", "expansion amplitudes must be >= 0"))
 
 
 def synthesize_expansion(n_atoms, temperature, sigma0, times, noise_sigma,

@@ -40,6 +40,9 @@ class RampProfile(CheckedRecord, namedtuple("RampProfile", "u_initial u_final du
                 ("duration", ">= 0", "duration must be >= 0"))
 
     def depth_at(self, fraction: float) -> float:
+        # u_final itself at the end, which the linear form loses far below u_initial
+        if fraction == 1.0:
+            return self.u_final
         return self.u_initial + (self.u_final - self.u_initial) * fraction
 
 

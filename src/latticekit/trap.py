@@ -19,7 +19,8 @@ is vertical.
 
 Every function models 85Rb and reads its data from constants.RB85. The
 well (TrapParameters) and the sample (TrapState) are constants.CheckedRecord
-records, checked however they are built. Each stores only its inputs: the
+records, checked however they are built; TrapState's envelope widths are a
+float column of the base. Each stores only its inputs: the
 secular frequencies, the per-well thermal widths and the well spacing are
 properties derived from them, so a record built by _replace never holds a
 stale derived value. RegimeFlags is a plain namedtuple of four flags.
@@ -169,22 +170,21 @@ class TrapState(CheckedRecord, namedtuple(
     "TrapState", "n_atoms temperature trap envelope_sigma"
 )):
     """Sample of N atoms at temperature T (K) in a given trap, with the
-    (x, y, z) widths (m) of the Gaussian envelope of well populations stored
-    as a tuple of floats. The per-well widths are thermal at T."""
+    (x, y, z) widths (m) of the Gaussian envelope of well populations, a
+    float column. The per-well widths are thermal at T."""
 
     __slots__ = ()
+    _columns = ("envelope_sigma",)
     _domains = (("n_atoms", ">= 0", "atom number must be >= 0"),
-                ("temperature", "> 0", "temperature must be > 0"))
+                ("temperature", "> 0", "temperature must be > 0"),
+                ("envelope_sigma", "> 0", "all widths must be positive"))
 
     def _checked(self):
-        envelope = tuple(map(float, self.envelope_sigma))
-        if len(envelope) != 3:
+        if len(self.envelope_sigma) != 3:
             raise ValueError("the envelope needs 3 widths (x, y, z)")
-        if not all(map(math.isfinite, envelope)):
-            raise ValueError("envelope_sigma must be finite")
-        if any(s <= 0 for s in envelope + self.per_well_sigma):
+        if min(self.per_well_sigma) <= 0:
             raise ValueError("all widths must be positive")
-        return self.n_atoms, self.temperature, self.trap, envelope
+        return self
 
     @property
     def per_well_sigma(self) -> tuple:

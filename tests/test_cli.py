@@ -429,6 +429,17 @@ def test_ramp_report_contains_adiabatic_reference(capsys):
     assert "adiabatic_reference_uK = 79.7" in text
 
 
+@pytest.mark.parametrize("mode", ["collision-gated", "instant", "off"])
+def test_ramp_to_a_depth_far_below_the_first_reports_no_nan(capsys, mode):
+    # 1e-20 of the 350 uK start: the last depth is the configured one, not 0 J
+    assert main(["ramp", "--ramp.depth_final_uK", "3.5e-18",
+                 "--ramp.rethermalization", mode]) == 0
+    text = capsys.readouterr().out
+    for key in ("T_final_uK", "N_final", "adiabatic_reference_uK", "eta_final"):
+        assert math.isfinite(report_value(text, key)), key
+    assert report_value(text, "T_final_uK") > 0
+
+
 # ---------------------------------------------------------------------------
 # fit
 

@@ -191,9 +191,36 @@ def _same(a, b):
     )
 
 
-@pytest.mark.parametrize(("record", "field", "bad", "text"), CHECKED,
-                         ids=[*(type(c[0]).__name__ for c in CHECKED[:-1]),
-                              "CavitySpec-list"])
+# A value just outside each domain that a _domains row names: the float
+# next to the bound, at both ends of an interval.
+OUTSIDE = {"> 0": (0.0,), ">= 0": (-5e-324,), "in [0, 1]": (-5e-324, math.nextafter(1.0, 2.0))}
+
+# One record of each checked kind, in its domain, and its float columns.
+KINDS = {type(c[0]): c[0] for c in CHECKED}
+COLUMNS = {kind: [field for field, value in record._asdict().items()
+                  if type(value) is tuple and all(type(v) is float for v in value)]
+           for kind, record in KINDS.items()}
+
+
+def _domain_rows():
+    """A CHECKED row for each _domains row of every record at each value of
+    OUTSIDE, given as the field or as the first cell of a column."""
+    rows = []
+    for kind, record in KINDS.items():
+        for field, domain, text in record._domains:
+            column = field in COLUMNS[kind]
+            slot = f"{kind.__name__}.{field}[0]" if column else f"{kind.__name__}.{field}"
+            for bad in OUTSIDE[domain]:
+                value = [bad, *getattr(record, field)[1:]] if column else bad
+                rows.append(pytest.param(record, field, value, text, id=f"{slot}={bad!r}"))
+    return rows
+
+
+@pytest.mark.parametrize(("record", "field", "bad", "text"), [
+    *(pytest.param(*c, id=type(c[0]).__name__) for c in CHECKED[:-1]),
+    pytest.param(*CHECKED[-1], id="CavitySpec-list"),
+    *_domain_rows(),
+])
 def test_every_construction_path_checks(record, field, bad, text):
     # a list field would stay mutable behind the checks
     assert not any(isinstance(value, list) for value in record)
@@ -209,6 +236,31 @@ def test_every_construction_path_checks(record, field, bad, text):
         record._replace(**{field: bad})
     with pytest.raises(ValueError, match=re.escape(text)):
         type(record)._make(fields.values())
+
+
+# Each column of every column record given a scalar, a 2-d array (one row
+# per cell) or, beside other columns, one cell too few.
+SHAPES = [
+    pytest.param(record, field, bad, id=f"{type(record).__name__}.{field}-{shape}")
+    for kind, record in KINDS.items()
+    for field in COLUMNS[kind]
+    for shape, bad in (("scalar", 1.0), ("2-d", np.array(getattr(record, field))[:, None]),
+                       ("short", getattr(record, field)[:-1]))
+    if shape != "short" or len(COLUMNS[kind]) > 1
+]
+
+
+@pytest.mark.parametrize(("record", "field", "bad"), SHAPES)
+def test_column_shape_errors_are_value_errors(record, field, bad):
+    fields = record._asdict()
+    fields[field] = bad
+    text = "must be 1-d of equal length"
+    with pytest.raises(ValueError, match=text):
+        type(record)(**fields)
+    with pytest.raises(ValueError, match=text):
+        type(record)._make(fields.values())
+    with pytest.raises(ValueError, match=text):
+        record._replace(**{field: bad})
 
 
 # Every checked record at in-domain values. Each float field, and each float

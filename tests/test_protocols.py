@@ -185,11 +185,6 @@ RAISING = [
     pytest.param((A, FALLING, -1e15, "instant", 7), OverflowError, id="negative-density"),
     pytest.param((A, FALLING, -1e20, "collision-gated", 7), ValueError,
                  id="negative-density-cools-to-0-K"),
-    pytest.param((A, RampProfile(U_350, U_350 * 1e-20, 0.070), RHO_BAR_A, "off", 7),
-                 ValueError, id="last-depth-rounds-to-0"),
-    # a nan density makes T nan, so the zero depth fails beta_esc's check
-    pytest.param((A, RampProfile(U_350, U_350 * 1e-20, 0.070), math.nan, "instant", 7),
-                 ValueError, id="nan-density-to-0-depth"),
     pytest.param((A, RampProfile(U_350, U_147, 5e-324), RHO_BAR_A, "off", 7),
                  ZeroDivisionError, id="step-underflows"),
     pytest.param((TINY, RampProfile(TINY.trap.u0, TINY.trap.u0 * 1e-15, 0.070), RHO_BAR_A,
@@ -206,6 +201,33 @@ def test_ramp_raises_what_its_reference_loop_raises(inputs, error):
         for steps in (1, 7):
             result, reference = _outcome(*inputs[:3], rethermalization, steps)
             assert result == reference, (rethermalization, steps)
+
+
+# Ramps whose last depth lies so far below the first that the linear form of
+# the depth would lose it (to 0 J at 1e-20, to 1.3% low at 1e-12): each ends
+# on u_final in every mode and step count, as its reference loop does, so
+# without evaporation it ends on the adiabatic temperature.
+FAR_BELOW = [
+    pytest.param(RampProfile(U_350, U_350 * 1e-20, 0.070), RHO_BAR_A,
+                 id="last-depth-1e-20-of-the-first"),
+    pytest.param(RampProfile(U_350, U_350 * 1e-12, 0.070), RHO_BAR_A,
+                 id="last-depth-1e-12-of-the-first"),
+    # a nan density makes T nan in the evaporating modes, and raises nowhere
+    pytest.param(RampProfile(U_350, U_350 * 1e-20, 0.070), math.nan, id="nan-density"),
+]
+
+
+@pytest.mark.parametrize(("profile", "rho"), FAR_BELOW)
+def test_ramp_ends_on_its_final_depth(profile, rho):
+    assert profile.depth_at(1.0) == profile.u_final
+    for rethermalization in RETHERMALIZATION_MODES:
+        for steps in (1, 7, 1024):
+            result, reference = _outcome(A, profile, rho, rethermalization, steps)
+            assert result == reference, (rethermalization, steps)
+            ramp = ramp_simulate(A, profile, rho, rethermalization, steps)
+            if rethermalization == "off":
+                assert rel(ramp.t_final, ramp.adiabatic_reference) < 1e-12, steps
+            assert math.isnan(ramp.t_final) is (math.isnan(rho) and rethermalization != "off")
 
 
 @pytest.mark.parametrize(("rethermalization", "steps"), [("sometimes", 7), ("off", 0)])
