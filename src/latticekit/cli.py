@@ -254,17 +254,18 @@ def cmd_simulate(cfg, args):
 
 
 def _emit_fit(result, out):
-    for name, value in result.params.items():
-        _reject_nan(name, value)
-        _reject_nan(f"{name} uncertainty", result.uncertainties[name])
-    _reject_nan("rss", result.rss)  # chi2_reduced = rss / dof follows suit
     lines = [f"model = {result.model}"]
+    csv_lines = ["param,value,uncertainty"]
     for name, value in result.params.items():
         err = result.uncertainties[name]
+        _reject_nan(name, value)
+        _reject_nan(f"{name} uncertainty", err)
         lines.append(
             f"{name} = {format_value(value, REPORT_DIGITS)}"
             f" +- {format_value(err, REPORT_DIGITS)}"
         )
+        csv_lines.append(f"{name},{format_value(value)},{format_value(err)}")
+    _reject_nan("rss", result.rss)  # chi2_reduced = rss / dof follows suit
     lines += [
         f"rss = {format_value(result.rss, REPORT_DIGITS)}",
         f"chi2_reduced = {format_value(result.chi2_reduced, REPORT_DIGITS)}",
@@ -274,11 +275,6 @@ def _emit_fit(result, out):
     ]
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
-
-    csv_lines = ["param,value,uncertainty"]
-    for name, value in result.params.items():
-        err = result.uncertainties[name]
-        csv_lines.append(f"{name},{format_value(float(value))},{format_value(float(err))}")
     if out:
         atomic_write_text(out, text)
         atomic_write_text(out + ".csv", "\n".join(csv_lines) + "\n")

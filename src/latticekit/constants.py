@@ -14,11 +14,12 @@ RB85 is a Species namedtuple holding the data of the two-line (D2 + D1) trap
 model: the mass (kg), the D2 and D1 transition wavelengths (m), the D2
 natural linewidth (rad/s) and the (D2, D1) relative dipole weights.
 
-DOMAINS defines each value domain of the config schema and the records once.
-CheckedRecord is the records' one construction path: the constructor, _make,
-_replace, pickle and copy all check and convert through it, the float
-columns of the series records included, so what a valid column is lives
-here only. _fsum is the one checked sum of the fits that run without numpy.
+DOMAINS defines each value domain of the config schema and the records once,
+_all_finite the one finiteness test of a float column, which the records and
+the CSV reader and writer share. CheckedRecord is the records' one
+construction path: the constructor, _make, _replace, pickle and copy all
+check and convert through it, the float columns included, so what a valid
+column is lives here only. _fsum is the one checked sum of the pure fits.
 """
 
 import math
@@ -34,6 +35,12 @@ Species = namedtuple(
 # each domain by the name its error messages give it
 DOMAINS = {"> 0": lambda v: v > 0, ">= 0": lambda v: v >= 0, "in [0, 1]": lambda v: 0 <= v <= 1,
            ">= 1": lambda v: v >= 1, ">= 2": lambda v: v >= 2, ">= 3": lambda v: v >= 3}
+
+
+def _all_finite(cells):
+    """Whether every cell of a float sequence is finite: a finite sum has only
+    finite terms, so only a sum that is not finite walks the cells."""
+    return math.isfinite(sum(cells)) or all(map(math.isfinite, cells))
 
 
 class CheckedRecord:
@@ -86,9 +93,7 @@ class CheckedRecord:
             pass
         if len(set(map(len, columns))) != 1:
             raise ValueError(f"{listed} must be 1-d of equal length")
-        # a finite float sum has only finite cells; an overflowing one needs the cell test
-        if not (math.isfinite(sum(map(sum, columns)))
-                or all(math.isfinite(v) for c in columns for v in c)):
+        if not all(map(_all_finite, columns)):
             raise ValueError(f"{listed} must be finite")
         fields.update(zip(given, columns))
         return fields.values()

@@ -58,16 +58,12 @@ def synthesize_expansion(n_atoms, temperature, sigma0, times, noise_sigma,
     """
     import numpy as np
 
-    t = np.asarray(times, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("expansion times must be >= 0")
     rng = np.random.default_rng(seed)
-    sigma_true = expansion_sigma(sigma0, temperature, t)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        sigma_meas = sigma_true * (1.0 + noise_sigma * rng.standard_normal(t.size))
-        area = 2.0 * math.pi * sigma_true**2
-        amplitude = n_atoms / area
-    return ExpansionSeries(t.tolist(), sigma_meas.tolist(), amplitude.tolist())
+        sigma_true = expansion_sigma(sigma0, temperature, times)
+        sigma_meas = sigma_true * (1.0 + noise_sigma * rng.standard_normal(np.shape(times)))
+        amplitude = n_atoms / (2.0 * math.pi * sigma_true**2)
+    return ExpansionSeries(times, sigma_meas, amplitude)
 
 
 ExpansionFit = namedtuple("ExpansionFit", "temperature temperature_err sigma0 "

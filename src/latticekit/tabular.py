@@ -9,18 +9,19 @@ path.
 This module is the one CSV codec, and it handles a table in one pass, not
 one Python call per cell: a write formats the whole table with one %
 template over one flat tuple of its cells; a read checks every line's field
-count, then parses the whole body with one map(float, ...) and checks it is
-finite. A cell is whatever float() accepts. Only a read that fails walks the
-lines again, to name the first bad one. The codec is plain Python, and so
-are the records it reads into (fitting.Dataset, heating.NoiseSpectrum and
-protocols.ExpansionSeries hold tuples of floats): no read or write loads
+count, then parses the whole body with one map(float, ...). A cell is
+whatever float() accepts, and a read and a write both refuse a nan or inf
+one through constants._all_finite, the records' test. Only a read that fails
+walks the lines again, to name the first bad one. The codec is plain Python,
+and so are the records it reads into (fitting.Dataset, heating.NoiseSpectrum
+and protocols.ExpansionSeries hold tuples of floats): no read or write loads
 numpy.
 """
 
-import math
 import os
 from itertools import count, repeat
 
+from .constants import _all_finite
 from .errors import ConfigError
 
 TRAJECTORY_DIGITS = 9
@@ -91,12 +92,11 @@ def columns_csv(header, columns):
     """CSV text of equal-length float columns under header, each cell to
     TRAJECTORY_DIGITS significant digits. One % formats the whole table:
     the template is the header plus one line of %.9g cells (the bytes of
-    format(v, ".9g")) per row, and the tuple holds every cell in row order.
-    Like zip, it stops at the shortest column."""
-    width, length = len(columns), min(map(len, columns), default=0)
+    format(v, ".9g")) per row, and the tuple holds every cell in row order."""
+    width, length = len(columns), len(columns[0])
     cells = [None] * (width * length)
     for i, column in enumerate(columns):
-        cells[i::width] = column[:length]
+        cells[i::width] = column
     row = ",".join([f"%.{TRAJECTORY_DIGITS}g"] * len(header)) + "\n"
     template = ",".join(header).replace("%", "%%") + "\n" + row * length
     return template % tuple(cells)
@@ -110,14 +110,15 @@ def residuals_csv(residuals):
 
 
 def write_columns(path, header, columns):
-    """Write equal-length nan-free sequences of floats as CSV under the given
+    """Write equal-length sequences of finite floats as CSV under the given
     header names, each to TRAJECTORY_DIGITS significant digits."""
     length = len(columns[0])
     if any(len(c) != length for c in columns):
         raise ValueError("columns must have equal length")
     for name, c in zip(header, columns):
-        if any(map(math.isnan, c)):
-            raise ValueError(f"column {name} holds nan; refusing to write it")
+        if not _all_finite(c):
+            bad = next(v for v in c if not _all_finite((v,)))  # the first bad cell
+            raise ValueError(f"column {name} holds {bad}; refusing to write it")
     atomic_write_text(path, columns_csv(header, columns))
 
 
@@ -152,7 +153,7 @@ def _read_columns(path, headers, source_kind):
             cells = list(map(float, ",".join(body).split(",")))
         except ValueError:
             pass
-    if cells is None or not all(map(math.isfinite, cells)):
+    if cells is None or not _all_finite(cells):
         raise ConfigError(_first_bad_line(path, lines, width))
     return [cells[i::width] for i in range(width)]
 
@@ -170,10 +171,8 @@ def _first_bad_line(path, lines, width):
             list(map(float, cells))
         except ValueError:
             return f"{path}: line {lineno}: cannot parse row {line!r}"
-    lineno, line = next(
-        (n, line) for n, line in numbered
-        if not all(map(math.isfinite, map(float, line.split(","))))
-    )
+    lineno, line = next((n, line) for n, line in numbered
+                        if not _all_finite(list(map(float, line.split(",")))))
     return f"{path}: line {lineno}: non-finite value in {line!r}"
 
 

@@ -196,6 +196,10 @@ def _case(case_id, argv, stderr_has=None):
           "fit --kind decay --data {fixtures}/decay_noisy.csv --fit.guess_beta_cm3_per_s 1e300"),
     _case("simulate-decay-loss.beta_cm3_per_s-1e300",
           "simulate --model decay --out {out} --loss.beta_cm3_per_s 1e300"),
+    # T(t) grows past the float range: fit would refuse the inf cells
+    _case("simulate-combined-heating.gamma_tot_per_s-300",
+          "simulate --model combined --out {out} --heating.gamma_tot_per_s 300",
+          stderr_has="T_uK"),
     _case("fit-decay-fit.guess_gamma_per_s-1e300",
           "fit --kind decay --data {fixtures}/decay_noisy.csv --fit.guess_gamma_per_s 1e300"),
     _case("fit-tof-sigma_um-1e200", "fit --kind tof --data {tmp}/tof_1e200.csv"),
@@ -716,16 +720,15 @@ def test_fit_decay_optimum_outside_the_model_domain_exits_4(capsys):
     assert "outside the model domain" in captured.err
 
 
-def test_simulate_combined_overflow_writes_inf_without_warning(tmp_path, capsys):
-    # exp(gamma_tot t) overflows to inf, as np.exp does, and nothing leaks
-    # to stderr; inf is a valid trajectory value, nan is not
+def test_simulate_combined_overflow_is_refused_without_warning(tmp_path, capsys):
+    # exp(gamma_tot t) overflows to inf, as np.exp does; the writer holds a
+    # table to the reader's cell rule, so an inf cell is refused like a nan
+    # one, with one error line, no warning and no file
     out = tmp_path / "combined.csv"
     assert main(["simulate", "--model", "combined", "--out", str(out),
-                 "--heating.gamma_tot_per_s", "1e300"]) == 0
-    assert capsys.readouterr().err == ""
-    rows = out.read_text().splitlines()
-    assert rows[1] == "0,123"
-    assert rows[-1] == "4,inf"
+                 "--heating.gamma_tot_per_s", "1e300"]) == 2
+    assert capsys.readouterr().err == "error: column T_uK holds inf; refusing to write it\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(("model", "closed_form"), [

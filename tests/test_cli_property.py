@@ -2,9 +2,10 @@
 
 Every command variant, given one to three overrides drawn from the schema,
 must return 0, 2, 3 or 4 without raising (RuntimeWarnings are errors under
-the pytest settings), and a successful run must not report nan. A single
-override names its key's domain exactly when the value lies outside it, and
-then exits 2.
+the pytest settings), a successful run must not report nan, and the table a
+successful simulate or tof writes must read back through the reader of fit.
+A single override names its key's domain exactly when the value lies outside
+it, and then exits 2.
 """
 
 import contextlib
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from latticekit.cli import main
 from latticekit.config import SCHEMA
 from latticekit.ramp import RETHERMALIZATION_MODES
+from latticekit.tabular import read_dataset, read_expansion
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
@@ -109,6 +111,22 @@ def nan_lines(report):
     return [line for line in report.splitlines() if re.search(r"\bnan\b", line)]
 
 
+def assert_reads_back(argv):
+    """The table a successful simulate or tof run wrote reads back through
+    the reader of fit, so every cell is one the reader's cell rule takes."""
+    out = argv[argv.index("--out") + 1]
+    if argv[0] == "tof":
+        read_expansion(out)
+        return
+    try:
+        read_dataset(out, "population" if argv[argv.index("--model") + 1] == "decay"
+                     else "temperature")
+    except ValueError as exc:
+        # a series that falls to 0 (no atoms, or an underflow) is refused by
+        # the fit's domain, values > 0, not by the cell rule of the reader
+        assert str(exc) == "values must be positive", (argv, exc)
+
+
 @settings(max_examples=300)
 @given(data=st.data())
 def test_cli_exit_codes_hold_for_random_overrides(variants, data):
@@ -122,6 +140,8 @@ def test_cli_exit_codes_hold_for_random_overrides(variants, data):
     assert code in CONTRACT_CODES, (argv, stderr.getvalue())
     if code == 0:
         assert not nan_lines(stdout.getvalue()), (argv, stdout.getvalue())
+        if "--out" in argv:
+            assert_reads_back(argv)
     if len(pairs) == 1:
         [(flag, raw)] = pairs
         key = flag[2:]
@@ -129,6 +149,18 @@ def test_cli_exit_codes_hold_for_random_overrides(variants, data):
         assert named == outside_domain(key, raw), (argv, stderr.getvalue())
         if named:
             assert code == 2, argv
+
+
+# tables at the edges the random overrides seldom reach
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--model", "combined", "--heating.gamma_tot_per_s", "170"],  # T to 1e297
+    ["simulate", "--model", "decay", "--sim.t_max_s", "4000"],  # N falls to 0
+    ["tof", "--tof.sigma0_um", "1e150"],
+], ids=" ".join)
+def test_written_tables_read_back(tmp_path, argv):
+    argv = argv + ["--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 0
+    assert_reads_back(argv)
 
 
 DECAY_FIT_KEYS = (

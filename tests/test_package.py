@@ -263,6 +263,18 @@ def test_column_shape_errors_are_value_errors(record, field, bad):
         record._replace(**{field: bad})
 
 
+# Finite cells whose float sum overflows, in each column of every column
+# record: the sum is inf, so only the cell walk can accept the column.
+@pytest.mark.parametrize(("record", "field"), [
+    pytest.param(record, field, id=f"{kind.__name__}.{field}")
+    for kind, record in KINDS.items() for field in COLUMNS[kind]
+])
+def test_columns_whose_sum_overflows_are_finite(record, field):
+    cells = [1e308 * (1 + i / 10) for i in range(len(getattr(record, field)))]
+    assert math.isinf(sum(cells))
+    assert getattr(record._replace(**{field: cells}), field) == tuple(cells)
+
+
 # Every checked record at in-domain values. Each float field, and each float
 # cell of a sequence field, is a slot "Record.field" or "Record.field[i]":
 # the sequences are short and their cells far apart, so scaling one cell by

@@ -101,7 +101,23 @@ def test_write_columns_refuses_nan_and_ragged_columns(tmp_path):
         write_columns(path, ("t_s", "N"), ([0.0, 1.0], [1.0, math.nan]))
     with pytest.raises(ValueError, match="equal length"):
         write_columns(path, ("t_s", "N"), ([0.0, 1.0], [1.0]))
+    # the reader's cell rule: an inf cell is refused like a nan one, and
+    # the first bad cell is named
+    for column, bad in (([1.0, math.inf], "inf"), ([-math.inf, math.nan], "-inf")):
+        with pytest.raises(ValueError) as info:
+            write_columns(path, ("t_s", "N"), ([0.0, 1.0], column))
+        assert str(info.value) == f"column N holds {bad}; refusing to write it"
     assert not os.listdir(tmp_path)
+
+
+def test_cells_whose_sum_overflows_write_and_read_back(tmp_path):
+    # finite cells summing past the float range: the writer, the reader and
+    # the record each fall back from the inf sum to the cells
+    path = tmp_path / "out.csv"
+    t, n = [1e308, 1.5e308], [1e308, 1e308]
+    write_columns(str(path), ("t_s", "N"), (t, n))
+    assert path.read_text() == "t_s,N\n1e+308,1e+308\n1.5e+308,1e+308\n"
+    assert read_dataset(str(path), "population")[:2] == (tuple(t), tuple(n))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +127,7 @@ def _from_bits(bits):
     return struct.unpack("<d", struct.pack("<Q", bits))[0]
 
 
-# every bit pattern but nan, which write_columns refuses, plus the edges
+# every bit pattern but nan, plus the edges; write_columns refuses inf too
 finite_or_inf = st.one_of(
     st.integers(0, 2**64 - 1).map(_from_bits),
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -187,6 +203,9 @@ def _outcome(read, path):
 @settings(max_examples=400)
 @given(csv_texts())
 @example("t_s,N\n0\n1,2,3\n")
+# finite cells whose sum is inf, alone and before a nan
+@example("t_s,N\n1e308,1e308\n")
+@example("t_s,N\n1e308,1e308\n1.7e308,nan\n")
 def test_reader_matches_the_per_line_oracle(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = _write(os.path.join(tmp, "data.csv"), text)
