@@ -16,10 +16,17 @@ or an ArithmeticError gives 2. An ArithmeticError (OverflowError or
 ZeroDivisionError from float arithmetic, FloatingPointError from the numpy
 array functions and from the checked sums of the pure fits, which raise
 instead of warning) gets a line that names the command and says that a
-derived quantity overflows the float range or is undefined. Every output file
-is written by tabular.atomic_write_text, the one write path. A malformed command line (unknown command, missing --model or
---out) exits 2 with the usage line and one error line; -h or --help prints the
-commands, or the command's flags, and exits 0.
+derived quantity overflows the float range or is undefined. A malformed
+command line (unknown command, missing --model or --out) exits 2 with the
+usage line and one error line; -h or --help prints the commands, or the
+command's flags, and exits 0.
+
+Each cmd_* handler returns (text, files, note, code): its stdout text, its
+report files as {path: text}, its stderr note and its exit code. main is the
+only code that writes a report file, prints a result and returns its exit
+code; it writes every file before it prints anything, so a failed write
+prints no report. simulate and tof write their own tables, through
+tabular.write_columns. tabular.atomic_write_text writes every output file.
 
 Only numpy-free modules are imported here, and cavity, trap, simulate, bound
 (with or without --psd), ramp, fit --kind temperature and fit --kind tof
@@ -61,6 +68,7 @@ from .heating import bound_gamma_tot, rates_from_spectrum
 from .losses import population, xi_from_beta
 from .ramp import RampProfile, ramp_simulate
 from .tabular import (
+    DATASET_HEADERS,
     atomic_write_text,
     format_value,
     read_dataset,
@@ -97,8 +105,10 @@ def _reject_nan(label, value):
         raise ValueError(f"{label} is nan; refusing to report it")
 
 
-def render_report(name, entries):
-    """(text, csv) renderings of section name's [(key, value, provenance)]."""
+def _report(name, entries, out=None, note=""):
+    """(text, files, note, 0) of section name's [(key, value, provenance)]:
+    its text rendering, and with out that text and its csv rendering as the
+    files out and out.csv."""
     text_lines = [f"[{name}]"]
     csv_lines = ["section,key,value,provenance"]
     for key, value, provenance in entries:
@@ -107,15 +117,9 @@ def render_report(name, entries):
             f"{key} = {format_value(value, REPORT_DIGITS)}  # {provenance}"
         )
         csv_lines.append(f"{name},{key},{format_value(value)},{provenance}")
-    return "\n".join(text_lines) + "\n", "\n".join(csv_lines) + "\n"
-
-
-def _emit_report(name, entries, out):
-    text, csv_text = render_report(name, entries)
-    sys.stdout.write(text)
-    if out:
-        atomic_write_text(out, text)
-        atomic_write_text(out + ".csv", csv_text)
+    text = "\n".join(text_lines) + "\n"
+    files = {out: text, out + ".csv": "\n".join(csv_lines) + "\n"} if out else {}
+    return text, files, note, 0
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +146,7 @@ def cmd_cavity(cfg, args):
         ("input_power_uW", cfg["cavity.input_power_uW"], CONFIGURED),
         ("circulating_power_w", circulating_power(cavity), COMPUTED),
     ]
-    _emit_report("cavity", entries, args.out)
-    return 0
+    return _report("cavity", entries, args.out)
 
 
 def cmd_trap(cfg, args):
@@ -185,16 +188,8 @@ def cmd_trap(cfg, args):
         ("eta", eta(trap.u0, state.temperature), COMPUTED),
         ("peak_density_model_per_cm3", rho_model * 1e-6, COMPUTED),
         ("rho_peak_per_cm3", cfg["sample.rho_peak_per_cm3"], CONFIGURED),
-        (
-            "phase_space_density_model",
-            phase_space_density(rho_model, state.temperature),
-            COMPUTED,
-        ),
-        (
-            "phase_space_density",
-            phase_space_density(rho_configured, state.temperature),
-            COMPUTED,
-        ),
+        ("phase_space_density_model", phase_space_density(rho_model, state.temperature), COMPUTED),
+        ("phase_space_density", phase_space_density(rho_configured, state.temperature), COMPUTED),
         ("scattering_rate_model_per_s", scattering_rate, COMPUTED),
         ("depth_scatter_ratio_uK_s", depth_scatter_ratio / CONST.kB * 1e6, COMPUTED),
         ("polarizability_si", alpha, COMPUTED),
@@ -202,8 +197,7 @@ def cmd_trap(cfg, args):
         ("implied_circulating_power_w", p_implied, COMPUTED),
         ("implied_mode_matching", implied_mode_matching(cavity, p_implied), COMPUTED),
     ]
-    _emit_report("trap", entries, args.out)
-    return 0
+    return _report("trap", entries, args.out)
 
 
 def _linspace(start, stop, n):
@@ -235,25 +229,30 @@ def cmd_simulate(cfg, args):
     xi = _configured_xi(cfg)
     gamma = cfg["loss.gamma_per_s"]
     if model == "decay":
-        header = ("t_s", "N")
+        header = DATASET_HEADERS["population"]
         n0 = cfg["sample.atom_number"]
+        if n0 == 0:
+            raise ConfigError("sample.atom_number must be positive for a decay simulation")
         values = population(grid, n0, gamma, xi)
+        # fit --kind decay reads N > 0 only; N falls with t, so the last row
+        # is the first to underflow
+        if values[-1] == 0.0:
+            raise DomainError(f"N underflows to 0 by t = {grid[values.index(0.0)]!r} s; "
+                              "lower sim.t_max_s below it")
     else:
-        header = ("t_s", "T_uK")
+        header = DATASET_HEADERS["temperature"]
         gamma_tot = cfg["heating.gamma_tot_per_s"] if model == "combined" else 0.0
-        law = (
-            cfg["sample.temperature_uK"],
-            cfg["evap.epsilon"],
-            xi,
-            gamma,
-            gamma_tot,
-        )
-        values = temperature(grid, *law)
+        values = temperature(grid, cfg["sample.temperature_uK"], cfg["evap.epsilon"], xi, gamma,
+                             gamma_tot)
     write_columns(args.out, header, (grid, values))
-    return 0
+    return "", {}, "", 0
 
 
-def _emit_fit(result, out):
+def _fit_report(result, out):
+    """(text, files, note, code) of a FitResult: its text rendering, and with
+    out that text, its parameter csv and its residuals as the files out,
+    out.csv and out.residuals.csv, else the csv appended to the text; a fit
+    that did not converge gives a note and code 4."""
     lines = [f"model = {result.model}"]
     csv_lines = ["param,value,uncertainty"]
     for name, value in result.params.items():
@@ -274,13 +273,16 @@ def _emit_fit(result, out):
         f"message = {result.message}",
     ]
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
+    csv_text = "\n".join(csv_lines) + "\n"
     if out:
-        atomic_write_text(out, text)
-        atomic_write_text(out + ".csv", "\n".join(csv_lines) + "\n")
-        atomic_write_text(out + ".residuals.csv", residuals_csv(result.residuals))
+        files = {out: text, out + ".csv": csv_text,
+                 out + ".residuals.csv": residuals_csv(result.residuals)}
     else:
-        sys.stdout.write("\n" + "\n".join(csv_lines) + "\n")
+        files, text = {}, text + "\n" + csv_text
+    if result.converged:
+        return text, files, "", 0
+    return text, files, (f"fit did not converge after {result.iterations} "
+                         f"iterations: {result.message}"), 4
 
 
 def cmd_fit(cfg, args):
@@ -327,21 +329,9 @@ def cmd_fit(cfg, args):
             ("n_atoms_err", fit.n_atoms_err, COMPUTED),
             ("degenerate", fit.degenerate, COMPUTED),
         ]
-        _emit_report("tof_fit", entries, args.out)
-        if fit.degenerate:
-            print("warning: negative fitted sigma0^2, width omitted",
-                  file=sys.stderr)
-        return 0
-
-    _emit_fit(result, args.out)
-    if not result.converged:
-        print(
-            f"fit did not converge after {result.iterations} iterations: "
-            f"{result.message}",
-            file=sys.stderr,
-        )
-        return 4
-    return 0
+        note = "warning: negative fitted sigma0^2, width omitted" if fit.degenerate else ""
+        return _report("tof_fit", entries, args.out, note)
+    return _fit_report(result, args.out)
 
 
 def cmd_bound(cfg, args):
@@ -372,8 +362,7 @@ def cmd_bound(cfg, args):
                 COMPUTED,
             ),
         ]
-    _emit_report("heating_bound", entries, args.out)
-    return 0
+    return _report("heating_bound", entries, args.out)
 
 
 def cmd_tof(cfg, args):
@@ -400,8 +389,7 @@ def cmd_tof(cfg, args):
         ("seed", cfg["tof.seed"], CONFIGURED),
         ("n_times", n_times, CONFIGURED),
     ]
-    _emit_report("tof_synth", entries, None)
-    return 0
+    return _report("tof_synth", entries)
 
 
 def cmd_ramp(cfg, args):
@@ -429,8 +417,7 @@ def cmd_ramp(cfg, args):
         ("eta_final", result.eta_final, COMPUTED),
         ("quasi_static", result.quasi_static, COMPUTED),
     ]
-    _emit_report("ramp", entries, args.out)
-    return 0
+    return _report("ramp", entries, args.out)
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +498,9 @@ def main(argv=None) -> int:
         return exc.code
     try:
         cfg = load_config(args.config, overrides)
-        return COMMANDS[name][0](cfg, args)
+        text, files, note, code = COMMANDS[name][0](cfg, args)
+        for path, content in files.items():
+            atomic_write_text(path, content)
     except DomainError as exc:
         print(f"model domain error: {exc}", file=sys.stderr)
         return 3
@@ -523,6 +512,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    sys.stdout.write(text)
+    if note:
+        print(note, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -10,8 +10,8 @@ import pins
 import pytest
 
 import latticekit
-from latticekit.cli import COMMANDS, main
-from latticekit.config import SCHEMA
+from latticekit.cli import COMMANDS, main, parse_command_line
+from latticekit.config import SCHEMA, load_config
 from latticekit.constants import CONST, RB85
 from latticekit.losses import population
 from latticekit.tabular import read_dataset, read_expansion
@@ -74,6 +74,37 @@ def test_report_files_written(tmp_path, capsys):
     assert twin.exists()
     header = twin.read_text().splitlines()[0]
     assert header == "section,key,value,provenance"
+
+
+_REPORT_FILES = ("", ".csv")
+_FIT_FILES = ("", ".csv", ".residuals.csv")
+
+
+@pytest.mark.parametrize(("argv", "suffixes"), [
+    pytest.param("cavity", _REPORT_FILES, id="cavity"),
+    pytest.param("trap", _REPORT_FILES, id="trap"),
+    pytest.param("bound", _REPORT_FILES, id="bound"),
+    pytest.param("bound --psd {fixtures}/psd_noisy.csv", _REPORT_FILES, id="bound-psd"),
+    pytest.param("ramp", _REPORT_FILES, id="ramp"),
+    pytest.param("fit --kind decay --data {fixtures}/decay_noisy.csv", _FIT_FILES,
+                 id="fit-decay"),
+    pytest.param("fit --kind temperature --data {fixtures}/temperature_noisy.csv", _FIT_FILES,
+                 id="fit-temperature"),
+    pytest.param("fit --kind tof --data {fixtures}/tof_noisy.csv", _REPORT_FILES,
+                 id="fit-tof"),
+])
+def test_report_handlers_return_their_files_and_write_none(tmp_path, monkeypatch, argv,
+                                                           suffixes):
+    # main writes what a handler returns, so the handler itself writes nothing
+    monkeypatch.chdir(tmp_path)
+    out = str(tmp_path / "out")
+    name, args, overrides = parse_command_line(
+        argv.format(fixtures=FIXTURES).split() + ["--out", out])
+    text, files, _note, code = COMMANDS[name][0](load_config(args.config, overrides), args)
+    assert os.listdir(tmp_path) == []
+    assert list(files) == [out + suffix for suffix in suffixes]
+    assert files[out] == text
+    assert code == 0
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +177,10 @@ def _case(case_id, argv, stderr_has=None):
           "simulate --model decay --out {out} --sim.t_max_s inf"),
     _case("simulate-decay-sample.atom_number--5",
           "simulate --model decay --out {out} --sample.atom_number -5"),
+    # a decay series of no atoms is one that fit --kind decay refuses
+    _case("simulate-decay-sample.atom_number-0",
+          "simulate --model decay --out {out} --sample.atom_number 0",
+          stderr_has="sample.atom_number"),
     _case("simulate-temperature-sample.temperature_uK--5",
           "simulate --model temperature --out {out} --sample.temperature_uK -5"),
     _case("ramp-depth_final_uK--1", "ramp --depth_final_uK -1"),
@@ -158,6 +193,9 @@ def _case(case_id, argv, stderr_has=None):
     _case("cavity-out-in-missing-directory", "cavity --out {tmp}/missing/x.txt",
           stderr_has="{tmp}/missing/x.txt"),
     _case("cavity-out-is-a-directory", "cavity --out {tmp}", stderr_has="{tmp}"),
+    _case("fit-tof-out-in-missing-directory",
+          "fit --kind tof --data {fixtures}/tof_noisy.csv --out {tmp}/missing/x.txt",
+          stderr_has="{tmp}/missing/x.txt"),
     _case("bound-loss.gamma_per_s-0", "bound --loss.gamma_per_s 0"),
     _case("fit-decay-3-rows", "fit --kind decay --data {tmp}/decay3.csv"),
     _case("fit-temperature-2-rows", "fit --kind temperature --data {tmp}/temp2.csv"),
@@ -286,7 +324,8 @@ def test_invalid_input_exits_2(tmp_path, capsys, argv, stderr_has):
         return text.format(tmp=tmp_path, out=out, fixtures=FIXTURES)
 
     assert main([fill(a) for a in argv.split()]) == 2
-    err = capsys.readouterr().err
+    out_text, err = capsys.readouterr()
+    assert out_text == ""  # a command that fails prints no report
     assert err.startswith("error: ")
     assert err.count("\n") == 1, err  # the one `error:` line, no warnings
     assert "Traceback" not in err
@@ -946,17 +985,28 @@ print(" ".join(moved))
 """
 
 
-@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Zen"])
-def test_linear_fit_pins_hold_under_every_blas_kernel(tmp_path, kernel):
-    # both linear fits sum with math.fsum, so no BLAS kernel reaches their bits
+def _assert_pins_hold_under_kernel(tmp_path, kernel, runs):
     tests = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, tests]),
                OPENBLAS_CORETYPE=kernel)
-    runs = ["fit-temperature", "fit-temperature-crlf", "fit-tof"]
     proc = subprocess.run([sys.executable, "-c", _KERNEL_SCRIPT, str(tmp_path), *runs],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [], f"pins moved under {kernel}: {proc.stdout}"
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Zen"])
+def test_linear_fit_pins_hold_under_every_blas_kernel(tmp_path, kernel):
+    # both linear fits sum with math.fsum, so no BLAS kernel reaches their bits
+    _assert_pins_hold_under_kernel(
+        tmp_path, kernel, ["fit-temperature", "fit-temperature-crlf", "fit-tof"])
+
+
+@pytest.mark.xfail(strict=True, reason="the decay fit reduces and solves through BLAS, "
+                   "and each of these kernels moves the last digits of both its pins")
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Zen"])
+def test_decay_fit_pins_hold_under_every_blas_kernel(tmp_path, kernel):
+    _assert_pins_hold_under_kernel(tmp_path, kernel, ["fit-decay", "exit-4-fit-decay"])
 
 
 @pytest.mark.parametrize("command", ["cavity", "trap"])

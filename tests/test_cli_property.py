@@ -118,13 +118,8 @@ def assert_reads_back(argv):
     if argv[0] == "tof":
         read_expansion(out)
         return
-    try:
-        read_dataset(out, "population" if argv[argv.index("--model") + 1] == "decay"
-                     else "temperature")
-    except ValueError as exc:
-        # a series that falls to 0 (no atoms, or an underflow) is refused by
-        # the fit's domain, values > 0, not by the cell rule of the reader
-        assert str(exc) == "values must be positive", (argv, exc)
+    read_dataset(out, "population" if argv[argv.index("--model") + 1] == "decay"
+                 else "temperature")
 
 
 @settings(max_examples=300)
@@ -151,16 +146,28 @@ def test_cli_exit_codes_hold_for_random_overrides(variants, data):
             assert code == 2, argv
 
 
-# tables at the edges the random overrides seldom reach
-@pytest.mark.parametrize("argv", [
-    ["simulate", "--model", "combined", "--heating.gamma_tot_per_s", "170"],  # T to 1e297
-    ["simulate", "--model", "decay", "--sim.t_max_s", "4000"],  # N falls to 0
-    ["tof", "--tof.sigma0_um", "1e150"],
-], ids=" ".join)
-def test_written_tables_read_back(tmp_path, argv):
-    argv = argv + ["--out", str(tmp_path / "out.csv")]
-    assert main(argv) == 0
-    assert_reads_back(argv)
+# tables at the edges the random overrides seldom reach, with their exit codes
+EDGE_TABLES = [
+    (["simulate", "--model", "combined", "--heating.gamma_tot_per_s", "170"], 0),  # T to 1e297
+    # N underflows to 0, which the decay fit refuses, so no table is written
+    (["simulate", "--model", "decay", "--sim.t_max_s", "4000"], 3),
+    (["tof", "--tof.sigma0_um", "1e150"], 0),
+]
+
+
+@pytest.mark.parametrize(("argv", "code"),
+                         [pytest.param(*edge, id=" ".join(edge[0])) for edge in EDGE_TABLES])
+def test_written_tables_read_back(tmp_path, capsys, argv, code):
+    out = tmp_path / "out.csv"
+    argv = argv + ["--out", str(out)]
+    assert main(argv) == code
+    if code == 0:
+        assert_reads_back(argv)
+    else:
+        assert capsys.readouterr().err == (
+            "model domain error: N underflows to 0 by t = 1260.0 s; lower sim.t_max_s below it\n"
+        )
+        assert not out.exists()
 
 
 DECAY_FIT_KEYS = (
