@@ -34,9 +34,8 @@ never load numpy: simulate builds its time grid as a list and evaluates its
 closed form once on the whole grid, and the two linear fits are plain float
 code. fit imports only the module of its --kind, and tof its generator,
 when they run; fit --kind decay and tof load numpy. main keeps numpy's
-OpenBLAS pool to one thread unless OPENBLAS_NUM_THREADS is already set: the
-largest product is J^T J of an n x 3 Jacobian, so helper threads only cost
-CPU.
+OpenBLAS pool to one thread unless OPENBLAS_NUM_THREADS is already set: no
+command calls BLAS, so helper threads only cost CPU.
 """
 
 import math
@@ -393,6 +392,8 @@ def cmd_tof(cfg, args):
 
 
 def cmd_ramp(cfg, args):
+    if cfg["sample.atom_number"] == 0:
+        raise ConfigError("sample.atom_number must be positive for a ramp")
     state = state_from_config(cfg)
     profile = RampProfile(
         u_initial=state.trap.u0,

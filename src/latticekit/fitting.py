@@ -12,13 +12,14 @@ parameters: 3 for the decay, 1 for the cooling law), so the reduced chi^2
 and the covariance share one count. Everything is double precision with a
 fixed iteration order, so identical inputs give bit-identical fits.
 
-Only the decay fit needs arrays: fit_decay, decay_jacobian and the engine
-import numpy when they run, and the decay fit runs under numpy's raise
-policy for overflow, division by zero and invalid values. The cooling-law
-fit is plain float code whose every sum is a correctly rounded math.fsum,
-so its bits depend on no BLAS kernel, and it never loads numpy. Both fits
-share one error policy: an extreme input raises FloatingPointError instead
-of carrying inf or nan into a report.
+Only the decay fit needs arrays: fit_decay and decay_jacobian import numpy
+when they run, and the decay fit runs under numpy's raise policy for
+overflow, division by zero and invalid values. Its engine reduces with
+numpy's pairwise sums and solves its 3 x 3 system in plain float code. The
+cooling-law fit is plain float code whose every sum is a correctly rounded
+math.fsum, and it never loads numpy. Neither fit calls BLAS or LAPACK. Both
+fits share one error policy: an extreme input raises FloatingPointError
+instead of carrying inf or nan into a report.
 """
 
 import math
@@ -94,72 +95,73 @@ _RSS_TOL = 1e-12
 _GRAD_TOL = 1e-10
 
 
-def _levenberg_marquardt(eval_fn, p0, max_iterations=200):
-    """Minimize |r(p)|^2 given eval_fn(p) -> (r, J).
+def _products(m):
+    """J^T J, J^T r and r.r as the 4 x 4 table (lists of floats) of the row
+    dot products of the C-ordered m = [J^T; r], numpy's pairwise sums."""
+    return (m[:, None] * m).sum(axis=-1).tolist()
+
+
+def _inverse3(a):
+    """The inverse of the symmetric positive semi-definite 3 x 3 matrix a, as
+    the adjugate over the determinant of a scaled to a unit diagonal; None
+    when a is singular."""
+    if not min(a[0][0], a[1][1], a[2][2]) > 0.0:
+        return None
+    d = [1.0 / math.sqrt(a[i][i]) for i in range(3)]
+    b01, b02, b12 = a[0][1] * d[0] * d[1], a[0][2] * d[0] * d[2], a[1][2] * d[1] * d[2]
+    c01, c02, c12 = b02 * b12 - b01, b01 * b12 - b02, b01 * b02 - b12
+    c = [[1.0 - b12 * b12, c01, c02], [c01, 1.0 - b02 * b02, c12], [c02, c12, 1.0 - b01 * b01]]
+    det = c[0][0] + b01 * c01 + b02 * c02
+    if not det > 0.0:
+        return None
+    return [[c[i][j] / det * d[i] * d[j] for j in range(3)] for i in range(3)]
+
+
+def _levenberg_marquardt(eval_fn, p, max_iterations=200):
+    """Minimize |r(p)|^2 from the float array p, given eval_fn(p) -> the
+    4 x n array [J^T; r].
 
     Marquardt-scaled damping: increased tenfold when a step grows the
-    residual or raises FloatingPointError, reduced tenfold on success. Stops
-    when the relative RSS change drops below 1e-12 or the gradient
-    infinity-norm below 1e-10. An overflow at p0 or in J^T J raises.
+    residual, is singular or raises FloatingPointError, reduced tenfold on
+    success. Stops when the relative RSS change drops below 1e-12 or the
+    gradient infinity-norm below 1e-10. An overflow at the start raises.
+    Returns the parameters, [J^T; r] and its table of products at the last
+    accepted step.
     """
-    import numpy as np
-
-    p = np.asarray(p0, dtype=float).copy()
-    r, jac = eval_fn(p)
-    rss = float(r @ r)
-    lam = _LAMBDA_INIT
-    message = "maximum iterations reached"
-    converged = False
-    iterations = 0
-
+    m = eval_fn(p)
+    table = _products(m)
+    lam, converged, iterations, message = _LAMBDA_INIT, False, 0, "maximum iterations reached"
     for iterations in range(1, max_iterations + 1):
-        jtj = jac.T @ jac
-        grad = jac.T @ r
-        if np.max(np.abs(grad)) < _GRAD_TOL:
-            converged = True
-            message = "gradient below tolerance"
+        rss, grad = table[3][3], table[3][:3]
+        if max(map(abs, grad)) < _GRAD_TOL:
+            converged, message = True, "gradient below tolerance"
             break
-        stepped = False
         while lam <= _LAMBDA_MAX:
-            try:
-                delta = np.linalg.solve(jtj + lam * np.diag(np.diag(jtj)), -grad)
-                # LAPACK returns inf or nan without setting a float flag
-                if not np.all(np.isfinite(delta)):
-                    raise np.linalg.LinAlgError
-                p_try = p + delta
-                r_try, jac_try = eval_fn(p_try)
-                rss_try = float(r_try @ r_try)
-            except (np.linalg.LinAlgError, FloatingPointError):
-                rss_try = math.inf
+            inverse = _inverse3([[v + lam * v if i == j else v for j, v in enumerate(row[:3])]
+                                 for i, row in enumerate(table[:3])])
+            rss_try = math.inf
+            if inverse is not None:
+                try:
+                    p_try = p - [_fsum(map(mul, row, grad)) for row in inverse]
+                    m_try = eval_fn(p_try)
+                    table_try = _products(m_try)
+                    rss_try = table_try[3][3]
+                except FloatingPointError:
+                    pass
             if rss_try <= rss:
                 rel_change = abs(rss - rss_try) / max(rss, 1e-300)
-                p, r, jac, rss = p_try, r_try, jac_try, rss_try
+                p, m, table = p_try, m_try, table_try
                 lam = max(lam * _LAMBDA_SHRINK, 1e-15)
-                stepped = True
                 if rel_change < _RSS_TOL:
-                    converged = True
-                    message = "relative RSS change below tolerance"
+                    converged, message = True, "relative RSS change below tolerance"
                 break
             lam *= _LAMBDA_GROW
-        if not stepped:
+        else:
             message = "damping exhausted (singular or stalled step)"
             break
         if converged:
             break
-
-    return p, r, jac, rss, converged, iterations, message
-
-
-def _covariance(jac, chi2_reduced):
-    """Linearized covariance at the optimum, scaled by the reduced chi^2."""
-    import numpy as np
-
-    jtj = jac.T @ jac
-    try:
-        cov = np.linalg.inv(jtj)
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(jtj)
-    return cov * chi2_reduced
+    return p, m, table, converged, iterations, message
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +176,8 @@ def fit_decay(dataset: Dataset, rho_peak_per_cm3, initial_guess,
     seeded from the first sample. beta and its uncertainty are recovered
     through the fixed rho_peak convention. The fit runs on float arrays under
     numpy's raise policy for overflow, division by zero and invalid values.
+    A J^T J that is singular at the optimum leaves a parameter unidentified:
+    the fit does not converge, and every uncertainty is inf.
     """
     if len(dataset.t) < 4:
         raise ValueError("need at least 4 points to fit the decay model")
@@ -191,49 +195,44 @@ def fit_decay(dataset: Dataset, rho_peak_per_cm3, initial_guess,
 
     def eval_fn(p):
         gamma, xi, n0 = p
-        r = (population(t, n0, gamma, xi) - y) / s
-        jac = decay_jacobian(t, gamma, xi, n0) / s[:, None]
-        return r, jac
+        m = np.empty((4, t.size))
+        m[:3], m[3] = decay_jacobian(t, gamma, xi, n0).T, population(t, n0, gamma, xi) - y
+        return np.divide(m, s, out=m)
 
     with np.errstate(over="raise", divide="raise", invalid="raise"):
-        p, r, jac, rss, converged, iterations, message = _levenberg_marquardt(
+        p, m, table, converged, iterations, message = _levenberg_marquardt(
             eval_fn, p0, max_iterations
         )
         gamma, xi, n0 = p
+        cov = _inverse3([row[:3] for row in table[:3]])
+        if cov is None:
+            converged, message = False, "J^T J is singular at the optimum"
         # the steps are unbounded, so the optimum can leave the domain gamma > 0, xi >= 0
         if gamma <= 0 or xi < 0:
             converged = False
             message = "the optimum lies outside the model domain gamma > 0, xi >= 0"
         beta = 4.0 * gamma * xi / rho_peak_per_cm3
-
+        # beta = 4 gamma xi / rho: first-order propagation incl. the cross
+        # term, whose factors overflow (and raise) even when cov is singular
+        xi2, gamma2, cross = xi**2, gamma**2, 2.0 * gamma * xi
         # beta is derived from xi, so three parameters are free
-        dof = t.size - 3
-        cov = _covariance(jac, rss / dof)
-        var_gamma, var_xi, var_n0 = np.diag(cov)
-        cov_gx = cov[0, 1]
-        # beta = 4 gamma xi / rho: first-order propagation incl. the cross term
-        var_beta = (4.0 / rho_peak_per_cm3) ** 2 * (
-            xi**2 * var_gamma + gamma**2 * var_xi + 2.0 * gamma * xi * cov_gx
-        )
-    # an inverted covariance can hold inf or nan without a float flag
-    if not math.isfinite(var_beta):
-        raise ValueError(
-            "the beta uncertainty overflows: the fitted gamma or xi is too large"
-        )
+        rss, dof = table[3][3], t.size - 3
+        var_gamma = var_xi = var_n0 = var_beta = math.inf
+        if cov is not None:
+            var_gamma, var_xi, var_n0 = (cov[i][i] * (rss / dof) for i in range(3))
+            var_beta = (4.0 / rho_peak_per_cm3) ** 2 * (
+                xi2 * var_gamma + gamma2 * var_xi + cross * (cov[0][1] * (rss / dof))
+            )
+            # plain float code carries inf or nan without a float flag
+            if not math.isfinite(var_beta):
+                raise ValueError("the beta uncertainty overflows: "
+                                 "the fitted gamma or xi is too large")
+    names = ("gamma_per_s", "beta_cm3_per_s", "xi", "n0")
     return FitResult(
-        params={
-            "gamma_per_s": gamma,
-            "beta_cm3_per_s": beta,
-            "xi": xi,
-            "n0": n0,
-        },
-        uncertainties={
-            "gamma_per_s": math.sqrt(max(var_gamma, 0.0)),
-            "beta_cm3_per_s": math.sqrt(max(var_beta, 0.0)),
-            "xi": math.sqrt(max(var_xi, 0.0)),
-            "n0": math.sqrt(max(var_n0, 0.0)),
-        },
-        residuals=r,
+        params=dict(zip(names, (gamma, beta, xi, n0))),
+        uncertainties={name: math.sqrt(max(var, 0.0)) for name, var
+                       in zip(names, (var_gamma, var_beta, var_xi, var_n0))},
+        residuals=m[3],
         rss=rss,
         dof=dof,
         converged=converged,

@@ -12,8 +12,11 @@ run against it. Regenerate the table from the repository root with
 so that a moved pin shows up as a diff of tests/pins.json; a change that
 moves one must say which and why.
 
-The decay fit's `.csv` files print each value with repr, so their bytes
-depend on the BLAS kernel that numpy's OpenBLAS picks for the CPU.
+The outputs depend on no BLAS kernel, so a pin moves only with the code. A
+re-pin keeps every 10-digit report line byte for byte; a value printed with
+repr (a `.csv` file, the residuals) may move by at most 1e-12 of itself, and
+a residual by at most 1e-12 of |model|/sigma at its row, because it is the
+difference of two nearly equal numbers.
 """
 
 import contextlib
@@ -38,6 +41,11 @@ RUNS = {
     ],
     "exit-4-fit-decay": [
         "fit --kind decay --data {fixtures}/decay_noisy.csv --fit.max_iterations 1"
+    ],
+    # exp(-gamma t) underflows past t = 0, so the gamma and xi columns of J
+    # are 0 and J^T J is singular at the optimum
+    "exit-4-fit-decay-singular": [
+        "fit --kind decay --data {fixtures}/decay_noisy.csv --fit.guess_gamma_per_s 1e4"
     ],
     # a malformed command line prints its usage line and one error line
     "exit-2-fit-decay-without-data": ["fit --kind decay"],

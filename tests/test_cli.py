@@ -205,7 +205,8 @@ def _case(case_id, argv, stderr_has=None):
     _case("trap-depth_uK-nan", "trap --depth_uK nan"),
     _case("bound-bound.t_max_s-nan", "bound --bound.t_max_s nan"),
     _case("tof-tof.sigma0_um-nan", "tof --out {out} --tof.sigma0_um nan"),
-    _case("ramp-sample.atom_number-0", "ramp --sample.atom_number 0"),
+    _case("ramp-sample.atom_number-0", "ramp --sample.atom_number 0",
+          stderr_has="sample.atom_number"),
     _case("trap-trap.laser_wavelength_nm-0", "trap --trap.laser_wavelength_nm 0"),
     _case("fit-decay-sample.rho_peak_per_cm3-0",
           "fit --kind decay --data {fixtures}/decay_noisy.csv --sample.rho_peak_per_cm3 0",
@@ -966,8 +967,8 @@ def test_fit_and_protocols_modules_import_without_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-# Runs pins of tests/pins.py in a fresh interpreter, whose environment selects
-# the OpenBLAS kernel, and prints the names whose pin moved.
+# Runs every pin of tests/pins.py in a fresh interpreter, whose environment
+# selects the OpenBLAS kernel, and prints the names whose pin moved.
 _KERNEL_SCRIPT = """
 import os
 import sys
@@ -976,7 +977,7 @@ import pins
 
 table = pins.load_pins()
 moved = []
-for name in sys.argv[2:]:
+for name in sorted(pins.RUNS):
     directory = f"{sys.argv[1]}/{name}"
     os.mkdir(directory)
     if pins.pin(name, directory) != table[name]:
@@ -985,28 +986,16 @@ print(" ".join(moved))
 """
 
 
-def _assert_pins_hold_under_kernel(tmp_path, kernel, runs):
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Zen"])
+def test_pins_hold_under_every_blas_kernel(tmp_path, kernel):
+    # no output sums or solves through BLAS, so no kernel reaches a pinned byte
     tests = os.path.dirname(os.path.abspath(__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, tests]),
                OPENBLAS_CORETYPE=kernel)
-    proc = subprocess.run([sys.executable, "-c", _KERNEL_SCRIPT, str(tmp_path), *runs],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _KERNEL_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == [], f"pins moved under {kernel}: {proc.stdout}"
-
-
-@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Zen"])
-def test_linear_fit_pins_hold_under_every_blas_kernel(tmp_path, kernel):
-    # both linear fits sum with math.fsum, so no BLAS kernel reaches their bits
-    _assert_pins_hold_under_kernel(
-        tmp_path, kernel, ["fit-temperature", "fit-temperature-crlf", "fit-tof"])
-
-
-@pytest.mark.xfail(strict=True, reason="the decay fit reduces and solves through BLAS, "
-                   "and each of these kernels moves the last digits of both its pins")
-@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Zen"])
-def test_decay_fit_pins_hold_under_every_blas_kernel(tmp_path, kernel):
-    _assert_pins_hold_under_kernel(tmp_path, kernel, ["fit-decay", "exit-4-fit-decay"])
 
 
 @pytest.mark.parametrize("command", ["cavity", "trap"])

@@ -7,6 +7,8 @@ from oracles import fit_epsilon_numpy
 from latticekit.evaporation import temperature
 from latticekit.fitting import (
     Dataset,
+    _inverse3,
+    _products,
     decay_jacobian,
     fit_decay,
     fit_epsilon,
@@ -110,6 +112,28 @@ def test_jacobian_against_finite_differences():
                    - population(t, minus[2], minus[0], minus[1])) / (2 * h)
         scale = np.max(np.abs(analytic[:, j]))
         assert np.max(np.abs(analytic[:, j] - numeric)) / scale < 1e-6
+
+
+def test_inverse3_agrees_with_numpy_and_flags_a_singular_matrix():
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        # columns of scales 10^-6 .. 10^6, as the decay Jacobian's differ
+        jac = rng.standard_normal((6, 3)) * 10.0 ** rng.uniform(-6.0, 6.0, 3)
+        a = jac.T @ jac
+        # compare the inverses of a scaled to a unit diagonal
+        scale = np.outer(np.sqrt(np.diag(a)), np.sqrt(np.diag(a)))
+        ours = np.array(_inverse3(a.tolist())) * scale
+        assert np.allclose(ours, np.linalg.inv(a) * scale, rtol=1e-12, atol=1e-12)
+    assert _inverse3([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]) is None
+    assert _inverse3([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]) is None
+
+
+def test_decay_fit_with_a_singular_normal_matrix_does_not_converge():
+    # exp(-gamma t) underflows past t = 0, so the gamma and xi columns of J are 0
+    result = fit_decay(decay_dataset(), RHO_T, (1e4, 5e-12))
+    assert not result.converged
+    assert result.message == "J^T J is singular at the optimum"
+    assert all(map(math.isinf, result.uncertainties.values()))
 
 
 def test_monte_carlo_median_gamma():
@@ -249,10 +273,11 @@ def test_fit_carries_its_residuals_and_dof(kind, n_free):
         result = fit_epsilon(ds, 2.80, 0.6, 123.0)
         model = temperature(ds.t, 123.0, result.params["epsilon"], 2.80, 0.6)
     assert np.array_equal(result.residuals, (np.asarray(model) - ds.value) / ds.sigma)
-    # the cooling-law fit sums with math.fsum, the decay fit with numpy
+    # the cooling-law fit sums with math.fsum, the decay fit with the engine's
+    # table of products, numpy's pairwise sums and no BLAS
     r = result.residuals
     assert result.rss == (math.fsum(x * x for x in r) if kind == "temperature"
-                          else float(r @ r))
+                          else _products(np.asarray([r]))[0][0])
     assert result.dof == len(ds.t) - n_free
     assert result.chi2_reduced == result.rss / result.dof
 
