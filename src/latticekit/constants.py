@@ -87,8 +87,10 @@ class CheckedRecord:
         columns = ()
         try:
             if all(getattr(fields[name], "ndim", 1) == 1 for name in given):  # an array states its ndim
+                # an array's tolist() converts it in one call, not one numpy scalar per cell
                 columns = [c if type(c) is tuple and set(map(type, c)) <= {float}
-                           else tuple(map(float, c)) for c in map(fields.get, given)]
+                           else tuple(map(float, c.tolist() if hasattr(c, "tolist") else c))
+                           for c in map(fields.get, given)]
         except TypeError:  # a scalar, or a nested row
             pass
         if len(set(map(len, columns))) != 1:
@@ -147,22 +149,17 @@ RB85 = Species(
 )
 
 
-# 3 kB and m of thermal_velocity, read once: a record field read costs more
-# than a module global
+# 3 kB and m of thermal_velocity (and of the ramp's step), read once: a record
+# field read costs more than a module global
 _THREE_KB = 3.0 * CONST.kB
 _MASS = RB85.mass
-
-
-def _thermal_velocity(temperature):
-    # the unchecked body, which the ramp calls once per step
-    return math.sqrt(_THREE_KB * temperature / _MASS)
 
 
 def thermal_velocity(temperature: float) -> float:
     """Root mean square speed sqrt(3 kB T / m), m/s."""
     if temperature < 0:
         raise ValueError("temperature must be >= 0")
-    return _thermal_velocity(temperature)
+    return math.sqrt(_THREE_KB * temperature / _MASS)
 
 
 def thermal_de_broglie(temperature: float) -> float:

@@ -8,14 +8,17 @@ min(1, Gamma_el * dt) built from the elastic collision rate; the gate is a
 documented heuristic, so results are defined at the default step count and
 only ordering and percent-level statements should be read off them.
 
-Each step calls the unchecked formula bodies of evaporation (eta, the
-thermal velocity, the unitarity cross section, beta_esc and epsilon), which
-share one v_rms, one exp(-eta) and one sqrt(eta) per step. It makes the
-checks of the public eta and beta_esc where those would make them; the
-other public checks cannot fail once these two pass.
+Each step writes its formulas out: the depth of RampProfile.depth_at, and
+eta, the thermal velocity, the unitarity cross section, beta_esc and
+epsilon with its r^4 integral as the public functions of evaporation and
+constants compute them, operation for operation and with their module
+constants, sharing one v_rms, one exp(-eta) and one sqrt(eta) per step.
+It makes the checks of the public eta and beta_esc where those would make
+them; the other public checks cannot fail once these two pass.
 tests/oracles.ramp_reference is the same loop over the public checked
 functions, one call per formula; the two agree bit for bit and raise the
-same errors.
+same errors, so a formula changed in one place and not the other fails
+that test.
 
 Everything here is scalar arithmetic on math, so the ramp never loads numpy.
 """
@@ -23,8 +26,17 @@ Everything here is scalar arithmetic on math, so the ramp never loads numpy.
 import math
 from collections import namedtuple
 
-from .constants import M3_TO_CM3, CheckedRecord, _thermal_velocity
-from .evaporation import _beta_esc, _epsilon, _eta, _unitarity_cross_section, eta
+from .constants import _MASS, _THREE_KB, M3_TO_CM3, CheckedRecord
+from .evaporation import (
+    _EIGHT_PI_HBAR2,
+    _ERF_WEIGHT,
+    _FOUR_PI_HBAR2,
+    _INTEGRAL_WEIGHT,
+    _KB,
+    _MASS3,
+    _MU2,
+    eta,
+)
 from .trap import TrapState
 
 RETHERMALIZATION_MODES = ("collision-gated", "instant", "off")
@@ -94,20 +106,22 @@ def ramp_simulate(state: TrapState, profile: RampProfile,
 
     temp = state.temperature
     n = state.n_atoms
-    u = profile.u_initial
-    eta0 = eta(profile.u_initial, state.temperature)
+    u = u_initial = profile.u_initial
+    u_final = profile.u_final
+    du = u_final - u_initial
+    eta0 = eta(u_initial, state.temperature)
     rho0 = rho_bar_per_cm3
     n0 = state.n_atoms
     dt = profile.duration / steps
     quasi_static = True
     nu_r0, u_ref = state.trap.nu_radial, state.trap.u0
-    depth_at = profile.depth_at
     evaporates = rethermalization != "off"
     gated = rethermalization == "collision-gated"
-    sqrt, exp = math.sqrt, math.exp
+    sqrt, exp, erf = math.sqrt, math.exp, math.erf
 
-    for i in range(steps):
-        u_new = depth_at((i + 1) / steps)
+    for i in range(1, steps + 1):
+        fraction = i / steps
+        u_new = u_final if fraction == 1.0 else u_initial + du * fraction  # depth_at
         # fractional depth change per step must stay slow on the radial
         # oscillation timescale for the quasi-static picture to hold
         nu_r = nu_r0 * sqrt(u / u_ref)
@@ -119,12 +133,12 @@ def ramp_simulate(state: TrapState, profile: RampProfile,
             continue
         if temp <= 0:  # the check of eta
             raise ValueError("temperature must be > 0")
-        eta_now = _eta(u, temp)
+        eta_now = u / (_KB * temp)
         rho_now = rho0 * (n / n0) * (eta_now / eta0) ** 1.5
         if gated:
-            v_rms = _thermal_velocity(temp)
-            gamma_el = rho_now * M3_TO_CM3 * _unitarity_cross_section(v_rms) * v_rms
-            gate = gamma_el * dt
+            v_rms = sqrt(_THREE_KB * temp / _MASS)
+            sigma = _FOUR_PI_HBAR2 / (_MU2 * (2.0 * v_rms**2))
+            gate = rho_now * M3_TO_CM3 * sigma * v_rms * dt
             if not gate < 1.0:  # min(1.0, gate), a nan gate included
                 gate = 1.0
         else:
@@ -132,8 +146,17 @@ def ramp_simulate(state: TrapState, profile: RampProfile,
         if u <= 0 or eta_now <= 0:  # the check of beta_esc
             raise ValueError("U0 and eta must be positive")
         sqrt_eta, exp_minus_eta = sqrt(eta_now), exp(-eta_now)
-        gamma_ev = gate * rho_now * _beta_esc(u, eta_now, exp_minus_eta)
-        temp *= exp(-_epsilon(eta_now, sqrt_eta, exp_minus_eta) * gamma_ev * dt)
+        beta = (
+            _EIGHT_PI_HBAR2 * eta_now**1.5 * exp_minus_eta
+            / sqrt(3.0 * u * _MASS3) * M3_TO_CM3
+        )
+        r4_integral = (
+            _ERF_WEIGHT * erf(sqrt_eta)
+            - sqrt_eta / 4.0 * (2.0 * eta_now + 3.0) * exp_minus_eta
+        )
+        eps = 2.0 / 3.0 * eta_now - 1.0 - _INTEGRAL_WEIGHT * r4_integral
+        gamma_ev = gate * rho_now * beta
+        temp *= exp(-eps * gamma_ev * dt)
         n *= exp(-gamma_ev * dt)
 
     return RampResult(

@@ -69,6 +69,8 @@ RUNS = {
     ],
     "ramp-instant": ["ramp --ramp.rethermalization instant --out {tmp}/out.txt"],
     "ramp-off": ["ramp --ramp.rethermalization off --out {tmp}/out.txt"],
+    # quasi-static at the ramp's first step, not at its last
+    "ramp-quasi-static-breaks": ["ramp --ramp.duration_ms 3 --out {tmp}/out.txt"],
     "tof": ["tof --out {tmp}/out.csv"],
     "trap": ["trap --out {tmp}/out.txt"],
 }

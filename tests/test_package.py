@@ -275,6 +275,22 @@ def test_columns_whose_sum_overflows_are_finite(record, field):
     assert getattr(record._replace(**{field: cells}), field) == tuple(cells)
 
 
+# A column record built from arrays of each dtype stores the floats that a
+# cell-by-cell float() gives, bit for bit; the arrays convert in one call.
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.bool_])
+@pytest.mark.parametrize("kind", [Dataset, ExpansionSeries])
+def test_array_columns_convert_as_float_does_cell_by_cell(kind, dtype):
+    cells = ([0.0, 0.1], [1 / 3, 2.5e-7], [0.7, 1e-5])
+    if dtype in (np.int64, np.bool_):
+        cells = ([0, 1], [1, 3], [2, 1])
+    arrays = [np.array(c).astype(dtype) for c in cells]
+    record = kind(*arrays)
+    for stored, array in zip(record, arrays, strict=True):
+        expected = tuple(map(float, array))
+        assert type(stored) is tuple and all(type(v) is float for v in stored)
+        assert [v.hex() for v in stored] == [v.hex() for v in expected]
+
+
 # Every checked record at in-domain values. Each float field, and each float
 # cell of a sequence field, is a slot "Record.field" or "Record.field[i]":
 # the sequences are short and their cells far apart, so scaling one cell by

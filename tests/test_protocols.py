@@ -5,6 +5,8 @@ import struct
 import numpy as np
 import pytest
 from conftest import make_lattice_state, state_a
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import fit_expansion_numpy, ramp_reference
 
 from latticekit.config import load_config, state_from_config
@@ -146,11 +148,16 @@ def _outcome(state, profile, rho_bar_per_cm3, rethermalization, steps):
 @pytest.mark.parametrize("rethermalization", RETHERMALIZATION_MODES)
 def test_ramp_matches_its_reference_loop(rethermalization, steps):
     draw = random.Random(f"{rethermalization}-{steps}")
-    for depths, duration in [
-        ((U_350, U_147), 0.070),  # falling, quasi-static
-        ((U_147, U_350), 0.010),  # rising
-        ((U_350, U_147), 0.0),  # sudden
-        ((U_350, U_147), 1e-7),  # too fast to be quasi-static
+    for depths, duration, quasi_static in [
+        ((U_350, U_147), 0.070, True),  # falling, quasi-static
+        ((U_147, U_350), 0.010, True),  # rising
+        ((U_350, U_147), 0.0, False),  # sudden
+        ((U_350, U_147), 1e-7, False),  # too fast to be quasi-static
+        # quasi-static at the first step (it breaks there below about 1.3 ms)
+        # but not at the last, where the depth is lowest (below about 4.7 ms),
+        # once the steps are fine enough that the last one starts deep: one
+        # or two steps of 1.5-3 ms pass throughout
+        ((U_350, U_147), 0.003, steps < 7),
     ]:
         state = make_lattice_state(draw.uniform(1e5, 1e7), draw.uniform(20e-6, 300e-6),
                                    depths[0] / KB * 1e6)
@@ -158,7 +165,26 @@ def test_ramp_matches_its_reference_loop(rethermalization, steps):
         rho = draw.uniform(1e10, 1e13)
         result, reference = _outcome(state, profile, rho, rethermalization, steps)
         assert result == reference, (depths, duration)
-        assert result[-1] is (duration not in (0.0, 1e-7))  # quasi_static
+        assert result[-1] is quasi_static, (depths, duration)
+
+
+# Depths in uK, falling or rising, and durations from 10 ns to 1 s, or 0:
+# the quasi-static flag holds, breaks at the first step or breaks part way.
+depths_uk = st.floats(10.0, 1000.0)
+durations = st.just(0.0) | st.floats(-8.0, 0.0).map(lambda power: 10.0**power)
+
+
+@settings(max_examples=300)
+@given(n_atoms=st.floats(1e3, 1e8), temperature=st.floats(1e-6, 1e-3),
+       depths=st.tuples(depths_uk, depths_uk), duration=durations,
+       rho=st.floats(1e8, 1e14), rethermalization=st.sampled_from(RETHERMALIZATION_MODES),
+       steps=st.integers(1, 64))
+def test_ramp_matches_its_reference_loop_on_drawn_inputs(
+        n_atoms, temperature, depths, duration, rho, rethermalization, steps):
+    state = make_lattice_state(n_atoms, temperature, depths[0])
+    profile = RampProfile(depths[0] * 1e-6 * KB, depths[1] * 1e-6 * KB, duration)
+    result, reference = _outcome(state, profile, rho, rethermalization, steps)
+    assert result == reference
 
 
 def _cli_ramp(*overrides):
