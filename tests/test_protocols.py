@@ -158,6 +158,9 @@ def test_ramp_matches_its_reference_loop(rethermalization, steps):
         # once the steps are fine enough that the last one starts deep: one
         # or two steps of 1.5-3 ms pass throughout
         ((U_350, U_147), 0.003, steps < 7),
+        # the mirror image: rising, it breaks at the first step, where the
+        # depth is lowest, and holds at the last
+        ((U_147, U_350), 0.003, False),
     ]:
         state = make_lattice_state(draw.uniform(1e5, 1e7), draw.uniform(20e-6, 300e-6),
                                    depths[0] / KB * 1e6)
