@@ -62,10 +62,9 @@ from .config import (
 )
 from .constants import CONST
 from .errors import ConfigError, DomainError
-from .evaporation import eta, temperature
+from .evaporation import RampProfile, eta, ramp_simulate, temperature
 from .heating import bound_gamma_tot, rates_from_spectrum
 from .losses import population, xi_from_beta
-from .ramp import RampProfile, ramp_simulate
 from .tabular import (
     DATASET_HEADERS,
     atomic_write_text,

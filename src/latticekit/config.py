@@ -21,7 +21,7 @@ import os
 from .cavity import CavitySpec, MirrorSpec, ModeGeometry
 from .constants import CONST, DOMAINS
 from .errors import ConfigError
-from .ramp import RETHERMALIZATION_MODES
+from .evaporation import RETHERMALIZATION_MODES
 from .trap import TrapParameters, TrapState
 
 ENV_CONFIG = "LATTICEKIT_CONFIG"

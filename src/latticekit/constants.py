@@ -149,8 +149,8 @@ RB85 = Species(
 )
 
 
-# 3 kB and m of thermal_velocity (and of the ramp's step), read once: a record
-# field read costs more than a module global
+# 3 kB and m of thermal_velocity, read once: a record field read costs more
+# than a module global
 _THREE_KB = 3.0 * CONST.kB
 _MASS = RB85.mass
 

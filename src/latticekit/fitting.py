@@ -20,6 +20,16 @@ cooling-law fit is plain float code whose every sum is a correctly rounded
 math.fsum, and it never loads numpy. Neither fit calls BLAS or LAPACK. Both
 fits share one error policy: an extreme input raises FloatingPointError
 instead of carrying inf or nan into a report.
+
+The 3 x 3 system counts as singular when the determinant of J^T J scaled to
+a unit diagonal is at most 1e-10. That determinant is at most 1; it is
+computed with an absolute rounding error of a few 1e-16, and the inverse
+inherits a relative error of about that error over the determinant. At
+1e-10 the inverse still holds about six digits; below it, a parameter the
+data leave unidentified can report a finite but meaningless error, such as
+gamma 300 +- 1.5e35 with a determinant of 4.4e-16. Identified decay fits
+sit far above the bound: 0.020 for tests/fixtures/decay_noisy.csv, and at
+least 4.8e-4 over 1920 seeded series of perfbench's fit_batch pool.
 """
 
 import math
@@ -93,6 +103,7 @@ _LAMBDA_SHRINK = 0.1
 _LAMBDA_MAX = 1e12
 _RSS_TOL = 1e-12
 _GRAD_TOL = 1e-10
+_SINGULAR_DET = 1e-10
 
 
 def _products(m):
@@ -104,7 +115,8 @@ def _products(m):
 def _inverse3(a):
     """The inverse of the symmetric positive semi-definite 3 x 3 matrix a, as
     the adjugate over the determinant of a scaled to a unit diagonal; None
-    when a is singular."""
+    when a is singular, or nearly so: that determinant is at most
+    _SINGULAR_DET."""
     if not min(a[0][0], a[1][1], a[2][2]) > 0.0:
         return None
     d = [1.0 / math.sqrt(a[i][i]) for i in range(3)]
@@ -112,7 +124,7 @@ def _inverse3(a):
     c01, c02, c12 = b02 * b12 - b01, b01 * b12 - b02, b01 * b02 - b12
     c = [[1.0 - b12 * b12, c01, c02], [c01, 1.0 - b02 * b02, c12], [c02, c12, 1.0 - b01 * b01]]
     det = c[0][0] + b01 * c01 + b02 * c02
-    if not det > 0.0:
+    if not det > _SINGULAR_DET:
         return None
     return [[c[i][j] / det * d[i] * d[j] for j in range(3)] for i in range(3)]
 
@@ -176,8 +188,9 @@ def fit_decay(dataset: Dataset, rho_peak_per_cm3, initial_guess,
     seeded from the first sample. beta and its uncertainty are recovered
     through the fixed rho_peak convention. The fit runs on float arrays under
     numpy's raise policy for overflow, division by zero and invalid values.
-    A J^T J that is singular at the optimum leaves a parameter unidentified:
-    the fit does not converge, and every uncertainty is inf.
+    A J^T J that is singular, or nearly so (see _inverse3), at the optimum
+    leaves a parameter unidentified: the fit does not converge, and every
+    uncertainty is inf.
     """
     if len(dataset.t) < 4:
         raise ValueError("need at least 4 points to fit the decay model")

@@ -53,9 +53,11 @@ def _line_terms(intensity, wavelength):
         detuning = omega_laser - omega_line
         if detuning == 0:
             raise ValueError("laser resonant with an atomic line")
+        # products, not **: pow's last bit depends on the libm variant
         u_line = (
             strength
-            * (3.0 * math.pi * CONST.c**2 * gamma / (2.0 * omega_line**3))
+            * (3.0 * math.pi * (CONST.c * CONST.c) * gamma
+               / (2.0 * (omega_line * omega_line * omega_line)))
             * intensity
             / detuning
         )

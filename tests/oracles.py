@@ -9,9 +9,10 @@ so repeated runs give bit-identical arrays. Then the argparse command line
 that latticekit.cli parsed before its command table, which
 tests/test_command_line.py compares the hand-written parser against. The
 depth ramp as a loop over the public checked functions, one call per
-formula, which latticekit.ramp must match bit for bit. Then
-the per-cell CSV writer and per-line CSV reader that tests/test_tabular.py
-holds the one-pass codec of latticekit.tabular to. Last, the cooling-law and
+formula, which evaporation.ramp_simulate, writing each formula out in its
+step, must match bit for bit. Then the per-cell CSV writer and per-line CSV
+reader that tests/test_tabular.py holds the one-pass codec of
+latticekit.tabular to. Last, the cooling-law and
 expansion fits on numpy arrays, as latticekit computed them before its
 math.fsum code, with BLAS and numpy's pairwise sums under numpy's raise
 policy: the pure fits must agree with them to 1e-12 and raise
@@ -27,6 +28,9 @@ import numpy as np
 from latticekit.constants import CONST, M3_TO_CM3, RB85, thermal_velocity
 from latticekit.errors import ConfigError, DomainError
 from latticekit.evaporation import (
+    RETHERMALIZATION_MODES,
+    RampResult,
+    adiabatic_final_temperature,
     beta_esc,
     epsilon,
     eta,
@@ -35,7 +39,6 @@ from latticekit.evaporation import (
 )
 from latticekit.fitting import FitResult
 from latticekit.protocols import ExpansionFit
-from latticekit.ramp import RETHERMALIZATION_MODES, RampResult, adiabatic_final_temperature
 from latticekit.tabular import TRAJECTORY_DIGITS, format_value
 
 DEFAULT_SUBSTEPS = 4096
@@ -150,12 +153,12 @@ def evaporation_rate(rho_bar_per_cm3, temperature, eta_value):
 
 
 # ---------------------------------------------------------------------------
-# the ramp loop latticekit.ramp ran before it called the formula bodies
+# the depth ramp as a loop over the public checked functions
 
 
 def ramp_reference(state, profile, rho_bar_per_cm3,
                    rethermalization="collision-gated", steps=1024):
-    """ramp.ramp_simulate as a loop over the public checked functions, one
+    """evaporation.ramp_simulate as a loop over the public checked functions, one
     call per formula and step; ramp_simulate must return the same bits and
     raise the same errors."""
     if rethermalization not in RETHERMALIZATION_MODES:

@@ -47,6 +47,12 @@ RUNS = {
     "exit-4-fit-decay-singular": [
         "fit --kind decay --data {fixtures}/decay_noisy.csv --fit.guess_gamma_per_s 1e4"
     ],
+    # exp(-gamma t) is about 4e-28 at the first time past 0, so the gamma and
+    # xi columns of J are nearly parallel: the determinant of J^T J scaled to
+    # a unit diagonal is 4.4e-16, rounding noise
+    "exit-4-fit-decay-nearly-singular": [
+        "fit --kind decay --data {fixtures}/decay_noisy.csv --fit.guess_gamma_per_s 300"
+    ],
     # a malformed command line prints its usage line and one error line
     "exit-2-fit-decay-without-data": ["fit --kind decay"],
     "exit-2-simulate-bogus-model": ["simulate --model bogus"],

@@ -30,9 +30,12 @@ from latticekit.cavity import (
 )
 from latticekit.constants import CONST
 from latticekit.evaporation import (
+    RampProfile,
+    adiabatic_final_temperature,
     beta_esc,
     epsilon,
     pac_scaling_comparator,
+    ramp_simulate,
     temperature,
     truncated_r4_integral,
 )
@@ -40,7 +43,6 @@ from latticekit.fitting import Dataset, decay_jacobian, fit_decay, fit_epsilon
 from latticekit.heating import bound_gamma_tot
 from latticekit.losses import population, xi_from_beta
 from latticekit.protocols import fit_expansion, synthesize_expansion
-from latticekit.ramp import RampProfile, adiabatic_final_temperature, ramp_simulate
 from latticekit.trap import phase_space_density, secular_frequencies
 
 KB = CONST.kB

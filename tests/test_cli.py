@@ -1,6 +1,7 @@
 import importlib.util
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -968,7 +969,8 @@ def test_fit_and_protocols_modules_import_without_numpy():
 
 
 # Runs every pin of tests/pins.py in a fresh interpreter, whose environment
-# selects the OpenBLAS kernel, and prints the names whose pin moved.
+# selects the OpenBLAS kernel or glibc's libm variant, and prints the names
+# whose pin moved.
 _KERNEL_SCRIPT = """
 import os
 import sys
@@ -986,12 +988,20 @@ print(" ".join(moved))
 """
 
 
-@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Zen"])
+@pytest.mark.parametrize("kernel", [
+    *(pytest.param({"OPENBLAS_CORETYPE": kernel}, id=kernel)
+      for kernel in ("Haswell", "Sandybridge", "Zen")),
+    # glibc's libm without its AVX2 and FMA variants, as on an older host
+    pytest.param({"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA"}, id="libm-without-FMA",
+                 marks=pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                                          reason="a glibc tunable")),
+])
 def test_pins_hold_under_every_blas_kernel(tmp_path, kernel):
-    # no output sums or solves through BLAS, so no kernel reaches a pinned byte
+    # no output sums or solves through BLAS, so no kernel reaches a pinned
+    # byte; nor does libm's pow variant, since trap writes its powers as
+    # products
     tests = os.path.dirname(os.path.abspath(__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, tests]),
-               OPENBLAS_CORETYPE=kernel)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, tests]), **kernel)
     proc = subprocess.run([sys.executable, "-c", _KERNEL_SCRIPT, str(tmp_path)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from latticekit.cli import main
 from latticekit.config import SCHEMA
-from latticekit.ramp import RETHERMALIZATION_MODES
+from latticekit.evaporation import RETHERMALIZATION_MODES
 from latticekit.tabular import read_dataset, read_expansion
 
 FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")

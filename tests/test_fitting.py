@@ -126,6 +126,14 @@ def test_inverse3_agrees_with_numpy_and_flags_a_singular_matrix():
         assert np.allclose(ours, np.linalg.inv(a) * scale, rtol=1e-12, atol=1e-12)
     assert _inverse3([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]]) is None
     assert _inverse3([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]) is None
+    # nearly singular: the unit-diagonal part has determinant 1 - b^2, and at
+    # most 1e-10 of it counts as singular, whatever the scales
+    for scales in ((1.0, 1.0, 1.0), (1e-6, 1.0, 1e6)):
+        for det, invertible in ((2e-10, True), (5e-11, False), (4.4e-16, False)):
+            b = math.sqrt(1.0 - det)
+            unit = [[1.0, b, 0.0], [b, 1.0, 0.0], [0.0, 0.0, 1.0]]
+            a = [[unit[i][j] * scales[i] * scales[j] for j in range(3)] for i in range(3)]
+            assert (_inverse3(a) is not None) is invertible, (scales, det)
 
 
 def test_decay_fit_with_a_singular_normal_matrix_does_not_converge():

@@ -22,10 +22,10 @@ from hypothesis import strategies as st
 import latticekit
 from latticekit.cavity import CavitySpec, MirrorSpec, ModeGeometry
 from latticekit.constants import CONST, RB85, CheckedRecord
+from latticekit.evaporation import RampProfile
 from latticekit.fitting import Dataset
 from latticekit.heating import HeatingRates, NoiseSpectrum
 from latticekit.protocols import ExpansionSeries
-from latticekit.ramp import RampProfile
 
 # Every public name, by defining module (the README's library table).
 EXPORTS = {
@@ -51,13 +51,11 @@ EXPORTS = {
         "PacComparison", "beta_esc", "epsilon", "eta", "pac_scaling_comparator",
         "over_times", "temperature", "truncated_r4_integral",
         "unitarity_cross_section",
+        "RampProfile", "RampResult", "adiabatic_final_temperature", "ramp_simulate",
     ),
     "heating": (
         "HeatingRates", "NoiseSpectrum", "bound_gamma_tot", "parametric_rate",
         "rates_from_spectrum",
-    ),
-    "ramp": (
-        "RampProfile", "RampResult", "adiabatic_final_temperature", "ramp_simulate",
     ),
     "protocols": (
         "ExpansionFit", "ExpansionSeries", "expansion_sigma", "fit_expansion",

@@ -11,18 +11,18 @@ from oracles import fit_expansion_numpy, ramp_reference
 
 from latticekit.config import load_config, state_from_config
 from latticekit.constants import CONST, RB85
+from latticekit.evaporation import (
+    RETHERMALIZATION_MODES,
+    RampProfile,
+    adiabatic_final_temperature,
+    ramp_simulate,
+)
 from latticekit.protocols import (
     ExpansionFit,
     ExpansionSeries,
     expansion_sigma,
     fit_expansion,
     synthesize_expansion,
-)
-from latticekit.ramp import (
-    RETHERMALIZATION_MODES,
-    RampProfile,
-    adiabatic_final_temperature,
-    ramp_simulate,
 )
 
 KB = CONST.kB
